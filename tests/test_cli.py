@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nncift.cli import main
+from nncift.cli import main, resolve_config
 from nncift.datasets import EmbeddingMatrix, save_embeddings
 from nncift.influence import load_influence
 
@@ -356,6 +356,25 @@ class TestConfigResolution:
         main(["valuate", "--config", str(config), "--out", str(out_a)])
         main(["valuate", "--config", str(config), "--out", str(out_b)])
         assert read_json(out_a / "ledger.json")["config_hash"] == read_json(out_b / "ledger.json")["config_hash"]
+
+    def test_config_hash_pinned(self):
+        # run_id, the ledger's config_hash and sweep directories derive
+        # from this digest, so it must not move when resolve_config changes
+        pairwise = {
+            "method": "delift", "u": 0.1, "v": "0.3", "seed": 7,
+            "fine_tune_embeddings": "data/fine.emb", "target_embeddings": "data/target.emb",
+            "probe": {"provider": "http", "base_url": "http://127.0.0.1:8000", "retries": 2},
+            "fine_tune_texts": "data/fine.jsonl", "target_texts": "data/target.jsonl",
+            "train": {"hidden": 10, "epochs": 3}, "per_call_cost": {"forward": 0.5},
+            "u_sweep": [0.05, 0.1], "out_dir": "runs/a",
+        }
+        pointwise = {"method": "selectit", "u": 0.05, "fine_tune_embeddings": "data/fine.emb"}
+        config = resolve_config(pairwise)
+        assert config.config_hash == (
+            "e989d955e1cb5c7ebf28ddec726837d7fb649cd2837b650152706e22e9bca584")
+        assert config.run_id == "e989d955e1cb"
+        assert resolve_config(pointwise).config_hash == (
+            "ce1afed5298f55bb5f94e33503dad6bd9f42c2f3506de927e8d3bf807f55d492")
 
     def test_unknown_train_field_rejected(self, tmp_path):
         config = write_config(tmp_path, train={"momentum": 0.9})
