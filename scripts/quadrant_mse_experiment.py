@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nncift.datasets import DatasetPair, EmbeddingMatrix, partition, quadrant_index_sets, quadrant_pairs
+from nncift.datasets import DatasetPair, EmbeddingMatrix, partition, quadrant_index_sets
 from nncift.network import TrainConfig, build_pair_features, estimate_pairwise, train
 from nncift.probes import CostLedger
 
@@ -33,24 +33,16 @@ def unit_rows(count: int, dim: int, seed: int) -> np.ndarray:
     return rows.astype(np.float32)
 
 
-def quadrant_errors(pair, part, params, norm, truth, block=128):
-    """Per-quadrant MSE of the trained net, blocked so the feature matrix
-    never holds more than `block` rows at once."""
+def quadrant_errors(pair, part, params, norm, truth):
+    """Per-quadrant MSE of the trained net in raw truth space."""
     ledger = CostLedger()
     out = {}
     for quadrant in QUADRANTS:
         rows, cols = quadrant_index_sets(part, quadrant)
-        cols = [int(j) for j in cols]
-        total, count = 0.0, 0
-        for start in range(0, len(rows), block):
-            chunk = [int(i) for i in rows[start:start + block]]
-            cells = [(i, j) for i in chunk for j in cols]
-            estimates = estimate_pairwise(params, pair, cells, ledger)
-            grid = np.ix_(chunk, cols)
-            raw = norm.denormalize(estimates.values[grid].astype(np.float64))
-            total += float(((raw - truth[grid]) ** 2).sum())
-            count += raw.size
-        out[quadrant] = total / count
+        estimates = estimate_pairwise(params, pair, rows, cols, ledger)
+        grid = np.ix_(rows, cols)
+        raw = norm.denormalize(estimates.values[grid].astype(np.float64))
+        out[quadrant] = float(((raw - truth[grid]) ** 2).mean())
     return out
 
 
@@ -92,21 +84,21 @@ def main(argv=None) -> int:
     for u in args.u:
         started = time.perf_counter()
         part = partition(pair, u, seed=args.seed)
-        cells = list(quadrant_pairs(part, "Q1"))
-        idx = np.array(cells, dtype=np.int64)
+        corner = np.ix_(part.id_f, part.id_t)
+        q1_cells = len(part.id_f) * len(part.id_t)
         result = train(
-            build_pair_features(pair, cells),
-            truth[idx[:, 0], idx[:, 1]],
+            build_pair_features(pair, part.id_f, part.id_t),
+            truth[corner].reshape(-1),
             TrainConfig(seed=0, epochs=args.epochs),
         )
         trained = quadrant_errors(pair, part, result.params, result.norm, truth)
         zero, random_mse = baseline_errors(truth, part, seed=99)
         for quadrant in QUADRANTS:
-            print(f"{u:>6}  {len(cells):>9}  {quadrant:>8}  {trained[quadrant]:>9.5f}  "
+            print(f"{u:>6}  {q1_cells:>9}  {quadrant:>8}  {trained[quadrant]:>9.5f}  "
                   f"{zero[quadrant]:>9.5f}  {random_mse[quadrant]:>9.5f}")
         results.append({
             "u": u,
-            "q1_cells": len(cells),
+            "q1_cells": q1_cells,
             "train_seconds": round(time.perf_counter() - started, 2),
             "trained": trained,
             "predict_zero": zero,

@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,7 +41,7 @@ from .datasets import (
     load_embeddings,
     load_texts,
     partition,
-    quadrant_pairs,
+    quadrant_index_sets,
 )
 from .errors import (
     ConfigError,
@@ -67,6 +67,7 @@ from .influence import (
     save_influence,
 )
 from .network import (
+    QUADRANTS,
     TrainConfig,
     baseline_estimates,
     build_pair_features,
@@ -108,36 +109,12 @@ _TRAIN_KEYS = frozenset(
 _SCALE_KEYS = frozenset({"label", "parameter_count", "probe"})
 _DEFAULT_PROMPTS = ["Rate the quality of the following instruction sample.\n{prompt}"]
 
-_CONFIG_KEYS = frozenset(
-    {
-        "method",
-        "u",
-        "v",
-        "seed",
-        "fine_tune_embeddings",
-        "target_embeddings",
-        "fine_tune_gradients",
-        "target_gradients",
-        "fine_tune_texts",
-        "target_texts",
-        "probe",
-        "train",
-        "prompts",
-        "scales",
-        "pure_estimates",
-        "evaluate_truth",
-        "per_call_cost",
-        "u_sweep",
-        "v_sweep",
-        "out_dir",
-    }
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
     """One fully resolved run: defaults filled, overrides applied.
 
+    The fields are the config document's keys, declared here only.
     ``resolved`` is the JSON-native echo of every field; its canonical
     serialization (minus out_dir, which is where the run lands, not
     what it is) hashes to the run's identity.
@@ -154,7 +131,7 @@ class RunConfig:
     fine_tune_texts: str | None
     target_texts: str | None
     probe: dict
-    train_overrides: dict
+    train: dict
     prompts: list[str]
     scales: list[dict]
     pure_estimates: bool
@@ -163,7 +140,12 @@ class RunConfig:
     u_sweep: list | None
     v_sweep: list | None
     out_dir: Path
-    resolved: dict
+
+    @property
+    def resolved(self) -> dict:
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["out_dir"] = str(self.out_dir)
+        return doc
 
     @property
     def config_hash(self) -> str:
@@ -176,7 +158,10 @@ class RunConfig:
         return self.config_hash[:12]
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(seed=self.seed, **self.train_overrides)
+        return TrainConfig(seed=self.seed, **self.train)
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 
 
 def _check_fraction(name: str, value) -> None:
@@ -227,55 +212,51 @@ def resolve_config(
     unknown = sorted(set(doc) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
+    # absent fields read as None until a check below fills their default
+    cfg = {key: doc.get(key) for key in _CONFIG_KEYS}
 
-    method = doc.get("method")
+    method = cfg["method"]
     known = PAIRWISE_METHODS + POINTWISE_METHODS
     if method not in known:
         raise ConfigError(f"method must be one of {', '.join(known)}, got {method!r}")
 
-    u = doc.get("u", 0.05)
-    v = doc.get("v", 0.3)
-    _check_fraction("u", u)
-    _check_fraction("v", v)
+    cfg["u"] = doc.get("u", 0.05)
+    cfg["v"] = doc.get("v", 0.3)
+    _check_fraction("u", cfg["u"])
+    _check_fraction("v", cfg["v"])
 
-    seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    seed = cfg["seed"] = seed_override if seed_override is not None else doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
 
-    fine_path = doc.get("fine_tune_embeddings")
-    if not fine_path:
+    if not cfg["fine_tune_embeddings"]:
         raise ConfigError("fine_tune_embeddings path is required")
-    target_path = doc.get("target_embeddings")
-    if method in PAIRWISE_METHODS and not target_path:
+    if method in PAIRWISE_METHODS and not cfg["target_embeddings"]:
         raise ConfigError(f"{method} needs target_embeddings")
 
-    grads_f = doc.get("fine_tune_gradients")
-    grads_t = doc.get("target_gradients")
-    if method == "less" and not (grads_f and grads_t):
+    if method == "less" and not (cfg["fine_tune_gradients"] and cfg["target_gradients"]):
         raise ConfigError("less needs fine_tune_gradients and target_gradients")
 
-    probe = dict(doc.get("probe") or {"provider": "synthetic"})
+    probe = cfg["probe"] = dict(doc.get("probe") or {"provider": "synthetic"})
     kind = probe.get("provider")
     if kind not in _PROVIDER_KINDS:
         raise ConfigError(f"probe provider must be one of {', '.join(_PROVIDER_KINDS)}")
     if kind == "synthetic":
         probe.setdefault("seed", seed)
 
-    texts_f = doc.get("fine_tune_texts")
-    texts_t = doc.get("target_texts")
     if kind != "synthetic":
         # only the synthetic provider can score generated placeholder text
-        if method == "delift" and not (texts_f and texts_t):
+        if method == "delift" and not (cfg["fine_tune_texts"] and cfg["target_texts"]):
             raise ConfigError("delift with a non-synthetic provider needs text records on both sides")
-        if method == "selectit" and not texts_f:
+        if method == "selectit" and not cfg["fine_tune_texts"]:
             raise ConfigError("selectit with a non-synthetic provider needs fine_tune_texts")
 
-    train_overrides = dict(doc.get("train") or {})
-    bad = sorted(set(train_overrides) - _TRAIN_KEYS)
+    cfg["train"] = dict(doc.get("train") or {})
+    bad = sorted(set(cfg["train"]) - _TRAIN_KEYS)
     if bad:
         raise ConfigError(f"unknown train fields: {', '.join(bad)}")
 
-    prompts = list(doc.get("prompts") or _DEFAULT_PROMPTS)
+    prompts = cfg["prompts"] = list(doc.get("prompts") or _DEFAULT_PROMPTS)
     if not prompts or not all(isinstance(p, str) and p for p in prompts):
         raise ConfigError("prompts must be a non-empty list of non-empty strings")
 
@@ -286,7 +267,7 @@ def resolve_config(
         scales = _default_scales(seed)
     if not isinstance(scales, list) or not scales:
         raise ConfigError("scales must be a non-empty list")
-    scales = [dict(s) if isinstance(s, dict) else s for s in scales]
+    scales = cfg["scales"] = [dict(s) if isinstance(s, dict) else s for s in scales]
     for entry in scales:
         if not isinstance(entry, dict):
             raise ConfigError("each scale must be a mapping")
@@ -299,22 +280,19 @@ def resolve_config(
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ConfigError("scale parameter_count must be a positive integer")
 
-    pure_estimates = doc.get("pure_estimates", False)
-    if not isinstance(pure_estimates, bool):
+    cfg["pure_estimates"] = doc.get("pure_estimates", False)
+    if not isinstance(cfg["pure_estimates"], bool):
         raise ConfigError("pure_estimates must be a boolean")
-    evaluate_truth = doc.get("evaluate_truth")
-    if evaluate_truth is None:
-        evaluate_truth = kind != "http"
-    if not isinstance(evaluate_truth, bool):
+    if cfg["evaluate_truth"] is None:
+        cfg["evaluate_truth"] = kind != "http"
+    if not isinstance(cfg["evaluate_truth"], bool):
         raise ConfigError("evaluate_truth must be a boolean")
 
-    per_call_cost = doc.get("per_call_cost")
-    if per_call_cost is not None and not isinstance(per_call_cost, dict):
+    if cfg["per_call_cost"] is not None and not isinstance(cfg["per_call_cost"], dict):
         raise ConfigError("per_call_cost must be a mapping")
 
-    u_sweep = doc.get("u_sweep")
-    v_sweep = doc.get("v_sweep")
-    for name, sweep in (("u_sweep", u_sweep), ("v_sweep", v_sweep)):
+    for name in ("u_sweep", "v_sweep"):
+        sweep = cfg[name]
         if sweep is None:
             continue
         if not isinstance(sweep, list) or not sweep:
@@ -322,53 +300,8 @@ def resolve_config(
         for value in sweep:
             _check_fraction(name, value)
 
-    out_dir = Path(out_override) if out_override else Path(doc.get("out_dir") or "nncift-run")
-
-    resolved = {
-        "method": method,
-        "u": u,
-        "v": v,
-        "seed": seed,
-        "fine_tune_embeddings": fine_path,
-        "target_embeddings": target_path,
-        "fine_tune_gradients": grads_f,
-        "target_gradients": grads_t,
-        "fine_tune_texts": texts_f,
-        "target_texts": texts_t,
-        "probe": probe,
-        "train": train_overrides,
-        "prompts": prompts,
-        "scales": scales,
-        "pure_estimates": pure_estimates,
-        "evaluate_truth": evaluate_truth,
-        "per_call_cost": per_call_cost,
-        "u_sweep": u_sweep,
-        "v_sweep": v_sweep,
-        "out_dir": str(out_dir),
-    }
-    return RunConfig(
-        method=method,
-        u=u,
-        v=v,
-        seed=seed,
-        fine_tune_embeddings=fine_path,
-        target_embeddings=target_path,
-        fine_tune_gradients=grads_f,
-        target_gradients=grads_t,
-        fine_tune_texts=texts_f,
-        target_texts=texts_t,
-        probe=probe,
-        train_overrides=train_overrides,
-        prompts=prompts,
-        scales=scales,
-        pure_estimates=pure_estimates,
-        evaluate_truth=evaluate_truth,
-        per_call_cost=per_call_cost,
-        u_sweep=u_sweep,
-        v_sweep=v_sweep,
-        out_dir=out_dir,
-        resolved=resolved,
-    )
+    cfg["out_dir"] = Path(out_override or doc.get("out_dir") or "nncift-run")
+    return RunConfig(**cfg)
 
 
 def _generated_texts(count: int, side: str) -> dict[int, tuple[str, str]]:
@@ -444,11 +377,26 @@ def _load_ledger(out: Path, config: RunConfig) -> CostLedger:
     return CostLedger.from_dict(doc)
 
 
-def _nan_to_none(group: dict) -> dict:
-    return {
-        k: (None if isinstance(v, float) and math.isnan(v) else v)
-        for k, v in group.items()
-    }
+def _partition(config: RunConfig, pair: DatasetPair) -> QuadrantPartition:
+    """The run's ID/OOD split. A pointwise run is the M x 1 case: its one
+    score column sits on the ID side, so Q1 is the ID rows, Q3 the OOD
+    rows, and Q2 and Q4 are empty."""
+    part = partition(pair, config.u, config.seed)
+    if config.method in POINTWISE_METHODS:
+        part = replace(part, id_t=np.array([0]), ood_t=np.array([], dtype=np.int64))
+    return part
+
+
+def _valuate(
+    config: RunConfig, pair: DatasetPair, rows: np.ndarray, cols: np.ndarray, ledger: CostLedger
+) -> InfluenceMatrix:
+    """Ground truth on the rows x cols block (pointwise: on the rows)."""
+    if config.method in POINTWISE_METHODS:
+        scales = _build_scales(config)
+        scores = compute_pointwise(config.method, rows, config.prompts, scales, pair, ledger)
+        return scores.to_matrix()
+    provider = build_provider(config.probe) if config.method == "delift" else None
+    return compute_influence(config.method, rows, cols, pair, probe=provider, ledger=ledger)
 
 
 def cmd_valuate(config: RunConfig) -> Path:
@@ -456,46 +404,49 @@ def cmd_valuate(config: RunConfig) -> Path:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     pair = _load_inputs(config)
-    part = partition(pair, config.u, config.seed)
+    part = _partition(config, pair)
     ledger = CostLedger()
     with ledger.time_phase("valuate"):
-        if config.method in PAIRWISE_METHODS:
-            provider = build_provider(config.probe) if config.method == "delift" else None
-            cells = list(quadrant_pairs(part, "Q1"))
-            matrix = compute_influence(config.method, cells, pair, probe=provider, ledger=ledger)
-            if config.method == "less":
-                # the features' upstream cost, charged once on ingestion
-                record_gradient_cost(pair.m + pair.n, ledger)
-        else:
-            scales = _build_scales(config)
-            indices = [int(i) for i in part.id_f]
-            scores = compute_pointwise(config.method, indices, config.prompts, scales, pair, ledger)
-            matrix = scores.to_matrix()
+        matrix = _valuate(config, pair, part.id_f, part.id_t, ledger)
+        if config.method == "less":
+            # the features' upstream cost, charged once on ingestion
+            record_gradient_cost(pair.m + pair.n, ledger)
     save_influence(matrix, out / Q1_FILE)
     _write_ledger(out, config, ledger)
     print(f"wrote {out / Q1_FILE} ({matrix.valid_count()} valid cells)")
     return out
 
 
-def _pairwise_train_estimate(
-    config: RunConfig,
-    pair: DatasetPair,
-    part: QuadrantPartition,
-    q1: InfluenceMatrix,
-    ledger: CostLedger,
-    out: Path,
-) -> None:
-    if q1.values.shape != (pair.m, pair.n):
-        raise ConfigError(
-            f"{out / Q1_FILE} is {q1.m}x{q1.n} but the embeddings give {pair.m}x{pair.n}"
-        )
-    cells = list(quadrant_pairs(part, "Q1"))
-    idx = np.array(cells, dtype=np.int64).reshape(-1, 2)
-    if len(cells) and not q1.mask[idx[:, 0], idx[:, 1]].all():
-        raise ConfigError(f"{out / Q1_FILE} does not cover the ID corner; stale artifact?")
-    targets = q1.values[idx[:, 0], idx[:, 1]].astype(np.float64) if len(cells) else np.zeros(0)
-    features = build_pair_features(pair, cells)
+def cmd_train_estimate(config: RunConfig) -> Path:
+    """Step 2: fit on the corner, estimate everything else, merge.
 
+    Pairwise and pointwise runs take the same path; a pointwise run is
+    the M x 1 case (see _partition). full.nnk holds the network's
+    normalised space for pairwise runs and raw scores for pointwise ones.
+    """
+    out = config.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    pair = _load_inputs(config)
+    part = _partition(config, pair)
+    q1_path = out / Q1_FILE
+    if not q1_path.exists():
+        raise ConfigError(f"{q1_path} not found; run valuate first")
+    q1 = load_influence(q1_path)
+    ledger = _load_ledger(out, config)
+    if q1.values.shape != (part.m, part.n):
+        raise ConfigError(f"{q1_path} is {q1.m}x{q1.n} but this run needs {part.m}x{part.n}")
+    corner = np.ix_(part.id_f, part.id_t)
+    expected = np.zeros(q1.mask.shape, dtype=bool)
+    expected[corner] = True
+    if not np.array_equal(q1.mask, expected):
+        raise ConfigError(f"{q1_path} does not match the ID corner; stale artifact?")
+
+    pointwise = config.method in POINTWISE_METHODS
+    if pointwise:
+        features = pair.fine_tune.rows[part.id_f].astype(np.float64)
+    else:
+        features = build_pair_features(pair, part.id_f, part.id_t)
+    targets = q1.values[corner].reshape(-1).astype(np.float64)
     train_config = config.train_config()
     with ledger.time_phase("train"):
         result = train(features, targets, train_config)
@@ -503,26 +454,27 @@ def _pairwise_train_estimate(
                 optimizer=train_config.optimizer_metadata())
     norm = result.norm
 
-    all_cells = [(i, j) for i in range(pair.m) for j in range(pair.n)]
+    def estimate(rows, cols, meter: CostLedger) -> InfluenceMatrix:
+        if pointwise:
+            return estimate_pointwise(result.params, pair.fine_tune, rows, norm, meter).to_matrix()
+        return estimate_pairwise(result.params, pair, rows, cols, meter)
+
+    def normalized(matrix: InfluenceMatrix) -> InfluenceMatrix:
+        return InfluenceMatrix(values=norm.normalize(matrix.values), mask=matrix.mask)
+
+    everything = (np.arange(part.m), np.arange(part.n))
     if config.pure_estimates:
-        est_cells = all_cells
+        blocks = [everything]
     else:
-        id_f = {int(i) for i in part.id_f}
-        id_t = {int(j) for j in part.id_t}
-        est_cells = [(i, j) for i, j in all_cells if i not in id_f or j not in id_t]
+        blocks = [quadrant_index_sets(part, quadrant) for quadrant in ("Q2", "Q3", "Q4")]
+    full = InfluenceMatrix(values=np.zeros(q1.mask.shape), mask=np.zeros(q1.mask.shape, dtype=bool))
     with ledger.time_phase("estimate"):
-        estimates = estimate_pairwise(result.params, pair, est_cells, ledger)
-    if config.pure_estimates:
-        full = estimates
-    else:
-        # ground truth was already paid for; keep it on Q1, normalized
-        # into the same space the estimates live in
-        q1_norm_values = norm.normalize(q1.values.astype(np.float64)).astype(np.float32)
-        q1_norm = InfluenceMatrix(
-            values=np.where(q1.mask, q1_norm_values, 0.0).astype(np.float32),
-            mask=q1.mask.copy(),
-        )
-        full = estimates.overlay(q1_norm)
+        for rows, cols in blocks:
+            if len(rows) and len(cols):
+                full = full.overlay(estimate(rows, cols, ledger))
+    if not config.pure_estimates:
+        # ground truth was already paid for; keep it on Q1, in full.nnk's space
+        full = full.overlay(q1 if pointwise else normalized(q1))
     if not full.fully_valid:
         raise CoverageError("merged influence matrix has invalid cells")
     save_influence(full, out / FULL_FILE)
@@ -531,120 +483,25 @@ def _pairwise_train_estimate(
     if config.evaluate_truth:
         eval_ledger = CostLedger()
         with eval_ledger.time_phase("evaluate"):
-            provider = build_provider(config.probe) if config.method == "delift" else None
-            truth = compute_influence(config.method, all_cells, pair, probe=provider, ledger=eval_ledger)
-            truth_norm = InfluenceMatrix.full(
-                norm.normalize(truth.values.astype(np.float64)).astype(np.float32)
-            )
-            estimates_all = estimate_pairwise(result.params, pair, all_cells, eval_ledger)
-            shape = (pair.m, pair.n)
-            mse_doc = {
-                "space": "normalized",
-                "trained": mse_by_quadrant(estimates_all, truth_norm, part),
-                "random_uniform": mse_by_quadrant(
-                    baseline_estimates("random_uniform", shape, config.seed), truth_norm, part
-                ),
-                "predict_zero": mse_by_quadrant(
-                    baseline_estimates("predict_zero", shape, config.seed), truth_norm, part
-                ),
+            truth = _valuate(config, pair, *everything, eval_ledger)
+            truth = InfluenceMatrix.full(norm.normalize(truth.values))
+            trained = estimate(*everything, eval_ledger)
+            predictors = {
+                "trained": normalized(trained) if pointwise else trained,
+                "random_uniform": baseline_estimates("random_uniform", q1.mask.shape, config.seed),
+                "predict_zero": baseline_estimates("predict_zero", q1.mask.shape, config.seed),
             }
+            by_quadrant = {name: mse_by_quadrant(predictions, truth, part)
+                           for name, predictions in predictors.items()}
         evaluation = eval_ledger.as_dict()
-        _write_json(
-            out / MSE_FILE,
-            {k: _nan_to_none(v) if isinstance(v, dict) else v for k, v in mse_doc.items()},
-        )
-    _write_ledger(out, config, ledger, evaluation=evaluation)
-
-
-def _pointwise_train_estimate(
-    config: RunConfig,
-    pair: DatasetPair,
-    part: QuadrantPartition,
-    q1: InfluenceMatrix,
-    ledger: CostLedger,
-    out: Path,
-) -> None:
-    if q1.n != 1 or q1.m != pair.m:
-        raise ConfigError(
-            f"{out / Q1_FILE} is {q1.m}x{q1.n} but pointwise runs need {pair.m}x1"
-        )
-    truth_scores = PointwiseScores.from_matrix(q1)
-    if not np.array_equal(truth_scores.indices, part.id_f):
-        raise ConfigError(f"{out / Q1_FILE} does not cover the ID rows; stale artifact?")
-
-    id_indices = [int(i) for i in part.id_f]
-    features = pair.fine_tune.rows[id_indices].astype(np.float64)
-    train_config = config.train_config()
-    with ledger.time_phase("train"):
-        result = train(features, truth_scores.values, train_config)
-    save_params(result, out / PARAMS_FILE, seed=config.seed,
-                optimizer=train_config.optimizer_metadata())
-    norm = result.norm
-
-    if config.pure_estimates:
-        est_indices = list(range(pair.m))
-    else:
-        est_indices = [int(i) for i in part.ood_f]
-    with ledger.time_phase("estimate"):
-        estimates = estimate_pointwise(result.params, pair.fine_tune, est_indices, norm, ledger)
-    full = estimates.to_matrix() if config.pure_estimates else estimates.to_matrix().overlay(q1)
-    if not full.fully_valid:
-        raise CoverageError("merged score column has invalid cells")
-    save_influence(full, out / FULL_FILE)
-
-    evaluation = None
-    if config.evaluate_truth:
-        eval_ledger = CostLedger()
-        with eval_ledger.time_phase("evaluate"):
-            scales = _build_scales(config)
-            everything = list(range(pair.m))
-            truth_all = compute_pointwise(
-                config.method, everything, config.prompts, scales, pair, eval_ledger
-            )
-            estimates_all = estimate_pointwise(
-                result.params, pair.fine_tune, everything, norm, eval_ledger
-            )
-            truth_normed = norm.normalize(truth_all.values)
-            id_mask = np.zeros(pair.m, dtype=bool)
-            id_mask[part.id_f] = True
-
-            def group_mse(predictions: np.ndarray) -> dict:
-                groups = {}
-                for label, mask in (("id", id_mask), ("ood", ~id_mask)):
-                    groups[label] = (
-                        float(np.mean((predictions[mask] - truth_normed[mask]) ** 2))
-                        if mask.any()
-                        else None
-                    )
-                return groups
-
-            noise = baseline_estimates("random_uniform", (pair.m, 1), config.seed)
-            mse_doc = {
-                "space": "normalized",
-                "trained": group_mse(norm.normalize(estimates_all.values)),
-                "random_uniform": group_mse(noise.values[:, 0].astype(np.float64)),
-                "predict_zero": group_mse(np.zeros(pair.m)),
-            }
-        evaluation = eval_ledger.as_dict()
+        # pointwise groups keep their id/ood names
+        labels = {"id": "Q1", "ood": "Q3"} if pointwise else {q: q for q in QUADRANTS}
+        mse_doc = {"space": "normalized"}
+        for name, mse in by_quadrant.items():
+            mse_doc[name] = {label: None if math.isnan(mse[q]) else mse[q]
+                             for label, q in labels.items()}
         _write_json(out / MSE_FILE, mse_doc)
     _write_ledger(out, config, ledger, evaluation=evaluation)
-
-
-def cmd_train_estimate(config: RunConfig) -> Path:
-    """Step 2: fit on the corner, estimate everything else, merge."""
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    pair = _load_inputs(config)
-    part = partition(pair, config.u, config.seed)
-    q1_path = out / Q1_FILE
-    if not q1_path.exists():
-        raise ConfigError(f"{q1_path} not found; run valuate first")
-    q1 = load_influence(q1_path)
-    ledger = _load_ledger(out, config)
-    if config.method in PAIRWISE_METHODS:
-        _pairwise_train_estimate(config, pair, part, q1, ledger, out)
-    else:
-        _pointwise_train_estimate(config, pair, part, q1, ledger, out)
     print(f"wrote {out / FULL_FILE} and {out / PARAMS_FILE}")
     return out
 

@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -180,19 +180,6 @@ def quadrant_index_sets(part: QuadrantPartition, quadrant: Quadrant) -> tuple[np
     if quadrant not in sets:
         raise ValueError(f"unknown quadrant {quadrant!r}")
     return sets[quadrant]
-
-
-def quadrant_pairs(part: QuadrantPartition, quadrant: Quadrant) -> Iterator[tuple[int, int]]:
-    """Stream the quadrant's (fine_tune, target) index pairs in ascending order."""
-    rows, cols = quadrant_index_sets(part, quadrant)
-    for i in rows:
-        for j in cols:
-            yield int(i), int(j)
-
-
-def quadrant_size(part: QuadrantPartition, quadrant: Quadrant) -> int:
-    rows, cols = quadrant_index_sets(part, quadrant)
-    return len(rows) * len(cols)
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:

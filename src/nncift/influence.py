@@ -6,8 +6,7 @@ Four valuation methods share this module:
   in-context example; the value is how much the example shrinks the
   distance to the target.
 * delift_se: cosine similarity of precomputed pair embeddings.
-* less: cosine similarity of precomputed (optionally projected)
-  gradient features.
+* less: cosine similarity of precomputed gradient features.
 * selectit: pointwise certainty score aggregated over rating prompts
   and model scales, weighted by parameter count.
 
@@ -33,6 +32,7 @@ from .datasets import DatasetPair
 from .errors import (
     DataValidationError,
     FileFormatError,
+    NnciftError,
     PayloadLengthError,
     RecordNotFoundError,
 )
@@ -270,27 +270,26 @@ def delift_pair(
     return d_noctx - d_ctx
 
 
-def delift_se_pair(i: int, j: int, pair: DatasetPair) -> float:
-    """Cosine similarity of the two samples' pair embeddings."""
-    return cosine(pair.fine_tune.row(i), pair.target.row(j))
+def _cosine_block(
+    left: np.ndarray, right: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Cosine similarity of every (left[i], right[j]) for i in rows, j in
+    cols, as one normalised Gram product; `cosine` is its per-cell oracle.
 
-
-def less_pair(i: int, j: int, pair: DatasetPair) -> float:
-    """Cosine similarity of the two samples' gradient features."""
-    if pair.fine_tune_gradients is None or pair.target_gradients is None:
-        raise RecordNotFoundError("gradient features not loaded for both sides")
-    return cosine(pair.fine_tune_gradients.row(i), pair.target_gradients.row(j))
-
-
-def random_project(vec: np.ndarray, seed: int, d: int) -> np.ndarray:
-    """Seeded Rademacher projection to d dimensions, scaled by 1/sqrt(d)
-    so squared norms are preserved in expectation."""
-    if d < 1:
-        raise ValueError("projection dim must be >= 1")
-    vec = np.asarray(vec, dtype=np.float64).reshape(-1)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    signs = rng.integers(0, 2, size=(d, vec.shape[0])).astype(np.float64) * 2.0 - 1.0
-    return (signs @ vec) / math.sqrt(d)
+    A zero-norm vector raises, naming the first cell it leaves undefined
+    in row-major order.
+    """
+    f = left[rows].astype(np.float64)
+    t = right[cols].astype(np.float64)
+    f_sq = np.einsum("ij,ij->i", f, f)
+    t_sq = np.einsum("ij,ij->i", t, t)
+    undefined = (f_sq == 0.0)[:, None] | (t_sq == 0.0)[None, :]
+    if undefined.any():
+        a, b = np.argwhere(undefined)[0]
+        raise DataValidationError(
+            f"at cell ({rows[a]}, {cols[b]}): cosine undefined for zero-norm vectors"
+        )
+    return (f @ t.T) / np.sqrt(np.outer(f_sq, t_sq))
 
 
 def _render_prompt(template: str, prompt_text: str) -> str:
@@ -335,36 +334,51 @@ def selectit_point(
 
 def compute_influence(
     method: str,
-    cells: Iterable[tuple[int, int]],
-    pair: DatasetPair,
+    rows: Sequence[int],
+    cols: Sequence[int],
+    pair: DatasetPair | None = None,
     probe: Provider | None = None,
     ledger: CostLedger | None = None,
 ) -> InfluenceMatrix:
-    """Fill exactly the requested cells of the m x n influence matrix.
+    """Fill exactly the rows x cols block of the m x n influence matrix.
 
-    delift probes the model through `probe` (context-free terms cached
-    per j); delift_se and less read precomputed inputs and cost zero
-    probe calls.
+    delift probes the model through `probe` cell by cell in row-major
+    order (context-free terms cached per j); delift_se and less read
+    precomputed inputs, cost zero probe calls, and take the whole block
+    as one Gram product.
     """
+    if isinstance(cols, DatasetPair):
+        # perfbench/run.py still calls the older (method, cells, pair) form,
+        # always with every cell of the matrix; drop this once it passes a block
+        cells, pair = list(rows), cols
+        rows, cols = range(pair.m), range(pair.n)
+        if cells != [(i, j) for i in rows for j in cols]:
+            raise ValueError("a cell list must hold every cell of the matrix in row-major order")
     if method not in PAIRWISE_METHODS:
         raise ValueError(f"unknown pairwise method {method!r}")
     if method == "delift" and (probe is None or ledger is None):
         raise ValueError("delift requires a probe and a ledger")
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if method == "delift":
+        block = np.empty((len(rows), len(cols)))
+        noctx_cache: dict[int, float] = {}
+        for a, i in enumerate(rows.tolist()):
+            for b, j in enumerate(cols.tolist()):
+                try:
+                    block[a, b] = delift_pair(i, j, pair, probe, ledger, noctx_cache)
+                except NnciftError as exc:
+                    raise type(exc)(f"at cell ({i}, {j}): {exc}") from exc
+    elif method == "delift_se":
+        block = _cosine_block(pair.fine_tune.rows, pair.target.rows, rows, cols)
+    else:
+        if pair.fine_tune_gradients is None or pair.target_gradients is None:
+            raise RecordNotFoundError("gradient features not loaded for both sides")
+        block = _cosine_block(pair.fine_tune_gradients.rows, pair.target_gradients.rows, rows, cols)
     values = np.zeros((pair.m, pair.n), dtype=np.float32)
     mask = np.zeros((pair.m, pair.n), dtype=bool)
-    noctx_cache: dict[int, float] = {}
-    for i, j in cells:
-        try:
-            if method == "delift":
-                value = delift_pair(i, j, pair, probe, ledger, noctx_cache)
-            elif method == "delift_se":
-                value = delift_se_pair(i, j, pair)
-            else:
-                value = less_pair(i, j, pair)
-        except Exception as exc:
-            raise type(exc)(f"at cell ({i}, {j}): {exc}") from exc
-        values[i, j] = value
-        mask[i, j] = True
+    values[np.ix_(rows, cols)] = block
+    mask[np.ix_(rows, cols)] = True
     return InfluenceMatrix(values=values, mask=mask)
 
 
@@ -385,7 +399,7 @@ def compute_pointwise(
     for i in index_list:
         try:
             scores.append(selectit_point(i, prompts, scales, pair, ledger))
-        except Exception as exc:
+        except NnciftError as exc:
             raise type(exc)(f"at index {i}: {exc}") from exc
     return PointwiseScores(
         m=pair.m,

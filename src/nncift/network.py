@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .influence import InfluenceMatrix, PointwiseScores
 from .probes import CostLedger
 
 QUADRANTS = ("Q1", "Q2", "Q3", "Q4")
+_CHUNK_CELLS = 8192  # estimates per forward batch, bounding its feature matrix
 
 
 @dataclass
@@ -277,48 +278,55 @@ def train(
     return TrainResult(params=params, epoch_losses=losses, norm=norm)
 
 
-def build_pair_features(pair: DatasetPair, cells: Iterable[tuple[int, int]]) -> np.ndarray:
-    """Feature vectors for (i, j) cells: the two embeddings concatenated."""
-    idx = np.array(list(cells), dtype=np.int64).reshape(-1, 2)
-    fi = pair.fine_tune.rows[idx[:, 0]].astype(np.float64)
-    tj = pair.target.rows[idx[:, 1]].astype(np.float64)
-    return np.hstack([fi, tj])
+def build_pair_features(pair: DatasetPair, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+    """Feature vectors for the rows x cols block in row-major order: the
+    two embeddings of each cell concatenated."""
+    fi = pair.fine_tune.rows[np.asarray(rows, dtype=np.int64)]
+    tj = pair.target.rows[np.asarray(cols, dtype=np.int64)]
+    features = np.empty((len(fi), len(tj), fi.shape[1] + tj.shape[1]))
+    features[:, :, :fi.shape[1]] = fi[:, None, :]
+    features[:, :, fi.shape[1]:] = tj[None, :, :]
+    return features.reshape(-1, features.shape[2])
 
 
-def _batched_forward(params: MlpParams, features: np.ndarray, chunk: int = 8192) -> np.ndarray:
+def _batched_forward(params: MlpParams, features: np.ndarray) -> np.ndarray:
     outputs = np.empty(features.shape[0], dtype=np.float64)
-    for start in range(0, features.shape[0], chunk):
-        y, _, _ = _forward_batch(params, features[start:start + chunk])
-        outputs[start:start + chunk] = y.reshape(-1)
+    for start in range(0, features.shape[0], _CHUNK_CELLS):
+        y, _, _ = _forward_batch(params, features[start:start + _CHUNK_CELLS])
+        outputs[start:start + _CHUNK_CELLS] = y.reshape(-1)
     return outputs
 
 
 def estimate_pairwise(
     params: MlpParams,
     pair: DatasetPair,
-    cells: Iterable[tuple[int, int]],
+    rows: Sequence[int],
+    cols: Sequence[int],
     ledger: CostLedger,
 ) -> InfluenceMatrix:
-    """Estimate the requested cells with the tiny network.
+    """Estimate the rows x cols block with the tiny network.
 
-    Charges estimator_forwards, one per cell, and never forward_calls:
-    keeping the two meters separate is the whole point of the approach.
-    Outputs live in the normalized [0,1] target space.
+    Features are built a few rows at a time, so the block's full feature
+    matrix never exists. Charges estimator_forwards, one per cell, and
+    never forward_calls: keeping the two meters separate is the whole
+    point of the approach. Outputs live in the normalized [0,1] target
+    space.
     """
     if params.in_dim != 2 * pair.fine_tune.dim:
         raise ValueError(
             f"net expects in_dim {params.in_dim}, pair embeddings give {2 * pair.fine_tune.dim}"
         )
-    cell_list = list(cells)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
     values = np.zeros((pair.m, pair.n), dtype=np.float32)
     mask = np.zeros((pair.m, pair.n), dtype=bool)
-    if cell_list:
-        features = build_pair_features(pair, cell_list)
-        outputs = _batched_forward(params, features)
-        idx = np.array(cell_list, dtype=np.int64)
-        values[idx[:, 0], idx[:, 1]] = outputs.astype(np.float32)
-        mask[idx[:, 0], idx[:, 1]] = True
-    ledger.add_estimator_forwards(len(cell_list))
+    step = max(1, _CHUNK_CELLS // max(1, len(cols)))
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        y, _, _ = _forward_batch(params, build_pair_features(pair, chunk, cols))
+        values[np.ix_(chunk, cols)] = y.reshape(len(chunk), len(cols))
+    mask[np.ix_(rows, cols)] = True
+    ledger.add_estimator_forwards(len(rows) * len(cols))
     return InfluenceMatrix(values=values, mask=mask)
 
 

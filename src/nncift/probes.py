@@ -1,14 +1,14 @@
 """Pluggable model-signal providers and the call-count ledger.
 
-A provider answers three kinds of probe: per-token log-probabilities of a
-target continuation, per-step maximum next-token probabilities, and text
-embeddings. Every answered probe increments the shared ledger, which is
-the ground truth for all cost claims downstream.
+A provider answers two kinds of probe: per-token log-probabilities of a
+target continuation and per-step maximum next-token probabilities. Every
+answered probe increments the shared ledger, which is the ground truth
+for all cost claims downstream.
 
 Providers:
 
 * synthetic: pure function of (seed, request); responses are hashed into
-  valid ranges, embeddings are seeded unit-norm Gaussian directions.
+  valid ranges.
 * file: replays responses stored in a JSON-lines record file, keyed by
   the caller-supplied record key. Never touches the network.
 * http: JSON-over-HTTP client with bounded in-flight requests, retries,
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
 import requests
 
 from .errors import (
@@ -42,8 +41,7 @@ from .errors import (
 
 KIND_LOGPROBS = "target_logprobs"
 KIND_MAX_PROBS = "token_max_probs"
-KIND_EMBED = "embed"
-PROBE_KINDS = (KIND_LOGPROBS, KIND_MAX_PROBS, KIND_EMBED)
+PROBE_KINDS = (KIND_LOGPROBS, KIND_MAX_PROBS)
 
 TOKEN_ENV_VAR = "NNCIFT_HTTP_TOKEN"
 
@@ -59,7 +57,7 @@ class ProbeRequest:
     def __post_init__(self):
         if self.kind not in PROBE_KINDS:
             raise ValueError(f"unknown probe kind {self.kind!r}")
-        if self.kind in (KIND_LOGPROBS, KIND_MAX_PROBS) and not self.target:
+        if not self.target:
             raise ValueError(f"{self.kind} requires a non-empty target")
 
 
@@ -143,15 +141,8 @@ class SyntheticProvider:
 
     name = "synthetic"
 
-    def __init__(self, seed: int = 0, dim: int = 32):
-        if dim < 1:
-            raise ValueError("embedding dim must be >= 1")
+    def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self._dim = int(dim)
-
-    @property
-    def embed_dim(self) -> int:
-        return self._dim
 
     def _unit(self, kind: str, context: str, target: str, pos: int) -> float:
         payload = json.dumps(
@@ -180,20 +171,6 @@ class SyntheticProvider:
             for pos in range(self._token_count(target))
         ]
 
-    def embed(self, text: str, ledger: CostLedger, key: str | None = None) -> np.ndarray:
-        ProbeRequest(KIND_EMBED, "", text if text else "")
-        ledger.add_forward(1)
-        digest = hashlib.sha256(
-            json.dumps([self.seed, KIND_EMBED, text], ensure_ascii=False).encode("utf-8")
-        ).digest()
-        rng = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "big")))
-        vec = rng.standard_normal(self._dim)
-        norm = math.sqrt(float(vec @ vec))
-        if norm == 0.0:
-            vec[0] = 1.0
-            norm = 1.0
-        return (vec / norm).astype(np.float64)
-
 
 class FileProvider:
     """Replays probe responses from a record file.
@@ -208,7 +185,6 @@ class FileProvider:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._records: dict[tuple[str, str], list[float]] = {}
-        self._dim: int | None = None
         self._load()
 
     def _load(self) -> None:
@@ -237,13 +213,6 @@ class FileProvider:
                 if (kind, key) in self._records:
                     raise FileFormatError(f"{where}: duplicate record ({kind!r}, {key!r})")
                 self._validate_range(kind, values, where)
-                if kind == KIND_EMBED:
-                    if self._dim is None:
-                        self._dim = len(values)
-                    elif self._dim != len(values):
-                        raise FileFormatError(
-                            f"{where}: embed dim {len(values)} conflicts with {self._dim}"
-                        )
                 self._records[(kind, key)] = [float(v) for v in values]
 
     @staticmethod
@@ -252,10 +221,6 @@ class FileProvider:
             raise DataValidationError(f"{where}: log-probabilities must be <= 0")
         if kind == KIND_MAX_PROBS and any(not 0 < v <= 1 for v in values):
             raise DataValidationError(f"{where}: probabilities must lie in (0, 1]")
-
-    @property
-    def embed_dim(self) -> int | None:
-        return self._dim
 
     def _lookup(self, kind: str, key: str | None) -> list[float]:
         if key is None:
@@ -276,18 +241,12 @@ class FileProvider:
         ledger.add_forward(1)
         return list(values)
 
-    def embed(self, text: str, ledger: CostLedger, key: str | None = None) -> np.ndarray:
-        values = self._lookup(KIND_EMBED, key)
-        ledger.add_forward(1)
-        return np.asarray(values, dtype=np.float64)
-
 
 class HttpProvider:
     """JSON-over-HTTP probe client.
 
     Endpoints: POST /v1/logprobs {"context","target"} -> {"token_logprobs"};
-    POST /v1/token_max_probs {"context","target"} -> {"max_probs"};
-    POST /v1/embed {"text"} -> {"vector"}.
+    POST /v1/token_max_probs {"context","target"} -> {"max_probs"}.
 
     Transport failures and 5xx responses are retried with exponential
     backoff; every attempt charges one forward call because the serving
@@ -305,7 +264,6 @@ class HttpProvider:
         retries: int = 3,
         backoff: float = 0.25,
         max_in_flight: int = 8,
-        dim: int | None = None,
     ):
         if retries < 1:
             raise ValueError("retries must be >= 1")
@@ -315,12 +273,7 @@ class HttpProvider:
         self.retries = retries
         self.backoff = backoff
         self._gate = threading.BoundedSemaphore(max_in_flight)
-        self._declared_dim = dim
         self._session = requests.Session()
-
-    @property
-    def embed_dim(self) -> int | None:
-        return self._declared_dim
 
     def _post(self, endpoint: str, body: dict, ledger: CostLedger) -> dict:
         url = f"{self.base_url}{endpoint}"
@@ -374,17 +327,6 @@ class HttpProvider:
             raise DataValidationError(f"{self.base_url}: probabilities must lie in (0, 1]")
         return values
 
-    def embed(self, text: str, ledger: CostLedger, key: str | None = None) -> np.ndarray:
-        payload = self._post("/v1/embed", {"text": text}, ledger)
-        values = self._extract(payload, "vector", self.base_url)
-        if self._declared_dim is not None and len(values) != self._declared_dim:
-            raise ProtocolError(
-                f"{self.base_url}: embed dim {len(values)} != declared {self._declared_dim}"
-            )
-        if self._declared_dim is None:
-            self._declared_dim = len(values)
-        return np.asarray(values, dtype=np.float64)
-
 
 Provider = SyntheticProvider | FileProvider | HttpProvider
 
@@ -396,7 +338,7 @@ def build_provider(spec: dict) -> Provider:
         raise ConfigError("probe spec must be a mapping with a 'provider' field")
     kind = spec["provider"]
     if kind == "synthetic":
-        return SyntheticProvider(seed=spec.get("seed", 0), dim=spec.get("dim", 32))
+        return SyntheticProvider(seed=spec.get("seed", 0))
     if kind == "file":
         if "records" not in spec:
             raise ConfigError("file provider requires a 'records' path")
@@ -411,6 +353,5 @@ def build_provider(spec: dict) -> Provider:
             retries=spec.get("retries", 3),
             backoff=spec.get("backoff", 0.25),
             max_in_flight=spec.get("max_in_flight", 8),
-            dim=spec.get("dim"),
         )
     raise ConfigError(f"unknown provider kind {kind!r}")

@@ -22,7 +22,6 @@ from nncift.datasets import (
     load_embeddings,
     partition,
     quadrant_index_sets,
-    quadrant_pairs,
     save_embeddings,
 )
 from nncift.influence import (
@@ -179,10 +178,9 @@ def test_3_estimator_beats_baselines_at_synthetic_scale(capsys):
     details = []
     for u in (0.05, 0.1, 0.2):
         part = partition(pair, u, seed=13)
-        cells = list(quadrant_pairs(part, "Q1"))
-        idx = np.array(cells, dtype=np.int64)
-        targets = truth[idx[:, 0], idx[:, 1]]
-        result = train(build_pair_features(pair, cells), targets, TrainConfig(seed=0))
+        targets = truth[np.ix_(part.id_f, part.id_t)].reshape(-1)
+        result = train(build_pair_features(pair, part.id_f, part.id_t), targets,
+                       TrainConfig(seed=0))
 
         trained = {}
         zero = {}
@@ -190,19 +188,10 @@ def test_3_estimator_beats_baselines_at_synthetic_scale(capsys):
         scratch = CostLedger()
         for quadrant in ("Q1", "Q2", "Q3", "Q4"):
             rows, cols = quadrant_index_sets(part, quadrant)
-            cols = [int(j) for j in cols]
-            total = 0.0
-            count = 0
-            for start in range(0, len(rows), 128):
-                block = [int(i) for i in rows[start:start + 128]]
-                block_cells = [(i, j) for i in block for j in cols]
-                estimates = estimate_pairwise(result.params, pair, block_cells, scratch)
-                grid = np.ix_(block, cols)
-                raw = result.norm.denormalize(estimates.values[grid].astype(np.float64))
-                total += float(((raw - truth[grid]) ** 2).sum())
-                count += raw.size
-            trained[quadrant] = total / count
-            grid = np.ix_([int(i) for i in rows], cols)
+            estimates = estimate_pairwise(result.params, pair, rows, cols, scratch)
+            grid = np.ix_(rows, cols)
+            raw = result.norm.denormalize(estimates.values[grid].astype(np.float64))
+            trained[quadrant] = float(((raw - truth[grid]) ** 2).mean())
             zero[quadrant] = float((truth[grid] ** 2).mean())
             random_mse[quadrant] = float(((noise[grid] - truth[grid]) ** 2).mean())
 
@@ -240,7 +229,7 @@ def test_4_ledger_verification_and_savings(capsys):
             pair = synthetic_pair(m, n, texts=(method == "delift"), gradients=(method == "less"))
             part = partition(pair, u, seed=3)
             probe = SyntheticProvider(seed=5) if method == "delift" else None
-            compute_influence(method, quadrant_pairs(part, "Q1"), pair, probe=probe, ledger=ledger)
+            compute_influence(method, part.id_f, part.id_t, pair, probe=probe, ledger=ledger)
             if method == "less":
                 record_gradient_cost(m + n, ledger)
         cost = build_cost_report(

@@ -11,8 +11,7 @@ from nncift.datasets import (
     load_embeddings,
     load_texts,
     partition,
-    quadrant_pairs,
-    quadrant_size,
+    quadrant_index_sets,
     save_embeddings,
     save_texts,
 )
@@ -268,19 +267,24 @@ def manual_partition(id_f, ood_f, id_t, ood_t, u=0.5, seed=0):
     )
 
 
+def quadrant_cells(part, quadrant):
+    rows, cols = quadrant_index_sets(part, quadrant)
+    return [(int(i), int(j)) for i in rows for j in cols]
+
+
 class TestQuadrantPairs:
     def test_identity_shuffle_2x2(self):
         part = manual_partition([0], [1], [0], [1])
-        assert list(quadrant_pairs(part, "Q1")) == [(0, 0)]
-        assert list(quadrant_pairs(part, "Q2")) == [(0, 1)]
-        assert list(quadrant_pairs(part, "Q3")) == [(1, 0)]
-        assert list(quadrant_pairs(part, "Q4")) == [(1, 1)]
+        assert quadrant_cells(part, "Q1") == [(0, 0)]
+        assert quadrant_cells(part, "Q2") == [(0, 1)]
+        assert quadrant_cells(part, "Q3") == [(1, 0)]
+        assert quadrant_cells(part, "Q4") == [(1, 1)]
 
     def test_union_covers_grid(self):
         part = partition(make_pair(5, 7), 0.4, seed=1)
         seen = set()
         for q in ("Q1", "Q2", "Q3", "Q4"):
-            cells = list(quadrant_pairs(part, q))
+            cells = quadrant_cells(part, q)
             assert cells == sorted(cells)
             assert seen.isdisjoint(cells)
             seen.update(cells)
@@ -289,19 +293,19 @@ class TestQuadrantPairs:
     def test_q1_cardinality_formula(self):
         for m, n, u in [(10, 10, 0.3), (7, 13, 0.05), (100, 100, 0.07)]:
             part = partition(make_pair(m, n, dim=1), u, seed=2)
-            assert quadrant_size(part, "Q1") == exact_ceil(u, m) * exact_ceil(u, n)
+            assert len(quadrant_cells(part, "Q1")) == exact_ceil(u, m) * exact_ceil(u, n)
 
     def test_u_zero_all_in_q4(self):
         part = partition(make_pair(3, 4), 0.0, seed=0)
-        assert quadrant_size(part, "Q4") == 12
-        assert quadrant_size(part, "Q1") == 0
-        assert quadrant_size(part, "Q2") == 0
-        assert quadrant_size(part, "Q3") == 0
+        assert len(quadrant_cells(part, "Q4")) == 12
+        assert len(quadrant_cells(part, "Q1")) == 0
+        assert len(quadrant_cells(part, "Q2")) == 0
+        assert len(quadrant_cells(part, "Q3")) == 0
 
     def test_unknown_quadrant(self):
         part = partition(make_pair(2, 2), 0.5, seed=0)
         with pytest.raises(ValueError):
-            list(quadrant_pairs(part, "Q5"))
+            quadrant_index_sets(part, "Q5")
 
 
 class TestTexts:

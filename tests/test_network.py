@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nncift.datasets import DatasetPair, EmbeddingMatrix, partition, quadrant_pairs
+import nncift.network
+
+from nncift.datasets import DatasetPair, EmbeddingMatrix, partition, quadrant_index_sets
 from nncift.errors import CoverageError, FileFormatError, TrainingError
 from nncift.influence import InfluenceMatrix
 from nncift.network import (
@@ -213,12 +215,12 @@ class TestEstimatePairwise:
     def test_forward_count_is_quadrant_arithmetic(self):
         pair = embedding_pair(100, 100, 4)
         part = partition(pair, 0.05, seed=0)
-        cells = []
-        for q in ("Q2", "Q3", "Q4"):
-            cells.extend(quadrant_pairs(part, q))
         params = init_params(seed=0, in_dim=8, hidden=3)
         ledger = CostLedger()
-        matrix = estimate_pairwise(params, pair, cells, ledger)
+        matrix = InfluenceMatrix(values=np.zeros((100, 100)), mask=np.zeros((100, 100), dtype=bool))
+        for q in ("Q2", "Q3", "Q4"):
+            rows, cols = quadrant_index_sets(part, q)
+            matrix = matrix.overlay(estimate_pairwise(params, pair, rows, cols, ledger))
         assert ledger.estimator_forwards == 100 * 100 - 25
         assert ledger.forward_calls == 0
         assert matrix.valid_count() == 9975
@@ -227,37 +229,69 @@ class TestEstimatePairwise:
         pair = embedding_pair(3, 3, 4)
         params = init_params(seed=0, in_dim=8, hidden=3)
         ledger = CostLedger()
-        matrix = estimate_pairwise(params, pair, [], ledger)
+        matrix = estimate_pairwise(params, pair, [], range(3), ledger)
         assert ledger.estimator_forwards == 0
         assert matrix.valid_count() == 0
 
     def test_deterministic(self):
         pair = embedding_pair(5, 4, 3)
         params = init_params(seed=3, in_dim=6, hidden=4)
-        cells = [(i, j) for i in range(5) for j in range(4)]
-        a = estimate_pairwise(params, pair, cells, CostLedger())
-        b = estimate_pairwise(params, pair, cells, CostLedger())
+        a = estimate_pairwise(params, pair, range(5), range(4), CostLedger())
+        b = estimate_pairwise(params, pair, range(5), range(4), CostLedger())
         assert a.to_bytes() == b.to_bytes()
 
     def test_outputs_in_unit_interval(self):
         pair = embedding_pair(6, 6, 5)
         params = init_params(seed=1, in_dim=10, hidden=4)
-        cells = [(i, j) for i in range(6) for j in range(6)]
-        matrix = estimate_pairwise(params, pair, cells, CostLedger())
+        matrix = estimate_pairwise(params, pair, range(6), range(6), CostLedger())
         assert np.all(matrix.values >= 0.0) and np.all(matrix.values <= 1.0)
 
     def test_dim_mismatch(self):
         pair = embedding_pair(2, 2, 3)
         params = init_params(seed=0, in_dim=5, hidden=2)
         with pytest.raises(ValueError):
-            estimate_pairwise(params, pair, [(0, 0)], CostLedger())
+            estimate_pairwise(params, pair, [0], [0], CostLedger())
 
     def test_matches_single_forward(self):
         pair = embedding_pair(4, 4, 3)
         params = init_params(seed=2, in_dim=6, hidden=4)
-        matrix = estimate_pairwise(params, pair, [(1, 2)], CostLedger())
-        feature = build_pair_features(pair, [(1, 2)])[0]
+        matrix = estimate_pairwise(params, pair, [1], [2], CostLedger())
+        feature = build_pair_features(pair, [1], [2])[0]
         assert matrix.values[1, 2] == pytest.approx(forward(params, feature), rel=1e-6)
+
+    def test_chunked_block_equals_per_cell_forward(self, monkeypatch):
+        # 10 cells per chunk: every block below spans several chunks
+        monkeypatch.setattr(nncift.network, "_CHUNK_CELLS", 10)
+        pair = embedding_pair(13, 9, 3, seed=4)
+        params = init_params(seed=5, in_dim=6, hidden=7)
+        for rows, cols in (
+            (range(13), range(9)),
+            ([12, 0, 7, 3, 5], [8, 1, 4]),
+            ([2, 9, 11], range(9)),
+            (range(13), [6]),
+        ):
+            ledger = CostLedger()
+            matrix = estimate_pairwise(params, pair, rows, cols, ledger)
+            assert ledger.estimator_forwards == len(rows) * len(cols)
+            assert matrix.valid_count() == len(rows) * len(cols)
+            for i in rows:
+                for j in cols:
+                    feature = np.concatenate([pair.fine_tune.row(i), pair.target.row(j)])
+                    assert matrix.values[i, j] == np.float32(forward(params, feature))
+
+
+class TestBuildPairFeatures:
+    def test_rows_major_concatenation(self):
+        pair = embedding_pair(4, 3, 2)
+        features = build_pair_features(pair, [3, 1], [2, 0, 1])
+        expected = [np.concatenate([pair.fine_tune.row(i), pair.target.row(j)])
+                    for i in (3, 1) for j in (2, 0, 1)]
+        assert features.dtype == np.float64
+        np.testing.assert_array_equal(features, np.array(expected, dtype=np.float64))
+
+    def test_empty_block(self):
+        pair = embedding_pair(4, 3, 2)
+        assert build_pair_features(pair, [], [0, 1]).shape == (0, 4)
 
 
 class TestEstimatePointwise:

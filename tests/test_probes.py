@@ -1,10 +1,8 @@
 import json
-import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-import numpy as np
 import pytest
 
 from nncift.errors import (
@@ -30,9 +28,6 @@ class TestProbeRequest:
     def test_logprobs_needs_target(self):
         with pytest.raises(ValueError):
             ProbeRequest("target_logprobs", "ctx", "")
-
-    def test_embed_accepts_empty_text(self):
-        ProbeRequest("embed", "", "")
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -128,21 +123,6 @@ class TestSyntheticProvider:
         b = SyntheticProvider(seed=2).target_logprobs("c", "t", ledger)
         assert a != b
 
-    def test_embed_unit_norm_and_deterministic(self):
-        provider = SyntheticProvider(seed=3, dim=16)
-        ledger = CostLedger()
-        a = provider.embed("hello", ledger)
-        b = provider.embed("hello", ledger)
-        np.testing.assert_array_equal(a, b)
-        assert a.shape == (16,)
-        assert math.isclose(float(a @ a), 1.0, rel_tol=1e-12)
-        assert ledger.forward_calls == 2
-
-    def test_embed_empty_text_defined(self):
-        provider = SyntheticProvider(seed=3, dim=8)
-        vec = provider.embed("", CostLedger())
-        assert vec.shape == (8,)
-
     def test_empty_target_rejected(self):
         with pytest.raises(ValueError):
             SyntheticProvider().target_logprobs("ctx", "", CostLedger())
@@ -193,8 +173,8 @@ class TestFileProvider:
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "records.jsonl"
         write_records(path, [
-            {"key": "0", "kind": "embed", "values": [1.0]},
-            {"key": "0", "kind": "embed", "values": [2.0]},
+            {"key": "0", "kind": "token_max_probs", "values": [0.5]},
+            {"key": "0", "kind": "token_max_probs", "values": [0.25]},
         ])
         with pytest.raises(FileFormatError):
             FileProvider(path)
@@ -207,25 +187,6 @@ class TestFileProvider:
         ])
         provider = FileProvider(path)
         assert provider.token_max_probs("c", "t", CostLedger(), key="0") == [0.5]
-
-    def test_embed_dim_inferred_and_consistent(self, tmp_path):
-        path = tmp_path / "records.jsonl"
-        write_records(path, [
-            {"key": "a", "kind": "embed", "values": [1.0, 0.0]},
-            {"key": "b", "kind": "embed", "values": [0.0, 1.0]},
-        ])
-        provider = FileProvider(path)
-        assert provider.embed_dim == 2
-        np.testing.assert_array_equal(provider.embed("x", CostLedger(), key="a"), [1.0, 0.0])
-
-    def test_embed_dim_conflict(self, tmp_path):
-        path = tmp_path / "records.jsonl"
-        write_records(path, [
-            {"key": "a", "kind": "embed", "values": [1.0, 0.0]},
-            {"key": "b", "kind": "embed", "values": [1.0]},
-        ])
-        with pytest.raises(FileFormatError):
-            FileProvider(path)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "records.jsonl"
@@ -273,8 +234,6 @@ class ProbeServer(ThreadingHTTPServer):
             return {"token_logprobs": [-0.5, -0.25]}
         if path == "/v1/token_max_probs":
             return {"max_probs": [0.9, 0.8]}
-        if path == "/v1/embed":
-            return {"vector": [1.0, 0.0, 0.0]}
         return {}
 
     @property
@@ -341,23 +300,19 @@ class TestHttpProvider:
         with pytest.raises(DataValidationError):
             provider.target_logprobs("c", "t", CostLedger())
 
-    def test_embed_dim_mismatch(self, probe_server):
-        provider = HttpProvider(probe_server.url, backoff=0.01, dim=5)
-        with pytest.raises(ProtocolError):
-            provider.embed("x", CostLedger())
-
     def test_bearer_token_header(self, probe_server, monkeypatch):
         monkeypatch.setenv("NNCIFT_HTTP_TOKEN", "sekrit")
         provider = HttpProvider(probe_server.url, backoff=0.01)
-        provider.embed("x", CostLedger())
+        provider.token_max_probs("c", "t", CostLedger())
         assert probe_server.requests[-1]["auth"] == "Bearer sekrit"
 
     def test_request_bodies(self, probe_server):
         provider = HttpProvider(probe_server.url, backoff=0.01)
         provider.target_logprobs("the ctx", "the tgt", CostLedger())
         assert probe_server.requests[-1]["body"] == {"context": "the ctx", "target": "the tgt"}
-        provider.embed("text here", CostLedger())
-        assert probe_server.requests[-1]["body"] == {"text": "text here"}
+        provider.token_max_probs("other ctx", "other tgt", CostLedger())
+        assert probe_server.requests[-1]["path"] == "/v1/token_max_probs"
+        assert probe_server.requests[-1]["body"] == {"context": "other ctx", "target": "other tgt"}
 
     def test_concurrent_requests(self, probe_server):
         provider = HttpProvider(probe_server.url, backoff=0.01)
@@ -373,19 +328,19 @@ class TestHttpProvider:
         provider = HttpProvider("http://127.0.0.1:9", retries=2, backoff=0.01, timeout=0.5)
         ledger = CostLedger()
         with pytest.raises(ProbeError):
-            provider.embed("x", ledger)
+            provider.target_logprobs("c", "t", ledger)
         assert ledger.forward_calls == 2
 
 
 class TestBuildProvider:
     def test_synthetic(self):
-        provider = build_provider({"provider": "synthetic", "seed": 4, "dim": 8})
+        provider = build_provider({"provider": "synthetic", "seed": 4})
         assert isinstance(provider, SyntheticProvider)
-        assert provider.embed_dim == 8
+        assert provider.seed == 4
 
     def test_file(self, tmp_path):
         path = tmp_path / "r.jsonl"
-        write_records(path, [{"key": "0", "kind": "embed", "values": [1.0]}])
+        write_records(path, [{"key": "0", "kind": "token_max_probs", "values": [1.0]}])
         assert isinstance(build_provider({"provider": "file", "records": str(path)}), FileProvider)
 
     def test_http(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nncift.datasets import DatasetPair, EmbeddingMatrix, partition, quadrant_pairs
+from nncift.datasets import DatasetPair, EmbeddingMatrix, partition
 from nncift.errors import ReportError
 from nncift.influence import ModelScaleSpec, ScaleEntry, compute_influence, compute_pointwise
 from nncift.probes import CostLedger, SyntheticProvider, record_gradient_cost
@@ -89,7 +89,7 @@ class TestVerifyLedger:
         pair = text_pair(m, n)
         part = partition(pair, u, seed=0)
         ledger = CostLedger()
-        compute_influence("delift", quadrant_pairs(part, "Q1"), pair,
+        compute_influence("delift", part.id_f, part.id_t, pair,
                           SyntheticProvider(seed=0), ledger)
         return build_cost_report("delift", m, n, u, ledger.as_dict())
 
@@ -104,7 +104,7 @@ class TestVerifyLedger:
         pair = text_pair(10, 5)
         part = partition(pair, 0.3, seed=0)
         ledger = CostLedger()
-        compute_influence("delift", quadrant_pairs(part, "Q1"), pair,
+        compute_influence("delift", part.id_f, part.id_t, pair,
                           SyntheticProvider(seed=0), ledger)
         ledger.add_forward()  # stray
         report = build_cost_report("delift", 10, 5, 0.3, ledger.as_dict())
@@ -154,7 +154,7 @@ class TestVerifyLedger:
             ledger = CostLedger()
             prompts = scales = None
             if method == "delift":
-                compute_influence("delift", quadrant_pairs(part, "Q1"), pair,
+                compute_influence("delift", part.id_f, part.id_t, pair,
                                   SyntheticProvider(seed=0), ledger)
             elif method == "less":
                 record_gradient_cost(m + n, ledger)
