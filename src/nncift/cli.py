@@ -41,11 +41,9 @@ from .datasets import (
     load_embeddings,
     load_texts,
     partition,
-    quadrant_index_sets,
 )
 from .errors import (
     ConfigError,
-    CoverageError,
     DataValidationError,
     FileFormatError,
     NnciftError,
@@ -103,9 +101,7 @@ METHOD_SELECTOR = {
 }
 
 _PROVIDER_KINDS = ("synthetic", "file", "http")
-_TRAIN_KEYS = frozenset(
-    {"epochs", "learning_rate", "batch_size", "hidden", "beta1", "beta2", "eps"}
-)
+_TRAIN_KEYS = frozenset(f.name for f in fields(TrainConfig)) - {"seed"}
 _SCALE_KEYS = frozenset({"label", "parameter_count", "probe"})
 _DEFAULT_PROMPTS = ["Rate the quality of the following instruction sample.\n{prompt}"]
 
@@ -175,6 +171,12 @@ def _check_fraction(name: str, value) -> None:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
 
 
+def _mapping(name: str, value):
+    if value is not None and not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping, got {value!r}")
+    return value
+
+
 def _default_scales(seed: int) -> list[dict]:
     # two synthetic valuation-model sizes; the seeds keep them distinct
     return [
@@ -237,7 +239,7 @@ def resolve_config(
     if method == "less" and not (cfg["fine_tune_gradients"] and cfg["target_gradients"]):
         raise ConfigError("less needs fine_tune_gradients and target_gradients")
 
-    probe = cfg["probe"] = dict(doc.get("probe") or {"provider": "synthetic"})
+    probe = cfg["probe"] = dict(_mapping("probe", doc.get("probe")) or {"provider": "synthetic"})
     kind = probe.get("provider")
     if kind not in _PROVIDER_KINDS:
         raise ConfigError(f"probe provider must be one of {', '.join(_PROVIDER_KINDS)}")
@@ -251,7 +253,7 @@ def resolve_config(
         if method == "selectit" and not cfg["fine_tune_texts"]:
             raise ConfigError("selectit with a non-synthetic provider needs fine_tune_texts")
 
-    cfg["train"] = dict(doc.get("train") or {})
+    cfg["train"] = dict(_mapping("train", doc.get("train")) or {})
     bad = sorted(set(cfg["train"]) - _TRAIN_KEYS)
     if bad:
         raise ConfigError(f"unknown train fields: {', '.join(bad)}")
@@ -276,6 +278,7 @@ def resolve_config(
             raise ConfigError(f"unknown scale fields: {', '.join(bad)}")
         if "label" not in entry or "parameter_count" not in entry:
             raise ConfigError("each scale needs a label and a parameter_count")
+        _mapping("scale probe", entry.get("probe"))
         count = entry["parameter_count"]
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ConfigError("scale parameter_count must be a positive integer")
@@ -301,7 +304,12 @@ def resolve_config(
             _check_fraction(name, value)
 
     cfg["out_dir"] = Path(out_override or doc.get("out_dir") or "nncift-run")
-    return RunConfig(**cfg)
+    config = RunConfig(**cfg)
+    try:
+        config.train_config()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid train config: {exc}") from exc
+    return config
 
 
 def _generated_texts(count: int, side: str) -> dict[int, tuple[str, str]]:
@@ -418,11 +426,14 @@ def cmd_valuate(config: RunConfig) -> Path:
 
 
 def cmd_train_estimate(config: RunConfig) -> Path:
-    """Step 2: fit on the corner, estimate everything else, merge.
+    """Step 2: fit on the corner, estimate every cell once, merge.
 
     Pairwise and pointwise runs take the same path; a pointwise run is
     the M x 1 case (see _partition). full.nnk holds the network's
-    normalised space for pairwise runs and raw scores for pointwise ones.
+    normalised space for pairwise runs and raw scores for pointwise ones;
+    the corner's paid-for truth overwrites its estimates unless
+    pure_estimates is set. The truth evaluation reuses the same
+    estimates, so its ledger meters the truth pass alone.
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -454,40 +465,32 @@ def cmd_train_estimate(config: RunConfig) -> Path:
                 optimizer=train_config.optimizer_metadata())
     norm = result.norm
 
-    def estimate(rows, cols, meter: CostLedger) -> InfluenceMatrix:
-        if pointwise:
-            return estimate_pointwise(result.params, pair.fine_tune, rows, norm, meter).to_matrix()
-        return estimate_pairwise(result.params, pair, rows, cols, meter)
-
     def normalized(matrix: InfluenceMatrix) -> InfluenceMatrix:
         return InfluenceMatrix(values=norm.normalize(matrix.values), mask=matrix.mask)
 
-    everything = (np.arange(part.m), np.arange(part.n))
-    if config.pure_estimates:
-        blocks = [everything]
-    else:
-        blocks = [quadrant_index_sets(part, quadrant) for quadrant in ("Q2", "Q3", "Q4")]
-    full = InfluenceMatrix(values=np.zeros(q1.mask.shape), mask=np.zeros(q1.mask.shape, dtype=bool))
+    # one network pass over every cell, the corner included, feeds both
+    # full.nnk and the truth evaluation
+    rows, cols = np.arange(part.m), np.arange(part.n)
     with ledger.time_phase("estimate"):
-        for rows, cols in blocks:
-            if len(rows) and len(cols):
-                full = full.overlay(estimate(rows, cols, ledger))
+        if pointwise:
+            estimates = estimate_pointwise(result.params, pair.fine_tune, rows, norm, ledger)
+            estimates = estimates.to_matrix()
+        else:
+            estimates = estimate_pairwise(result.params, pair, rows, cols, ledger)
+    full = estimates
     if not config.pure_estimates:
         # ground truth was already paid for; keep it on Q1, in full.nnk's space
         full = full.overlay(q1 if pointwise else normalized(q1))
-    if not full.fully_valid:
-        raise CoverageError("merged influence matrix has invalid cells")
     save_influence(full, out / FULL_FILE)
 
     evaluation = None
     if config.evaluate_truth:
         eval_ledger = CostLedger()
         with eval_ledger.time_phase("evaluate"):
-            truth = _valuate(config, pair, *everything, eval_ledger)
+            truth = _valuate(config, pair, rows, cols, eval_ledger)
             truth = InfluenceMatrix.full(norm.normalize(truth.values))
-            trained = estimate(*everything, eval_ledger)
             predictors = {
-                "trained": normalized(trained) if pointwise else trained,
+                "trained": normalized(estimates) if pointwise else estimates,
                 "random_uniform": baseline_estimates("random_uniform", q1.mask.shape, config.seed),
                 "predict_zero": baseline_estimates("predict_zero", q1.mask.shape, config.seed),
             }

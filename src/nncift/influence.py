@@ -142,7 +142,6 @@ class PointwiseScores:
     m: int
     indices: np.ndarray
     values: np.ndarray
-    norm_stats: tuple[float, float] | None = None
 
     def __post_init__(self):
         indices = np.asarray(self.indices, dtype=np.int64)
@@ -155,8 +154,6 @@ class PointwiseScores:
             raise ValueError("index out of range")
         if not np.all(np.isfinite(values)):
             raise DataValidationError("scores contain non-finite values")
-        if self.norm_stats is not None and self.norm_stats[0] > self.norm_stats[1]:
-            raise ValueError("norm_stats min must be <= max")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
 
@@ -170,7 +167,7 @@ class PointwiseScores:
         return InfluenceMatrix(values=values, mask=mask)
 
     @classmethod
-    def from_matrix(cls, matrix: InfluenceMatrix, norm_stats=None) -> "PointwiseScores":
+    def from_matrix(cls, matrix: InfluenceMatrix) -> "PointwiseScores":
         if matrix.n != 1:
             raise ValueError("pointwise matrices must have a single column")
         indices = np.nonzero(matrix.mask[:, 0])[0]
@@ -178,7 +175,6 @@ class PointwiseScores:
             m=matrix.m,
             indices=indices,
             values=matrix.values[indices, 0].astype(np.float64),
-            norm_stats=norm_stats,
         )
 
 

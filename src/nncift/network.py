@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -66,9 +67,6 @@ class MlpParams:
         # because the two are easy to conflate when quoting model size.
         return self.in_dim * self.hidden + self.hidden
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
     def arrays(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
 
@@ -120,6 +118,14 @@ class TrainConfig:
     hidden: int = 100
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed", "hidden"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "beta1", "beta2", "eps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise TypeError(f"{name} must be a finite number, got {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
@@ -128,6 +134,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
+        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1) or self.eps <= 0:
+            raise ValueError("adam needs beta1 and beta2 in [0, 1) and eps > 0")
 
     def optimizer_metadata(self) -> dict:
         return {
@@ -234,12 +242,7 @@ class _Adam:
             arr -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.eps)
 
 
-def train(
-    features: np.ndarray,
-    targets: np.ndarray,
-    config: TrainConfig,
-    params: MlpParams | None = None,
-) -> TrainResult:
+def train(features: np.ndarray, targets: np.ndarray, config: TrainConfig) -> TrainResult:
     """Fit the estimator to (feature, influence) pairs from the ID corner.
 
     Targets are mapped into [0,1] by their observed range before
@@ -257,12 +260,7 @@ def train(
         raise DataValidationError("targets contain non-finite values")
     norm = NormStats.fit(targets)
     t_norm = norm.normalize(targets)
-    if params is None:
-        params = init_params(config.seed, in_dim=features.shape[1], hidden=config.hidden)
-    else:
-        params = params.copy()
-    if params.in_dim != features.shape[1]:
-        raise ValueError(f"net expects {params.in_dim} features, got {features.shape[1]}")
+    params = init_params(config.seed, in_dim=features.shape[1], hidden=config.hidden)
     optimizer = _Adam(params, config)
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 1))))
     count = features.shape[0]
@@ -351,11 +349,7 @@ def estimate_pointwise(
         scores = np.zeros(0)
     ledger.add_estimator_forwards(len(index_list))
     return PointwiseScores(
-        m=embeddings.count,
-        indices=np.array(index_list, dtype=np.int64),
-        values=scores,
-        norm_stats=(norm.min, norm.max),
-    )
+        m=embeddings.count, indices=np.array(index_list, dtype=np.int64), values=scores)
 
 
 def mse_by_quadrant(

@@ -61,6 +61,15 @@ class ProbeRequest:
             raise ValueError(f"{self.kind} requires a non-empty target")
 
 
+def _check_range(kind: str, values: list[float], where: str) -> None:
+    """The value rule every provider's answers obey: log-probabilities
+    are <= 0 and maximum probabilities lie in (0, 1]."""
+    if kind == KIND_LOGPROBS and any(v > 0 for v in values):
+        raise DataValidationError(f"{where}: log-probabilities must be <= 0")
+    if kind == KIND_MAX_PROBS and any(not 0 < v <= 1 for v in values):
+        raise DataValidationError(f"{where}: probabilities must lie in (0, 1]")
+
+
 @dataclass
 class CostLedger:
     """Monotone counters for probe calls plus per-phase wall time.
@@ -212,15 +221,8 @@ class FileProvider:
                     raise DataValidationError(f"{where}: values must be finite numbers")
                 if (kind, key) in self._records:
                     raise FileFormatError(f"{where}: duplicate record ({kind!r}, {key!r})")
-                self._validate_range(kind, values, where)
+                _check_range(kind, values, where)
                 self._records[(kind, key)] = [float(v) for v in values]
-
-    @staticmethod
-    def _validate_range(kind: str, values: list, where: str) -> None:
-        if kind == KIND_LOGPROBS and any(v > 0 for v in values):
-            raise DataValidationError(f"{where}: log-probabilities must be <= 0")
-        if kind == KIND_MAX_PROBS and any(not 0 < v <= 1 for v in values):
-            raise DataValidationError(f"{where}: probabilities must lie in (0, 1]")
 
     def _lookup(self, kind: str, key: str | None) -> list[float]:
         if key is None:
@@ -315,16 +317,14 @@ class HttpProvider:
         ProbeRequest(KIND_LOGPROBS, context, target)
         payload = self._post("/v1/logprobs", {"context": context, "target": target}, ledger)
         values = self._extract(payload, "token_logprobs", self.base_url)
-        if any(v > 0 for v in values):
-            raise DataValidationError(f"{self.base_url}: log-probabilities must be <= 0")
+        _check_range(KIND_LOGPROBS, values, self.base_url)
         return values
 
     def token_max_probs(self, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
         ProbeRequest(KIND_MAX_PROBS, context, target)
         payload = self._post("/v1/token_max_probs", {"context": context, "target": target}, ledger)
         values = self._extract(payload, "max_probs", self.base_url)
-        if any(not 0 < v <= 1 for v in values):
-            raise DataValidationError(f"{self.base_url}: probabilities must lie in (0, 1]")
+        _check_range(KIND_MAX_PROBS, values, self.base_url)
         return values
 
 

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nncift.cli
 from nncift.cli import main, resolve_config
-from nncift.datasets import EmbeddingMatrix, save_embeddings
-from nncift.influence import load_influence
+from nncift.datasets import DatasetPair, EmbeddingMatrix, load_embeddings, partition, save_embeddings
+from nncift.influence import InfluenceMatrix, compute_influence, load_influence
+from nncift.network import load_params, mse_by_quadrant
 
 
 def unit_rows(count, dim, seed):
@@ -98,6 +100,22 @@ class TestExitCodes:
         config = write_config(tmp_path)
         assert main(["select", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"train": {"epochs": 0}},
+        {"train": {"epochs": "x"}},
+        {"train": {"epochs": 2.5}},
+        {"train": {"hidden": 0}},
+        {"train": "x"},
+        {"probe": "http"},
+        {"method": "selectit", "target_embeddings": ...,
+         "scales": [{"label": "1b", "parameter_count": 1, "probe": "http"}]},
+    ])
+    def test_bad_config_exits_2_before_any_probe(self, tmp_path, overrides):
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert not (out / "q1.nnk").exists()
+
     def test_stale_artifacts_from_other_seed_exit_2(self, tmp_path):
         config = write_config(tmp_path)
         out = str(tmp_path / "run")
@@ -167,11 +185,12 @@ class TestTrainEstimate:
         main(["valuate", "--config", str(config), "--out", str(out)])
         main(["train-estimate", "--config", str(config), "--out", str(out)])
         ledger = read_json(out / "ledger.json")
-        # ceil(2)*ceil(1) + ceil(1) probe forwards, production estimates only
+        # ceil(2)*ceil(1) + ceil(1) probe forwards; one network pass over
+        # all 20 x 10 cells, corner included, which the evaluation reuses
         assert ledger["forward_calls"] == 3
-        assert ledger["estimator_forwards"] == 200 - 2
+        assert ledger["estimator_forwards"] == 200
         assert ledger["evaluation"]["forward_calls"] == 20 * 10 + 10
-        assert ledger["evaluation"]["estimator_forwards"] == 200
+        assert ledger["evaluation"]["estimator_forwards"] == 0
 
     def test_pure_estimates_covers_every_cell_with_the_network(self, tmp_path):
         merged_config = write_config(tmp_path)
@@ -186,9 +205,47 @@ class TestTrainEstimate:
         main(["valuate", "--config", str(pure_config), "--out", str(out_pure)])
         main(["train-estimate", "--config", str(pure_config), "--out", str(out_pure)])
 
-        assert read_json(out_merged / "ledger.json")["estimator_forwards"] == 1600 - 16
+        # both modes run the network on every cell; only the corner overlay differs
+        assert read_json(out_merged / "ledger.json")["estimator_forwards"] == 1600
         assert read_json(out_pure / "ledger.json")["estimator_forwards"] == 1600
         assert (out_merged / "full.nnk").read_bytes() != (out_pure / "full.nnk").read_bytes()
+
+    @pytest.mark.parametrize("method", ["delift_se", "selectit"])
+    def test_network_runs_once_per_train_estimate(self, tmp_path, monkeypatch, method):
+        calls = []
+        for name in ("estimate_pairwise", "estimate_pointwise"):
+            original = getattr(nncift.cli, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(nncift.cli, name, counted)
+        pointwise = {"target_embeddings": ...} if method == "selectit" else {}
+        config = write_config(tmp_path, method=method, m=20, n=10, **pointwise)
+        out = tmp_path / "run"
+        assert main(["valuate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["train-estimate", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "mse.json").exists()
+        expected = "estimate_pointwise" if method == "selectit" else "estimate_pairwise"
+        assert calls == [expected]
+
+    def test_trained_mse_is_the_error_of_full_matrix_estimates(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        main(["valuate", "--config", str(config), "--out", str(out)])
+        main(["train-estimate", "--config", str(config), "--out", str(out)])
+        run = resolve_config(read_json(config))
+        pair = DatasetPair(fine_tune=load_embeddings(run.fine_tune_embeddings),
+                           target=load_embeddings(run.target_embeddings))
+        truth = compute_influence("delift_se", range(pair.m), range(pair.n), pair)
+        _, norm, _ = load_params(out / "params.json")
+        truth = InfluenceMatrix.full(norm.normalize(truth.values))
+        recomputed = mse_by_quadrant(load_influence(out / "full.nnk"), truth,
+                                     partition(pair, run.u, run.seed))
+        trained = read_json(out / "mse.json")["trained"]
+        for quadrant in ("Q2", "Q3", "Q4"):
+            assert recomputed[quadrant] == trained[quadrant], quadrant
 
     def test_params_file_reports_sizes(self, tmp_path):
         config = write_config(tmp_path, train={"hidden": 10})

@@ -581,13 +581,10 @@ class TestInfluenceMatrixFormat:
 
 class TestPointwiseScores:
     def test_matrix_round_trip(self):
-        scores = PointwiseScores(
-            m=5, indices=[0, 2, 4], values=[0.1, 0.2, 0.3], norm_stats=(0.1, 0.3)
-        )
-        back = PointwiseScores.from_matrix(scores.to_matrix(), norm_stats=(0.1, 0.3))
+        scores = PointwiseScores(m=5, indices=[0, 2, 4], values=[0.1, 0.2, 0.3])
+        back = PointwiseScores.from_matrix(scores.to_matrix())
         np.testing.assert_array_equal(back.indices, scores.indices)
         np.testing.assert_allclose(back.values, scores.values, rtol=1e-6)
-        assert back.norm_stats == (0.1, 0.3)
 
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -596,10 +593,6 @@ class TestPointwiseScores:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             PointwiseScores(m=3, indices=[3], values=[0.1])
-
-    def test_bad_norm_stats(self):
-        with pytest.raises(ValueError):
-            PointwiseScores(m=3, indices=[0], values=[0.1], norm_stats=(1.0, 0.0))
 
     def test_from_matrix_requires_single_column(self):
         with pytest.raises(ValueError):

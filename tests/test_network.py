@@ -32,12 +32,11 @@ def flatten_params(params):
 
 
 def set_flat(params, flat):
-    out = params.copy()
-    offset = 0
-    for arr in out.arrays():
-        arr[...] = flat[offset:offset + arr.size].reshape(arr.shape)
+    arrays, offset = [], 0
+    for arr in params.arrays():
+        arrays.append(flat[offset:offset + arr.size].reshape(arr.shape))
         offset += arr.size
-    return out
+    return MlpParams(*arrays)
 
 
 class TestInit:
@@ -195,6 +194,18 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("hidden", True), ("batch_size", "8"), ("learning_rate", float("nan")),
+    ])
+    def test_mistyped_field_rejected(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("beta1", 1.0), ("beta2", -0.1), ("eps", 0.0)])
+    def test_adam_constants_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: value})
+
     def test_norm_stats_recorded(self):
         features, _ = toy_training_set(count=50)
         targets = np.linspace(-0.8, 0.9, 50)
@@ -314,12 +325,6 @@ class TestEstimatePointwise:
         estimate_pointwise(params, emb, range(50), NormStats(0.0, 1.0), ledger)
         assert ledger.estimator_forwards == 50
         assert ledger.forward_calls == 0
-
-    def test_norm_recorded(self):
-        emb = EmbeddingMatrix(rows=np.ones((2, 4), dtype=np.float32))
-        params = init_params(seed=0, in_dim=4, hidden=3)
-        scores = estimate_pointwise(params, emb, [0], NormStats(-1.0, 3.0), CostLedger())
-        assert scores.norm_stats == (-1.0, 3.0)
 
 
 def full_matrix(values):

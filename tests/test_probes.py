@@ -300,6 +300,13 @@ class TestHttpProvider:
         with pytest.raises(DataValidationError):
             provider.target_logprobs("c", "t", CostLedger())
 
+    @pytest.mark.parametrize("value", [0.0, 1.5])
+    def test_max_prob_out_of_range_is_data_error(self, probe_server, value):
+        probe_server.script = [(200, {"max_probs": [value]})]
+        provider = HttpProvider(probe_server.url, backoff=0.01)
+        with pytest.raises(DataValidationError, match=r"\(0, 1\]"):
+            provider.token_max_probs("c", "t", CostLedger())
+
     def test_bearer_token_header(self, probe_server, monkeypatch):
         monkeypatch.setenv("NNCIFT_HTTP_TOKEN", "sekrit")
         provider = HttpProvider(probe_server.url, backoff=0.01)
