@@ -319,25 +319,33 @@ def _generated_texts(count: int, side: str) -> dict[int, tuple[str, str]]:
     }
 
 
+def _read_input(config: RunConfig, key: str, loader):
+    path = getattr(config, key)
+    try:
+        return loader(path)
+    except OSError as exc:
+        raise ConfigError(f"{key}: cannot read {path}: {exc.strerror}") from exc
+
+
 def _load_inputs(config: RunConfig) -> DatasetPair:
-    fine = load_embeddings(config.fine_tune_embeddings)
+    fine = _read_input(config, "fine_tune_embeddings", load_embeddings)
     if config.target_embeddings:
-        target = load_embeddings(config.target_embeddings)
+        target = _read_input(config, "target_embeddings", load_embeddings)
     else:
         target = EmbeddingMatrix(np.zeros((0, fine.dim), dtype=np.float32))
     kwargs = {}
     if config.method == "less":
-        kwargs["fine_tune_gradients"] = load_embeddings(config.fine_tune_gradients)
-        kwargs["target_gradients"] = load_embeddings(config.target_gradients)
+        kwargs["fine_tune_gradients"] = _read_input(config, "fine_tune_gradients", load_embeddings)
+        kwargs["target_gradients"] = _read_input(config, "target_gradients", load_embeddings)
     if config.method in ("delift", "selectit"):
         kwargs["fine_tune_texts"] = (
-            load_texts(config.fine_tune_texts)
+            _read_input(config, "fine_tune_texts", load_texts)
             if config.fine_tune_texts
             else _generated_texts(fine.count, "fine_tune")
         )
     if config.method == "delift":
         kwargs["target_texts"] = (
-            load_texts(config.target_texts)
+            _read_input(config, "target_texts", load_texts)
             if config.target_texts
             else _generated_texts(target.count, "target")
         )

@@ -11,8 +11,8 @@ Providers:
   valid ranges.
 * file: replays responses stored in a JSON-lines record file, keyed by
   the caller-supplied record key. Never touches the network.
-* http: JSON-over-HTTP client with bounded in-flight requests, retries,
-  and per-attempt cost accounting.
+* http: JSON-over-HTTP client with retries and per-attempt cost
+  accounting. The pipeline issues its probes one at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import threading
 import time
@@ -254,6 +255,10 @@ class HttpProvider:
     backoff; every attempt charges one forward call because the serving
     cost was paid whether or not the answer arrived. Other HTTP errors
     and malformed bodies fail immediately.
+
+    max_in_flight caps the requests open at once across threads that
+    share the provider. The pipeline probes from one thread, one request
+    after another, so in a pipeline run at most one is ever in flight.
     """
 
     name = "http"
@@ -267,8 +272,8 @@ class HttpProvider:
         backoff: float = 0.25,
         max_in_flight: int = 8,
     ):
-        if retries < 1:
-            raise ValueError("retries must be >= 1")
+        if retries < 1 or max_in_flight < 1:
+            raise ValueError("retries and max_in_flight must be >= 1")
         self.base_url = base_url.rstrip("/")
         self.token = token if token is not None else os.environ.get(TOKEN_ENV_VAR)
         self.timeout = timeout
@@ -331,6 +336,21 @@ class HttpProvider:
 Provider = SyntheticProvider | FileProvider | HttpProvider
 
 
+def _check_http_options(options: dict) -> None:
+    """Reject HTTP options the client cannot honour; a zero in-flight cap
+    would block the first probe forever."""
+    for name, value in options.items():
+        if name in ("retries", "max_in_flight"):
+            ok = not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
+            rule = "an integer >= 1"
+        else:
+            ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                  and math.isfinite(value) and (value > 0 if name == "timeout" else value >= 0))
+            rule = "a finite number " + ("> 0" if name == "timeout" else ">= 0")
+        if not ok:
+            raise ConfigError(f"probe.{name} must be {rule}, got {value!r}")
+
+
 def build_provider(spec: dict) -> Provider:
     """Construct a provider from a configuration mapping; selection is
     explicit, never sniffed."""
@@ -342,16 +362,15 @@ def build_provider(spec: dict) -> Provider:
     if kind == "file":
         if "records" not in spec:
             raise ConfigError("file provider requires a 'records' path")
-        return FileProvider(spec["records"])
+        try:
+            return FileProvider(spec["records"])
+        except OSError as exc:
+            raise ConfigError(f"probe.records: cannot read {spec['records']}: {exc.strerror}") from exc
     if kind == "http":
         if "base_url" not in spec:
             raise ConfigError("http provider requires a 'base_url'")
-        return HttpProvider(
-            base_url=spec["base_url"],
-            token=spec.get("token"),
-            timeout=spec.get("timeout", 30.0),
-            retries=spec.get("retries", 3),
-            backoff=spec.get("backoff", 0.25),
-            max_in_flight=spec.get("max_in_flight", 8),
-        )
+        options = {name: spec[name] for name in ("timeout", "retries", "backoff", "max_in_flight")
+                   if name in spec}
+        _check_http_options(options)
+        return HttpProvider(base_url=spec["base_url"], token=spec.get("token"), **options)
     raise ConfigError(f"unknown provider kind {kind!r}")

@@ -10,7 +10,9 @@ import pytest
 
 import nncift.cli
 from nncift.cli import main, resolve_config
-from nncift.datasets import DatasetPair, EmbeddingMatrix, load_embeddings, partition, save_embeddings
+from nncift.datasets import (
+    DatasetPair, EmbeddingMatrix, load_embeddings, partition, save_embeddings, save_texts,
+)
 from nncift.influence import InfluenceMatrix, compute_influence, load_influence
 from nncift.network import load_params, mse_by_quadrant
 
@@ -114,6 +116,51 @@ class TestExitCodes:
         config = write_config(tmp_path, **overrides)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert not (out / "q1.nnk").exists()
+
+    @pytest.mark.parametrize("option", [
+        {"max_in_flight": 0},
+        {"max_in_flight": -1},
+        {"max_in_flight": 1.5},
+        {"retries": 0},
+        {"retries": "3"},
+        {"timeout": "x"},
+        {"timeout": 0},
+        {"backoff": -0.5},
+        {"backoff": "x"},
+    ], ids=lambda option: "{}={!r}".format(*next(iter(option.items()))))
+    def test_bad_http_option_exits_2_before_any_probe(self, tmp_path, option):
+        # a subprocess with a timeout: a zero in-flight cap used to hang
+        texts = {"fine_tune_texts": tmp_path / "fine.jsonl", "target_texts": tmp_path / "target.jsonl"}
+        for count, path in zip((20, 10), texts.values()):
+            save_texts({i: (f"prompt {i}", f"response {i}") for i in range(count)}, path)
+        probe = {"provider": "http", "base_url": "http://127.0.0.1:9", **option}
+        config = write_config(tmp_path, method="delift", m=20, n=10, probe=probe,
+                              **{key: str(path) for key, path in texts.items()})
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nncift.cli", "pipeline", "--config", str(config), "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"probe.{next(iter(option))}" in proc.stderr
+        assert not (out / "q1.nnk").exists()
+
+    @pytest.mark.parametrize("key", ["fine_tune_embeddings", "fine_tune_texts", "probe.records"])
+    def test_missing_input_file_names_its_key_and_exits_2(self, tmp_path, capsys, key):
+        missing = tmp_path / "missing.file"
+        if key == "probe.records":
+            save_texts({i: (f"prompt {i}", f"response {i}") for i in range(20)}, tmp_path / "fine.jsonl")
+            overrides = {"method": "selectit", "target_embeddings": ..., "m": 20,
+                         "fine_tune_texts": str(tmp_path / "fine.jsonl"),
+                         "probe": {"provider": "file", "records": str(missing)},
+                         "scales": [{"label": "1b", "parameter_count": 1}]}
+        else:
+            overrides = {"method": "delift", "m": 20, "n": 10, key: str(missing)}
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert f"{key}: cannot read {missing}" in capsys.readouterr().err
         assert not (out / "q1.nnk").exists()
 
     def test_stale_artifacts_from_other_seed_exit_2(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,45 @@ class TestEstimatePairwise:
                 for j in cols:
                     feature = np.concatenate([pair.fine_tune.row(i), pair.target.row(j)])
                     assert matrix.values[i, j] == np.float32(forward(params, feature))
+
+    def test_builds_no_pair_features(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimation must not build pair features")
+
+        monkeypatch.setattr(nncift.network, "build_pair_features", refuse)
+        pair = embedding_pair(6, 5, 3)
+        params = init_params(seed=1, in_dim=6, hidden=4)
+        ledger = CostLedger()
+        matrix = estimate_pairwise(params, pair, range(6), range(5), ledger)
+        assert matrix.valid_count() == 30
+        assert ledger.estimator_forwards == 30
+
+    def test_factored_block_equals_concatenated_forward(self, monkeypatch):
+        # 200 cells per chunk: the 37 x 29 block below spans six chunks
+        monkeypatch.setattr(nncift.network, "_CHUNK_CELLS", 200)
+        pair = embedding_pair(50, 40, 64, seed=7)
+        params = init_params(seed=8, in_dim=128, hidden=100)
+        order = np.random.default_rng(9)
+        rows = order.permutation(50)[:37]
+        cols = order.permutation(40)[:29]
+        matrix = estimate_pairwise(params, pair, rows, cols, CostLedger())
+        y, _, _ = nncift.network._forward_batch(params, build_pair_features(pair, rows, cols))
+        expected = y.reshape(len(rows), len(cols)).astype(np.float32)
+        np.testing.assert_array_max_ulp(matrix.values[np.ix_(rows, cols)], expected, maxulp=1)
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        hidden = 100
+        pair = embedding_pair(400, 300, 256, seed=1)
+        params = init_params(seed=2, in_dim=512, hidden=hidden)
+        output_bytes = pair.m * pair.n * (np.dtype(np.float32).itemsize + np.dtype(bool).itemsize)
+        bound = 4 * nncift.network._CHUNK_CELLS * hidden * 8 + output_bytes
+        tracemalloc.start()
+        try:
+            estimate_pairwise(params, pair, range(400), range(300), CostLedger())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestBuildPairFeatures:

@@ -259,6 +259,12 @@ class TestHttpProvider:
         assert values == [-0.5, -0.25]
         assert ledger.forward_calls == 1
 
+    @pytest.mark.parametrize("option", [{"retries": 0}, {"max_in_flight": 0}])
+    def test_unusable_limits_rejected(self, option):
+        # a zero in-flight cap would block the first probe forever
+        with pytest.raises(ValueError):
+            HttpProvider("http://127.0.0.1:9", **option)
+
     def test_500_thrice_exhausts_retries(self, probe_server):
         probe_server.script = [(500, {}), (500, {}), (500, {})]
         provider = HttpProvider(probe_server.url, backoff=0.01)
