@@ -30,6 +30,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +76,7 @@ from .network import (
     save_params,
     train,
 )
-from .probes import CostLedger, build_provider, record_gradient_cost
+from .probes import CostLedger, Provider, build_provider, record_gradient_cost
 from .reporting import REPORT_JSON, build_cost_report, emit_report, verify_ledger
 from .selection import (
     budget_from_fraction,
@@ -156,6 +157,34 @@ class RunConfig:
     def train_config(self) -> TrainConfig:
         return TrainConfig(seed=self.seed, **self.train)
 
+    # What the steps share, built on first use: `pipeline` hands one
+    # RunConfig to every step, so a run loads, splits and builds once.
+    @cached_property
+    def pair(self) -> DatasetPair:
+        return _load_inputs(self)
+
+    @cached_property
+    def part(self) -> QuadrantPartition:
+        """The run's ID/OOD split. A pointwise run is the M x 1 case: its one
+        score column sits on the ID side, so Q1 is the ID rows, Q3 the OOD
+        rows, and Q2 and Q4 are empty."""
+        part = partition(self.pair, self.u, self.seed)
+        if self.method in POINTWISE_METHODS:
+            part = replace(part, id_t=np.array([0]), ood_t=np.array([], dtype=np.int64))
+        return part
+
+    @cached_property
+    def provider(self) -> Provider:
+        return build_provider(self.probe)
+
+    @cached_property
+    def scale_spec(self) -> ModelScaleSpec:
+        return ModelScaleSpec(entries=tuple(
+            ScaleEntry(label=str(scale["label"]), parameter_count=int(scale["parameter_count"]),
+                       probe=build_provider(spec))
+            for scale, spec in zip(self.scales, _scale_probes(self.probe, self.scales))
+        ))
+
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 
@@ -185,6 +214,20 @@ def _default_scales(seed: int) -> list[dict]:
         {"label": "3b", "parameter_count": 3_000_000_000,
          "probe": {"provider": "synthetic", "seed": seed + 2}},
     ]
+
+
+def _scale_probes(probe: dict, scales: list[dict]) -> list[dict]:
+    """Each scale's probe spec: its own keys merged over the run's probe."""
+    return [{**probe, **(scale.get("probe") or {})} for scale in scales]
+
+
+def _probe_kinds(cfg: dict) -> set[str]:
+    """Every provider kind a run can probe with: the top-level probe's and,
+    for selectit, each scale's merged probe's."""
+    specs = [cfg["probe"]]
+    if cfg["method"] in POINTWISE_METHODS:
+        specs += _scale_probes(cfg["probe"], cfg["scales"])
+    return {spec.get("provider") for spec in specs}
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -246,13 +289,6 @@ def resolve_config(
     if kind == "synthetic":
         probe.setdefault("seed", seed)
 
-    if kind != "synthetic":
-        # only the synthetic provider can score generated placeholder text
-        if method == "delift" and not (cfg["fine_tune_texts"] and cfg["target_texts"]):
-            raise ConfigError("delift with a non-synthetic provider needs text records on both sides")
-        if method == "selectit" and not cfg["fine_tune_texts"]:
-            raise ConfigError("selectit with a non-synthetic provider needs fine_tune_texts")
-
     cfg["train"] = dict(_mapping("train", doc.get("train")) or {})
     bad = sorted(set(cfg["train"]) - _TRAIN_KEYS)
     if bad:
@@ -283,11 +319,20 @@ def resolve_config(
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ConfigError("scale parameter_count must be a positive integer")
 
+    kinds = _probe_kinds(cfg)
+    if kinds != {"synthetic"}:
+        # only the synthetic provider can score generated placeholder text
+        if method == "delift" and not (cfg["fine_tune_texts"] and cfg["target_texts"]):
+            raise ConfigError("delift with a non-synthetic provider needs text records on both sides")
+        if method == "selectit" and not cfg["fine_tune_texts"]:
+            raise ConfigError("selectit with a non-synthetic provider needs fine_tune_texts")
+
     cfg["pure_estimates"] = doc.get("pure_estimates", False)
     if not isinstance(cfg["pure_estimates"], bool):
         raise ConfigError("pure_estimates must be a boolean")
     if cfg["evaluate_truth"] is None:
-        cfg["evaluate_truth"] = kind != "http"
+        # the truth pass over an http provider pays for every cell
+        cfg["evaluate_truth"] = "http" not in kinds
     if not isinstance(cfg["evaluate_truth"], bool):
         raise ConfigError("evaluate_truth must be a boolean")
 
@@ -352,20 +397,6 @@ def _load_inputs(config: RunConfig) -> DatasetPair:
     return DatasetPair(fine_tune=fine, target=target, **kwargs)
 
 
-def _build_scales(config: RunConfig) -> ModelScaleSpec:
-    entries = []
-    for spec in config.scales:
-        probe_spec = {**config.probe, **spec.get("probe", {})}
-        entries.append(
-            ScaleEntry(
-                label=str(spec["label"]),
-                parameter_count=int(spec["parameter_count"]),
-                probe=build_provider(probe_spec),
-            )
-        )
-    return ModelScaleSpec(entries=tuple(entries))
-
-
 def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -393,40 +424,29 @@ def _load_ledger(out: Path, config: RunConfig) -> CostLedger:
     return CostLedger.from_dict(doc)
 
 
-def _partition(config: RunConfig, pair: DatasetPair) -> QuadrantPartition:
-    """The run's ID/OOD split. A pointwise run is the M x 1 case: its one
-    score column sits on the ID side, so Q1 is the ID rows, Q3 the OOD
-    rows, and Q2 and Q4 are empty."""
-    part = partition(pair, config.u, config.seed)
-    if config.method in POINTWISE_METHODS:
-        part = replace(part, id_t=np.array([0]), ood_t=np.array([], dtype=np.int64))
-    return part
-
-
 def _valuate(
-    config: RunConfig, pair: DatasetPair, rows: np.ndarray, cols: np.ndarray, ledger: CostLedger
+    config: RunConfig, rows: np.ndarray, cols: np.ndarray, ledger: CostLedger
 ) -> InfluenceMatrix:
     """Ground truth on the rows x cols block (pointwise: on the rows)."""
     if config.method in POINTWISE_METHODS:
-        scales = _build_scales(config)
-        scores = compute_pointwise(config.method, rows, config.prompts, scales, pair, ledger)
+        scores = compute_pointwise(config.method, rows, config.prompts, config.scale_spec,
+                                   config.pair, ledger)
         return scores.to_matrix()
-    provider = build_provider(config.probe) if config.method == "delift" else None
-    return compute_influence(config.method, rows, cols, pair, probe=provider, ledger=ledger)
+    provider = config.provider if config.method == "delift" else None
+    return compute_influence(config.method, rows, cols, config.pair, probe=provider, ledger=ledger)
 
 
 def cmd_valuate(config: RunConfig) -> Path:
     """Step 1: ground-truth influence on the ID corner only."""
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    pair = _load_inputs(config)
-    part = _partition(config, pair)
+    part = config.part
     ledger = CostLedger()
     with ledger.time_phase("valuate"):
-        matrix = _valuate(config, pair, part.id_f, part.id_t, ledger)
+        matrix = _valuate(config, part.id_f, part.id_t, ledger)
         if config.method == "less":
             # the features' upstream cost, charged once on ingestion
-            record_gradient_cost(pair.m + pair.n, ledger)
+            record_gradient_cost(config.pair.m + config.pair.n, ledger)
     save_influence(matrix, out / Q1_FILE)
     _write_ledger(out, config, ledger)
     print(f"wrote {out / Q1_FILE} ({matrix.valid_count()} valid cells)")
@@ -437,7 +457,7 @@ def cmd_train_estimate(config: RunConfig) -> Path:
     """Step 2: fit on the corner, estimate every cell once, merge.
 
     Pairwise and pointwise runs take the same path; a pointwise run is
-    the M x 1 case (see _partition). full.nnk holds the network's
+    the M x 1 case (see RunConfig.part). full.nnk holds the network's
     normalised space for pairwise runs and raw scores for pointwise ones;
     the corner's paid-for truth overwrites its estimates unless
     pure_estimates is set. The truth evaluation reuses the same
@@ -445,8 +465,7 @@ def cmd_train_estimate(config: RunConfig) -> Path:
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    pair = _load_inputs(config)
-    part = _partition(config, pair)
+    pair, part = config.pair, config.part
     q1_path = out / Q1_FILE
     if not q1_path.exists():
         raise ConfigError(f"{q1_path} not found; run valuate first")
@@ -495,7 +514,7 @@ def cmd_train_estimate(config: RunConfig) -> Path:
     if config.evaluate_truth:
         eval_ledger = CostLedger()
         with eval_ledger.time_phase("evaluate"):
-            truth = _valuate(config, pair, rows, cols, eval_ledger)
+            truth = _valuate(config, rows, cols, eval_ledger)
             truth = InfluenceMatrix.full(norm.normalize(truth.values))
             predictors = {
                 "trained": normalized(estimates) if pointwise else estimates,
@@ -557,7 +576,7 @@ def cmd_select(config: RunConfig) -> Path:
 
 def _emit_final_report(config: RunConfig) -> Path:
     out = config.out_dir
-    pair = _load_inputs(config)
+    pair = config.pair
     ledger_doc = _read_run_json(out / LEDGER_FILE)
     selection_doc = _read_run_json(out / SELECTION_FILE)
     mse_path = out / MSE_FILE
@@ -578,7 +597,7 @@ def _emit_final_report(config: RunConfig) -> Path:
         scales=len(config.scales) if pointwise else None,
         per_call_cost=config.per_call_cost,
     )
-    check = verify_ledger(cost, allow_retries=config.probe.get("provider") == "http")
+    check = verify_ledger(cost, allow_retries="http" in _probe_kinds(config.resolved))
     quadrant_mse = None
     if mse_doc is not None:
         quadrant_mse = {

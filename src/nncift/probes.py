@@ -334,6 +334,9 @@ class HttpProvider:
 
 
 Provider = SyntheticProvider | FileProvider | HttpProvider
+# every key some provider reads; a misspelt option must not fall back to its default
+_PROBE_KEYS = frozenset({"provider", "seed", "records", "base_url", "token", "timeout", "retries",
+                         "backoff", "max_in_flight"})
 
 
 def _check_http_options(options: dict) -> None:
@@ -356,6 +359,11 @@ def build_provider(spec: dict) -> Provider:
     explicit, never sniffed."""
     if not isinstance(spec, dict) or "provider" not in spec:
         raise ConfigError("probe spec must be a mapping with a 'provider' field")
+    # not checked per kind: a scale's probe is merged over the run's, so a
+    # file scale under the default synthetic probe carries its seed
+    unknown = sorted(set(spec) - _PROBE_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown probe options: {', '.join('probe.' + key for key in unknown)}")
     kind = spec["provider"]
     if kind == "synthetic":
         return SyntheticProvider(seed=spec.get("seed", 0))

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,8 @@ class TestExitCodes:
         {"timeout": 0},
         {"backoff": -0.5},
         {"backoff": "x"},
+        {"retires": 0},
+        {"max_inflight": 0},
     ], ids=lambda option: "{}={!r}".format(*next(iter(option.items()))))
     def test_bad_http_option_exits_2_before_any_probe(self, tmp_path, option):
         # a subprocess with a timeout: a zero in-flight cap used to hang
@@ -439,6 +442,43 @@ class TestPipeline:
         assert budgets[(0.05, 0.1)] == 3
         assert budgets[(0.1, 0.3)] == 9
 
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        counts = Counter()
+        for name in ("_load_inputs", "partition", "build_provider"):
+            original = getattr(nncift.cli, name)
+
+            def counted(*args, _original=original, _name=name):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(nncift.cli, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("method, overrides, expected", [
+        # one provider per scale, shared by the corner and the truth pass
+        ("selectit", {"target_embeddings": ..., "evaluate_truth": True}, (1, 1, 2)),
+        ("delift", {"evaluate_truth": True}, (1, 1, 1)),
+        # each sweep cell is its own run
+        ("delift_se", {"u_sweep": [0.05, 0.1], "v_sweep": [0.1, 0.3]}, (4, 4, 0)),
+    ], ids=["selectit", "delift", "sweep"])
+    def test_pipeline_builds_inputs_split_and_providers_once(
+        self, tmp_path, constructions, method, overrides, expected
+    ):
+        config = write_config(tmp_path, method=method, m=30, n=30, **overrides)
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert (constructions["_load_inputs"], constructions["partition"],
+                constructions["build_provider"]) == expected
+
+    def test_standalone_steps_load_only_what_they_read(self, tmp_path, constructions):
+        config = write_config(tmp_path, m=20, n=10)
+        loads = []
+        for step in ("valuate", "train-estimate", "select"):
+            assert main([step, "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+            loads.append(constructions["_load_inputs"])
+        # select reads full.nnk only
+        assert loads == [1, 2, 2]
+
     def test_console_module_entry(self, tmp_path):
         config = write_config(tmp_path, m=10, n=10)
         out = tmp_path / "run"
@@ -487,6 +527,11 @@ class TestConfigResolution:
     def test_u_out_of_range_rejected(self, tmp_path):
         config = write_config(tmp_path, u=1.5)
         assert main(["valuate", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+
+    def test_null_scale_probe_keeps_the_run_probe(self, tmp_path):
+        config = write_config(tmp_path, method="selectit", target_embeddings=..., m=20,
+                              scales=[{"label": "1b", "parameter_count": 1, "probe": None}])
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
 
     def test_selectit_scale_validation(self, tmp_path):
         config = write_config(

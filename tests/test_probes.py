@@ -3,8 +3,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
+from nncift.cli import main
+from nncift.datasets import EmbeddingMatrix, save_embeddings, save_texts
 from nncift.errors import (
     ConfigError,
     DataValidationError,
@@ -370,3 +373,51 @@ class TestBuildProvider:
             build_provider({"provider": "file"})
         with pytest.raises(ConfigError):
             build_provider({})
+
+    def test_unknown_key_rejected(self):
+        # http misspellings are covered end to end in test_cli
+        with pytest.raises(ConfigError, match=r"probe\.sed"):
+            build_provider({"provider": "synthetic", "sed": 5})
+
+    def test_keys_of_other_kinds_allowed(self, tmp_path):
+        # a scale's probe merged over the default synthetic probe keeps its seed
+        path = tmp_path / "r.jsonl"
+        write_records(path, [{"key": "0", "kind": "token_max_probs", "values": [1.0]}])
+        assert isinstance(build_provider({"provider": "file", "records": str(path), "seed": 3}),
+                          FileProvider)
+
+
+class TestRunProbeKinds:
+    """A selectit scale's http probe is an http run, under any top-level probe."""
+
+    @staticmethod
+    def write_config(tmp_path, server, texts=True):
+        rows = np.random.default_rng(0).normal(size=(20, 4))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        save_embeddings(EmbeddingMatrix(rows.astype(np.float32)), tmp_path / "fine.emb")
+        doc = {"method": "selectit", "u": 0.1, "seed": 7,
+               "fine_tune_embeddings": str(tmp_path / "fine.emb"),
+               "scales": [{"label": "1b", "parameter_count": 1,
+                           "probe": {"provider": "http", "base_url": server.url, "backoff": 0}}]}
+        if texts:
+            save_texts({i: (f"prompt {i}", f"response {i}") for i in range(20)}, tmp_path / "fine.jsonl")
+            doc["fine_tune_texts"] = str(tmp_path / "fine.jsonl")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_needs_texts(self, tmp_path, probe_server):
+        config = self.write_config(tmp_path, probe_server, texts=False)
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        assert probe_server.requests == []
+
+    def test_skips_the_truth_pass_and_tolerates_retries(self, tmp_path, probe_server):
+        probe_server.script = [(503, {})]
+        config = self.write_config(tmp_path, probe_server)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        # 2 ID rows x 1 prompt x 1 scale, plus the retried 503
+        assert len(probe_server.requests) == 3
+        assert not (out / "mse.json").exists()
+        report = json.loads((out / "report.json").read_text())
+        assert report["ledger_check"]["passed"] is True
