@@ -76,7 +76,7 @@ from .network import (
     save_params,
     train,
 )
-from .probes import CostLedger, Provider, build_provider, record_gradient_cost
+from .probes import CostLedger, Provider, build_provider, check_probe_spec, record_gradient_cost
 from .reporting import REPORT_JSON, build_cost_report, emit_report, verify_ledger
 from .selection import (
     budget_from_fraction,
@@ -101,7 +101,6 @@ METHOD_SELECTOR = {
     "selectit": "topk_pointwise",
 }
 
-_PROVIDER_KINDS = ("synthetic", "file", "http")
 _TRAIN_KEYS = frozenset(f.name for f in fields(TrainConfig)) - {"seed"}
 _SCALE_KEYS = frozenset({"label", "parameter_count", "probe"})
 _DEFAULT_PROMPTS = ["Rate the quality of the following instruction sample.\n{prompt}"]
@@ -222,12 +221,13 @@ def _scale_probes(probe: dict, scales: list[dict]) -> list[dict]:
 
 
 def _probe_kinds(cfg: dict) -> set[str]:
-    """Every provider kind a run can probe with: the top-level probe's and,
-    for selectit, each scale's merged probe's."""
-    specs = [cfg["probe"]]
+    """The provider kinds a run probes with: delift's probe, or each selectit
+    scale's merged probe; delift_se and less never probe."""
+    if cfg["method"] == "delift":
+        return {cfg["probe"]["provider"]}
     if cfg["method"] in POINTWISE_METHODS:
-        specs += _scale_probes(cfg["probe"], cfg["scales"])
-    return {spec.get("provider") for spec in specs}
+        return {spec["provider"] for spec in _scale_probes(cfg["probe"], cfg["scales"])}
+    return set()
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -283,9 +283,8 @@ def resolve_config(
         raise ConfigError("less needs fine_tune_gradients and target_gradients")
 
     probe = cfg["probe"] = dict(_mapping("probe", doc.get("probe")) or {"provider": "synthetic"})
-    kind = probe.get("provider")
-    if kind not in _PROVIDER_KINDS:
-        raise ConfigError(f"probe provider must be one of {', '.join(_PROVIDER_KINDS)}")
+    check_probe_spec(probe)
+    kind = probe["provider"]
     if kind == "synthetic":
         probe.setdefault("seed", seed)
 
@@ -318,9 +317,12 @@ def resolve_config(
         count = entry["parameter_count"]
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise ConfigError("scale parameter_count must be a positive integer")
+    # every spec, used by the method or not: a misspelt option fails the run
+    for spec in _scale_probes(probe, scales):
+        check_probe_spec(spec)
 
     kinds = _probe_kinds(cfg)
-    if kinds != {"synthetic"}:
+    if kinds - {"synthetic"}:
         # only the synthetic provider can score generated placeholder text
         if method == "delift" and not (cfg["fine_tune_texts"] and cfg["target_texts"]):
             raise ConfigError("delift with a non-synthetic provider needs text records on both sides")

@@ -144,11 +144,16 @@ class QuadrantPartition:
 
 
 def _fisher_yates(count: int, rng: np.random.Generator) -> np.ndarray:
-    idx = np.arange(count, dtype=np.int64)
-    for k in range(count - 1, 0, -1):
-        r = int(rng.integers(0, k + 1))
+    """Swap position k with a uniform draw from [0, k], k = count-1 .. 1.
+
+    One `integers` call over the bounds count .. 2 draws what a call per k
+    would, so the permutation matches a per-element loop's.
+    """
+    idx = list(range(count))
+    draws = rng.integers(0, np.arange(count, 1, -1)).tolist()
+    for k, r in zip(range(count - 1, 0, -1), draws):
         idx[k], idx[r] = idx[r], idx[k]
-    return idx
+    return np.array(idx, dtype=np.int64)
 
 
 def _split_side(count: int, u: float | str, seed: int, side: int) -> tuple[np.ndarray, np.ndarray]:

@@ -36,7 +36,7 @@ from .errors import (
     PayloadLengthError,
     RecordNotFoundError,
 )
-from .probes import CostLedger, Provider
+from .probes import CostLedger, Provider, target_logprobs_batch
 
 NNK_MAGIC = b"NNCIFTK\x00"
 _NNK_HEADER = struct.Struct("<8sII")
@@ -249,7 +249,8 @@ def delift_pair(
     distance between the model's prediction and target j's response.
 
     Positive means the example helps. The context-free term depends only
-    on j; passing a cache dict across calls avoids re-probing it.
+    on j; passing a cache dict across calls avoids re-probing it. This is
+    the per-cell reference for `compute_influence`'s batched delift block.
     """
     i_prompt, i_response = pair.text("fine_tune", i)
     j_prompt, j_response = pair.text("target", j)
@@ -338,8 +339,11 @@ def compute_influence(
 ) -> InfluenceMatrix:
     """Fill exactly the rows x cols block of the m x n influence matrix.
 
-    delift probes the model through `probe` cell by cell in row-major
-    order (context-free terms cached per j); delift_se and less read
+    delift sends the block's probes to `probe` as one batch, ordered as a
+    cell-by-cell row-major loop would send them: column j's context-free
+    probe just before the first cell that needs it, then each cell's
+    in-context probe. Answers are placed by request index, so the block
+    does not depend on the order they arrive in. delift_se and less read
     precomputed inputs, cost zero probe calls, and take the whole block
     as one Gram product.
     """
@@ -357,14 +361,26 @@ def compute_influence(
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if method == "delift":
-        block = np.empty((len(rows), len(cols)))
-        noctx_cache: dict[int, float] = {}
+        requests: list[tuple[str, str, str, str]] = []
+        noctx_at: dict[int, int] = {}
+        # each cell's context-free and in-context request index
+        noctx_of = np.empty((len(rows), len(cols)), dtype=np.int64)
+        ctx_of = np.empty_like(noctx_of)
         for a, i in enumerate(rows.tolist()):
+            i_prompt, i_response = pair.text("fine_tune", i)
             for b, j in enumerate(cols.tolist()):
-                try:
-                    block[a, b] = delift_pair(i, j, pair, probe, ledger, noctx_cache)
-                except NnciftError as exc:
-                    raise type(exc)(f"at cell ({i}, {j}): {exc}") from exc
+                j_prompt, j_response = pair.text("target", j)
+                where = f"cell ({i}, {j})"
+                if j not in noctx_at:
+                    noctx_at[j] = len(requests)
+                    requests.append((where, j_prompt, j_response, str(j)))
+                noctx_of[a, b] = noctx_at[j]
+                ctx_of[a, b] = len(requests)
+                requests.append((where, _delift_context(i_prompt, i_response, j_prompt),
+                                 j_response, f"{i}:{j}"))
+        answers = target_logprobs_batch(probe, requests, ledger)
+        distances = np.array([distance_from_logprobs(lp) for lp in answers], dtype=np.float64)
+        block = distances[noctx_of] - distances[ctx_of]
     elif method == "delift_se":
         block = _cosine_block(pair.fine_tune.rows, pair.target.rows, rows, cols)
     else:

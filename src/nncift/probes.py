@@ -12,7 +12,10 @@ Providers:
 * file: replays responses stored in a JSON-lines record file, keyed by
   the caller-supplied record key. Never touches the network.
 * http: JSON-over-HTTP client with retries and per-attempt cost
-  accounting. The pipeline issues its probes one at a time.
+  accounting.
+
+`target_logprobs_batch` answers a list of requests in request order; over
+an http provider it keeps up to `max_in_flight` of them in flight at once.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ import numbers
 import os
 import threading
 import time
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import requests
 
@@ -35,6 +40,7 @@ from .errors import (
     ConfigError,
     DataValidationError,
     FileFormatError,
+    NnciftError,
     ProbeError,
     ProtocolError,
     RecordNotFoundError,
@@ -245,6 +251,10 @@ class FileProvider:
         return list(values)
 
 
+_HTTP_ENDPOINTS = {KIND_LOGPROBS: ("/v1/logprobs", "token_logprobs"),
+                   KIND_MAX_PROBS: ("/v1/token_max_probs", "max_probs")}
+
+
 class HttpProvider:
     """JSON-over-HTTP probe client.
 
@@ -256,9 +266,10 @@ class HttpProvider:
     cost was paid whether or not the answer arrived. Other HTTP errors
     and malformed bodies fail immediately.
 
-    max_in_flight caps the requests open at once across threads that
-    share the provider. The pipeline probes from one thread, one request
-    after another, so in a pipeline run at most one is ever in flight.
+    max_in_flight caps the requests, and so the pooled connections, open
+    at once across threads that share the provider. `target_logprobs_batch`
+    runs that many requests at once, so delift's corner keeps up to
+    max_in_flight (default 8) in flight.
     """
 
     name = "http"
@@ -279,6 +290,7 @@ class HttpProvider:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
+        self.max_in_flight = max_in_flight
         self._gate = threading.BoundedSemaphore(max_in_flight)
         self._session = requests.Session()
 
@@ -318,25 +330,65 @@ class HttpProvider:
             raise ProtocolError(f"{url_hint}: {field_name!r} must be finite numbers")
         return [float(v) for v in values]
 
-    def target_logprobs(self, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        ProbeRequest(KIND_LOGPROBS, context, target)
-        payload = self._post("/v1/logprobs", {"context": context, "target": target}, ledger)
-        values = self._extract(payload, "token_logprobs", self.base_url)
-        _check_range(KIND_LOGPROBS, values, self.base_url)
+    def _probe(self, kind: str, context: str, target: str, ledger: CostLedger) -> list[float]:
+        ProbeRequest(kind, context, target)
+        endpoint, field_name = _HTTP_ENDPOINTS[kind]
+        payload = self._post(endpoint, {"context": context, "target": target}, ledger)
+        values = self._extract(payload, field_name, self.base_url)
+        _check_range(kind, values, self.base_url)
         return values
 
+    def target_logprobs(self, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
+        return self._probe(KIND_LOGPROBS, context, target, ledger)
+
     def token_max_probs(self, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        ProbeRequest(KIND_MAX_PROBS, context, target)
-        payload = self._post("/v1/token_max_probs", {"context": context, "target": target}, ledger)
-        values = self._extract(payload, "max_probs", self.base_url)
-        _check_range(KIND_MAX_PROBS, values, self.base_url)
-        return values
+        return self._probe(KIND_MAX_PROBS, context, target, ledger)
 
 
 Provider = SyntheticProvider | FileProvider | HttpProvider
+
+
+def target_logprobs_batch(
+    probe: Provider, requests: Sequence[tuple[str, str, str, str]], ledger: CostLedger
+) -> list[list[float]]:
+    """Answer `(where, context, target, key)` target_logprobs requests, in
+    request order.
+
+    An HttpProvider with max_in_flight > 1 sends them from that many
+    threads at once; every other provider answers them one after another.
+    Either way, a failure raises the error of the lowest-index failing
+    request, the one a sequential loop would stop at, and an NnciftError
+    is prefixed with "at <where>". Requests that have not started by then
+    are never sent nor charged; those in flight finish and are charged.
+    """
+    if isinstance(probe, HttpProvider) and probe.max_in_flight > 1:
+        pool = ThreadPoolExecutor(probe.max_in_flight)
+        try:
+            # workers call _probe: a wrapper on the public method (a tracer's)
+            # would run on a pool thread outside its caller's span
+            futures = [pool.submit(probe._probe, KIND_LOGPROBS, context, target, ledger)
+                       for _, context, target, _ in requests]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            # the pool starts requests in order, so none before a failure is cancelled
+            pool.shutdown(cancel_futures=True)
+        answers = (future.result for future in futures)
+    else:
+        answers = (partial(probe.target_logprobs, context, target, ledger, key=key)
+                   for _, context, target, key in requests)
+    out = []
+    for (where, *_), answer in zip(requests, answers):
+        try:
+            out.append(answer())
+        except NnciftError as exc:
+            raise type(exc)(f"at {where}: {exc}") from exc
+    return out
+
+
+_PROVIDER_KINDS = ("synthetic", "file", "http")
+_HTTP_OPTIONS = ("timeout", "retries", "backoff", "max_in_flight")
 # every key some provider reads; a misspelt option must not fall back to its default
-_PROBE_KEYS = frozenset({"provider", "seed", "records", "base_url", "token", "timeout", "retries",
-                         "backoff", "max_in_flight"})
+_PROBE_KEYS = frozenset({"provider", "seed", "records", "base_url", "token", *_HTTP_OPTIONS})
 
 
 def _check_http_options(options: dict) -> None:
@@ -354,9 +406,9 @@ def _check_http_options(options: dict) -> None:
             raise ConfigError(f"probe.{name} must be {rule}, got {value!r}")
 
 
-def build_provider(spec: dict) -> Provider:
-    """Construct a provider from a configuration mapping; selection is
-    explicit, never sniffed."""
+def check_probe_spec(spec) -> None:
+    """Raise ConfigError for a spec `build_provider` would reject, without
+    building a provider or reading its files."""
     if not isinstance(spec, dict) or "provider" not in spec:
         raise ConfigError("probe spec must be a mapping with a 'provider' field")
     # not checked per kind: a scale's probe is merged over the run's, so a
@@ -365,20 +417,27 @@ def build_provider(spec: dict) -> Provider:
     if unknown:
         raise ConfigError(f"unknown probe options: {', '.join('probe.' + key for key in unknown)}")
     kind = spec["provider"]
+    if kind not in _PROVIDER_KINDS:
+        raise ConfigError(f"probe provider must be one of {', '.join(_PROVIDER_KINDS)}, got {kind!r}")
+    if kind == "file" and "records" not in spec:
+        raise ConfigError("file provider requires a 'records' path")
+    if kind == "http":
+        if "base_url" not in spec:
+            raise ConfigError("http provider requires a 'base_url'")
+        _check_http_options({name: spec[name] for name in _HTTP_OPTIONS if name in spec})
+
+
+def build_provider(spec: dict) -> Provider:
+    """Construct a provider from a configuration mapping; selection is
+    explicit, never sniffed."""
+    check_probe_spec(spec)
+    kind = spec["provider"]
     if kind == "synthetic":
         return SyntheticProvider(seed=spec.get("seed", 0))
     if kind == "file":
-        if "records" not in spec:
-            raise ConfigError("file provider requires a 'records' path")
         try:
             return FileProvider(spec["records"])
         except OSError as exc:
             raise ConfigError(f"probe.records: cannot read {spec['records']}: {exc.strerror}") from exc
-    if kind == "http":
-        if "base_url" not in spec:
-            raise ConfigError("http provider requires a 'base_url'")
-        options = {name: spec[name] for name in ("timeout", "retries", "backoff", "max_in_flight")
-                   if name in spec}
-        _check_http_options(options)
-        return HttpProvider(base_url=spec["base_url"], token=spec.get("token"), **options)
-    raise ConfigError(f"unknown provider kind {kind!r}")
+    options = {name: spec[name] for name in _HTTP_OPTIONS if name in spec}
+    return HttpProvider(base_url=spec["base_url"], token=spec.get("token"), **options)

@@ -112,6 +112,10 @@ class TestExitCodes:
         {"probe": "http"},
         {"method": "selectit", "target_embeddings": ...,
          "scales": [{"label": "1b", "parameter_count": 1, "probe": "http"}]},
+        # specs the method never builds are checked too
+        {"probe": {"provider": "http", "base_url": "http://127.0.0.1:9", "retires": 0}},
+        {"probe": {"provider": "file"}},
+        {"scales": [{"label": "1b", "parameter_count": 1, "probe": {"provider": "quantum"}}]},
     ])
     def test_bad_config_exits_2_before_any_probe(self, tmp_path, overrides):
         config = write_config(tmp_path, **overrides)
@@ -519,6 +523,22 @@ class TestConfigResolution:
         assert config.run_id == "e989d955e1cb"
         assert resolve_config(pointwise).config_hash == (
             "ce1afed5298f55bb5f94e33503dad6bd9f42c2f3506de927e8d3bf807f55d492")
+
+    def test_evaluate_truth_defaults_off_only_for_http_probes_the_method_uses(self):
+        http = {"provider": "http", "base_url": "http://127.0.0.1:9"}
+        base = {"fine_tune_embeddings": "f.emb", "target_embeddings": "t.emb",
+                "fine_tune_texts": "f.jsonl", "target_texts": "t.jsonl"}
+        synthetic_scale = [{"label": "1b", "parameter_count": 1, "probe": {"provider": "synthetic"}}]
+        http_scale = [{"label": "1b", "parameter_count": 1, "probe": http}]
+        for doc, expected in (
+            ({"method": "delift", "probe": http}, False),
+            ({"method": "delift_se", "probe": http}, True),
+            ({"method": "less", "probe": http, "fine_tune_gradients": "f.grad",
+              "target_gradients": "t.grad"}, True),
+            ({"method": "selectit", "probe": http, "scales": synthetic_scale}, True),
+            ({"method": "selectit", "scales": http_scale}, False),
+        ):
+            assert resolve_config({**base, **doc}).evaluate_truth is expected, doc
 
     def test_unknown_train_field_rejected(self, tmp_path):
         config = write_config(tmp_path, train={"momentum": 0.9})

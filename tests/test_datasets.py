@@ -7,6 +7,7 @@ from nncift.datasets import (
     DatasetPair,
     EmbeddingMatrix,
     QuadrantPartition,
+    _fisher_yates,
     exact_ceil,
     load_embeddings,
     load_texts,
@@ -196,6 +197,19 @@ class TestDatasetPair:
         assert pair.text("fine_tune", 0) == ("q", "a")
 
 
+def fisher_yates_loop(count, rng):
+    """The per-element shuffle `_fisher_yates` must reproduce draw for draw."""
+    idx = np.arange(count, dtype=np.int64)
+    for k in range(count - 1, 0, -1):
+        r = int(rng.integers(0, k + 1))
+        idx[k], idx[r] = idx[r], idx[k]
+    return idx
+
+
+def side_rng(seed, side):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, side))))
+
+
 def check_partition_invariants(part, m, n, u):
     for ids, oods, count in ((part.id_f, part.ood_f, m), (part.id_t, part.ood_t, n)):
         union = np.concatenate([ids, oods])
@@ -226,6 +240,14 @@ class TestPartition:
             seed = int(rng.integers(0, 2**32))
             part = partition(make_pair(m, n, dim=1), u, seed)
             check_partition_invariants(part, m, n, u)
+
+    @pytest.mark.parametrize("count", [*range(6), 17, 256, 4097, 40_000])
+    def test_shuffle_matches_the_per_element_loop(self, count):
+        # golden hashes rest on the split, so the batched draws must be the loop's
+        for seed in range(3):
+            for side in (0, 1):
+                np.testing.assert_array_equal(_fisher_yates(count, side_rng(seed, side)),
+                                              fisher_yates_loop(count, side_rng(seed, side)))
 
     def test_deterministic(self):
         pair = make_pair(20, 10)

@@ -27,7 +27,8 @@ from nncift.influence import (
     save_influence,
     selectit_point,
 )
-from nncift.probes import CostLedger, FileProvider, SyntheticProvider
+from nncift.errors import ProbeError
+from nncift.probes import CostLedger, FileProvider, HttpProvider, SyntheticProvider
 
 
 def matrix_of(rows, dim=3, seed=0):
@@ -80,6 +81,17 @@ class UndecodableAfter(SyntheticProvider):
     def token_max_probs(self, context, target, ledger, key=None):
         self._spend()
         return super().token_max_probs(context, target, ledger, key)
+
+
+class Replica:
+    """Answers target_logprobs as a server does, without the network."""
+
+    def __init__(self, server):
+        self.server = server
+
+    def target_logprobs(self, context, target, ledger, key=None):
+        ledger.add_forward(1)
+        return self.server.logprobs(context, target)
 
 
 class TestDistance:
@@ -383,6 +395,40 @@ class TestComputeInfluence:
         ledger = CostLedger()
         compute_influence("delift", range(2), range(3), pair, SyntheticProvider(seed=0), ledger)
         assert ledger.forward_calls == 2 * 3 + 3
+
+    def test_delift_block_matches_delift_pair(self):
+        pair = text_pair(4, 3)
+        provider = SyntheticProvider(seed=5)
+        matrix = compute_influence("delift", [3, 0, 2], [2, 0], pair, provider, CostLedger())
+        for i in (3, 0, 2):
+            for j in (2, 0):
+                assert matrix.values[i, j] == np.float32(
+                    delift_pair(i, j, pair, provider, CostLedger()))
+        assert matrix.valid_count() == 6
+
+    @pytest.mark.parametrize("cap", [1, 4])
+    def test_http_block_is_independent_of_the_in_flight_cap(self, slow_server, cap):
+        slow_server.fail_one_in = 3
+        pair = text_pair(5, 4)
+        ledger = CostLedger()
+        matrix = compute_influence("delift", range(5), range(4), pair,
+                                   HttpProvider(slow_server.url, backoff=0, max_in_flight=cap),
+                                   ledger)
+        replica = compute_influence("delift", range(5), range(4), pair, Replica(slow_server),
+                                    CostLedger())
+        assert matrix.to_bytes() == replica.to_bytes()
+        assert slow_server.failures > 0
+        assert ledger.forward_calls == 5 * 4 + 4 + slow_server.failures
+        assert ledger.forward_calls == len(slow_server.requests)
+
+    def test_concurrent_probe_error_names_the_lowest_failing_cell(self, slow_server):
+        # cells (1, 0) and (2, 1) fail; a sequential loop would stop at (1, 0)
+        slow_server.reject = {"q1\nanswer 1\n\ntq0", "q2\nanswer 2\n\ntq1"}
+        ledger = CostLedger()
+        with pytest.raises(ProbeError, match=r"^at cell \(1, 0\): "):
+            compute_influence("delift", range(3), range(2), text_pair(3, 2),
+                              HttpProvider(slow_server.url, max_in_flight=4), ledger)
+        assert ledger.forward_calls == len(slow_server.requests)
 
     def test_delift_se_zero_probe_calls(self):
         pair = DatasetPair(fine_tune=matrix_of(2), target=matrix_of(2, seed=1))

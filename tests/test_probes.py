@@ -1,7 +1,7 @@
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from nncift.probes import (
     SyntheticProvider,
     build_provider,
     record_gradient_cost,
+    target_logprobs_batch,
 )
 
 
@@ -198,62 +199,6 @@ class TestFileProvider:
             FileProvider(path)
 
 
-class ScriptedHandler(BaseHTTPRequestHandler):
-    """Replies from the server's programmable script; one entry per request."""
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length) or b"{}")
-        server = self.server
-        server.requests.append({
-            "path": self.path,
-            "body": body,
-            "auth": self.headers.get("Authorization"),
-        })
-        if server.script:
-            status, payload = server.script.pop(0)
-        else:
-            status, payload = 200, server.default_payload(self.path, body)
-        raw = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
-
-    def log_message(self, *args):
-        pass
-
-
-class ProbeServer(ThreadingHTTPServer):
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), ScriptedHandler)
-        self.requests = []
-        self.script = []
-
-    @staticmethod
-    def default_payload(path, body):
-        if path == "/v1/logprobs":
-            return {"token_logprobs": [-0.5, -0.25]}
-        if path == "/v1/token_max_probs":
-            return {"max_probs": [0.9, 0.8]}
-        return {}
-
-    @property
-    def url(self):
-        return f"http://127.0.0.1:{self.server_address[1]}"
-
-
-@pytest.fixture()
-def probe_server():
-    server = ProbeServer()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-
-
 class TestHttpProvider:
     def test_success_counts_one_forward(self, probe_server):
         provider = HttpProvider(probe_server.url, backoff=0.01)
@@ -346,6 +291,81 @@ class TestHttpProvider:
         with pytest.raises(ProbeError):
             provider.target_logprobs("c", "t", ledger)
         assert ledger.forward_calls == 2
+
+
+def batch_requests(count):
+    return [(f"r{k}", f"context {k}", f"target {k}", str(k)) for k in range(count)]
+
+
+class TestTargetLogprobsBatch:
+    @pytest.mark.parametrize("cap", [1, 4])
+    def test_answers_in_request_order_at_any_in_flight_cap(self, slow_server, cap):
+        slow_server.fail_one_in = 3
+        requests = batch_requests(24)
+        ledger = CostLedger()
+        provider = HttpProvider(slow_server.url, backoff=0, max_in_flight=cap)
+        answers = target_logprobs_batch(provider, requests, ledger)
+        assert answers == [slow_server.logprobs(context, target) for _, context, target, _ in requests]
+        # each 503 is answered once; its retry succeeds
+        assert slow_server.failures > 0
+        assert ledger.forward_calls == len(requests) + slow_server.failures
+        assert ledger.forward_calls == len(slow_server.requests)
+
+    def test_ledger_stays_exact_under_contention(self, slow_server):
+        # more workers than cores, switching threads as often as possible
+        slow_server.delay = 0
+        slow_server.fail_one_in = 3
+        requests = batch_requests(200)
+        provider = HttpProvider(slow_server.url, backoff=0, timeout=5, max_in_flight=8)
+        ledger = CostLedger()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            answers = target_logprobs_batch(provider, requests, ledger)
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [slow_server.logprobs(context, target) for _, context, target, _ in requests]
+        assert ledger.forward_calls == len(requests) + slow_server.failures
+        assert ledger.forward_calls == len(slow_server.requests)
+
+    def test_never_more_than_max_in_flight_requests_or_connections(self, slow_server):
+        slow_server.delay = 0.05
+        provider = HttpProvider(slow_server.url, max_in_flight=3)
+        target_logprobs_batch(provider, batch_requests(9), CostLedger())
+        assert slow_server.peak["in_flight"] == 3
+        assert slow_server.peak["connections"] <= 3
+
+    def test_lowest_index_failure_wins_and_unstarted_requests_are_never_sent(self, slow_server):
+        # request 7 fails at once while the slower request 5 is still in flight
+        slow_server.delay = 0.03
+        slow_server.reject = {"target 5", "target 7"}
+        slow_server.delays = {"target 5": 0.3, "target 7": 0.0}
+        provider = HttpProvider(slow_server.url, max_in_flight=4)
+        ledger = CostLedger()
+        with pytest.raises(ProbeError, match=r"^at r5: .*status 404"):
+            target_logprobs_batch(provider, batch_requests(40), ledger)
+        sent = sorted(int(req["body"]["target"].split()[1]) for req in slow_server.requests)
+        # requests start in order: what was sent is a prefix, and all of it was charged
+        assert sent == list(range(len(sent)))
+        assert 8 <= len(sent) < 40
+        assert ledger.forward_calls == len(sent)
+
+    @pytest.mark.parametrize("cap", [1, 4])
+    def test_foreign_error_passes_through_unwrapped(self, slow_server, cap):
+        requests = batch_requests(6)
+        requests[2] = ("r2", "context 2", "", "2")
+        provider = HttpProvider(slow_server.url, max_in_flight=cap)
+        with pytest.raises(ValueError, match=r"^target_logprobs requires a non-empty target$"):
+            target_logprobs_batch(provider, requests, CostLedger())
+
+    def test_providers_without_concurrency_answer_in_a_loop(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        write_records(path, [{"key": "0", "kind": "target_logprobs", "values": [-1.0]}])
+        ledger = CostLedger()
+        with pytest.raises(RecordNotFoundError, match=r"^at r1: "):
+            target_logprobs_batch(FileProvider(path), batch_requests(3), ledger)
+        # the loop stops at the failure: request 2 is never asked for
+        assert ledger.forward_calls == 1
 
 
 class TestBuildProvider:
