@@ -39,6 +39,7 @@ from .datasets import (
     DatasetPair,
     EmbeddingMatrix,
     QuadrantPartition,
+    exact_ceil,
     load_embeddings,
     load_texts,
     partition,
@@ -57,7 +58,6 @@ from .influence import (
     PAIRWISE_METHODS,
     POINTWISE_METHODS,
     InfluenceMatrix,
-    ModelScaleSpec,
     PointwiseScores,
     ScaleEntry,
     compute_influence,
@@ -76,10 +76,9 @@ from .network import (
     save_params,
     train,
 )
-from .probes import CostLedger, Provider, build_provider, check_probe_spec, record_gradient_cost
+from .probes import CostLedger, Provider, build_provider, check_probe_spec
 from .reporting import REPORT_JSON, build_cost_report, emit_report, verify_ledger
 from .selection import (
-    budget_from_fraction,
     facility_location_greedy,
     normalize_kernel,
     topk_pointwise,
@@ -177,12 +176,12 @@ class RunConfig:
         return build_provider(self.probe)
 
     @cached_property
-    def scale_spec(self) -> ModelScaleSpec:
-        return ModelScaleSpec(entries=tuple(
+    def scale_spec(self) -> tuple[ScaleEntry, ...]:
+        return tuple(
             ScaleEntry(label=str(scale["label"]), parameter_count=int(scale["parameter_count"]),
                        probe=build_provider(spec))
             for scale, spec in zip(self.scales, _scale_probes(self.probe, self.scales))
-        ))
+        )
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
@@ -192,8 +191,10 @@ def _check_fraction(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
     try:
+        # float() too: the report and the sweep's directory names read the value as a decimal
+        float(value)
         parsed = Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}") from exc
     if not 0 <= parsed <= 1:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
@@ -448,7 +449,7 @@ def cmd_valuate(config: RunConfig) -> Path:
         matrix = _valuate(config, part.id_f, part.id_t, ledger)
         if config.method == "less":
             # the features' upstream cost, charged once on ingestion
-            record_gradient_cost(config.pair.m + config.pair.n, ledger)
+            ledger.add_backward(config.pair.m + config.pair.n)
     save_influence(matrix, out / Q1_FILE)
     _write_ledger(out, config, ledger)
     print(f"wrote {out / Q1_FILE} ({matrix.valid_count()} valid cells)")
@@ -490,7 +491,7 @@ def cmd_train_estimate(config: RunConfig) -> Path:
     train_config = config.train_config()
     with ledger.time_phase("train"):
         result = train(features, targets, train_config)
-    save_params(result, out / PARAMS_FILE, seed=config.seed,
+    save_params(result.params, out / PARAMS_FILE, result.norm, seed=config.seed,
                 optimizer=train_config.optimizer_metadata())
     norm = result.norm
 
@@ -546,7 +547,7 @@ def cmd_select(config: RunConfig) -> Path:
     if not full_path.exists():
         raise ConfigError(f"{full_path} not found; run train-estimate first")
     full = load_influence(full_path)
-    budget = budget_from_fraction(config.v, full.m)
+    budget = exact_ceil(config.v, full.m)
     selector = METHOD_SELECTOR[config.method]
     try:
         if selector == "facility_location":
@@ -586,7 +587,8 @@ def _emit_final_report(config: RunConfig) -> Path:
 
     snapshot = {
         key: ledger_doc.get(key)
-        for key in ("forward_calls", "backward_calls", "estimator_forwards", "wall_ms")
+        for key in ("forward_calls", "backward_calls", "estimator_forwards", "failed_forwards",
+                    "wall_ms")
     }
     pointwise = config.method in POINTWISE_METHODS
     cost = build_cost_report(
@@ -599,7 +601,7 @@ def _emit_final_report(config: RunConfig) -> Path:
         scales=len(config.scales) if pointwise else None,
         per_call_cost=config.per_call_cost,
     )
-    check = verify_ledger(cost, allow_retries="http" in _probe_kinds(config.resolved))
+    check = verify_ledger(cost)
     quadrant_mse = None
     if mse_doc is not None:
         quadrant_mse = {

@@ -68,9 +68,6 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return int(self.rows.shape[1])
 
-    def row(self, idx: int) -> np.ndarray:
-        return self.rows[idx]
-
 
 @dataclass(frozen=True, eq=False)
 class DatasetPair:
@@ -127,8 +124,6 @@ class QuadrantPartition:
     together cover [0, count) on their side.
     """
 
-    u: float
-    seed: int
     id_f: np.ndarray
     ood_f: np.ndarray
     id_t: np.ndarray
@@ -166,12 +161,11 @@ def _split_side(count: int, u: float | str, seed: int, side: int) -> tuple[np.nd
 def partition(pair: DatasetPair, u: float | str, seed: int) -> QuadrantPartition:
     """Split both sides into ID/OOD index sets, ID taking the first
     ceil(u * count) positions of a seeded Fisher-Yates shuffle."""
-    u_value = float(Fraction(str(u)))
-    if not 0.0 <= u_value <= 1.0:
+    if not 0.0 <= float(Fraction(str(u))) <= 1.0:
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
     id_f, ood_f = _split_side(pair.m, u, seed, side=0)
     id_t, ood_t = _split_side(pair.n, u, seed, side=1)
-    return QuadrantPartition(u=u_value, seed=seed, id_f=id_f, ood_f=ood_f, id_t=id_t, ood_t=ood_t)
+    return QuadrantPartition(id_f=id_f, ood_f=ood_f, id_t=id_t, ood_t=ood_t)
 
 
 def quadrant_index_sets(part: QuadrantPartition, quadrant: Quadrant) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -191,21 +191,6 @@ class ScaleEntry:
             raise ValueError("parameter_count must be positive")
 
 
-@dataclass(frozen=True)
-class ModelScaleSpec:
-    entries: tuple[ScaleEntry, ...]
-
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        if not entries:
-            raise ValueError("at least one scale entry required")
-        object.__setattr__(self, "entries", entries)
-
-    def weights(self) -> list[float]:
-        total = sum(e.parameter_count for e in self.entries)
-        return [e.parameter_count / total for e in self.entries]
-
-
 def distance_from_logprobs(logprobs: Sequence[float]) -> float:
     """1 minus the length-normalized geometric-mean target probability.
 
@@ -300,7 +285,7 @@ def _render_prompt(template: str, prompt_text: str) -> str:
 def selectit_point(
     i: int,
     prompts: Sequence[str],
-    scales: ModelScaleSpec,
+    scales: Sequence[ScaleEntry],
     pair: DatasetPair,
     ledger: CostLedger,
 ) -> float:
@@ -311,9 +296,11 @@ def selectit_point(
     cannot change the result."""
     if not prompts:
         raise ValueError("at least one prompt template required")
+    if not scales:
+        raise ValueError("at least one scale entry required")
     prompt_text, response_text = pair.text("fine_tune", i)
     sentence_scores: list[float] = []
-    for entry in scales.entries:
+    for entry in scales:
         per_prompt: list[float] = []
         for p, template in enumerate(prompts):
             context = _render_prompt(template, prompt_text)
@@ -323,9 +310,9 @@ def selectit_point(
             per_prompt.append(math.fsum(probs) / len(probs))
         sentence_scores.append(math.fsum(per_prompt) / len(per_prompt))
     weighted = math.fsum(
-        entry.parameter_count * s for entry, s in zip(scales.entries, sentence_scores)
+        entry.parameter_count * s for entry, s in zip(scales, sentence_scores)
     )
-    total = sum(entry.parameter_count for entry in scales.entries)
+    total = sum(entry.parameter_count for entry in scales)
     return weighted / total
 
 
@@ -398,7 +385,7 @@ def compute_pointwise(
     method: str,
     indices: Iterable[int],
     prompts: Sequence[str],
-    scales: ModelScaleSpec,
+    scales: Sequence[ScaleEntry],
     pair: DatasetPair,
     ledger: CostLedger,
 ) -> PointwiseScores:

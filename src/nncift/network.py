@@ -10,7 +10,8 @@ Pairwise inputs are the two embeddings of a cell concatenated. Training
 sees those concatenated rows (the ID x ID corner is small), but
 estimation never builds them: the first layer splits into a fine-tune
 half and a target half, each applied once per row or column, and a cell
-only adds its row's and its column's projections.
+only adds its row's and its column's projections. Pointwise estimation
+is the same block with one column and an empty target half.
 
 Everything here is plain numpy with analytic gradients; the training
 loop is deterministic for a fixed seed.
@@ -293,12 +294,31 @@ def build_pair_features(pair: DatasetPair, rows: Sequence[int], cols: Sequence[i
     return features.reshape(-1, features.shape[2])
 
 
-def _batched_forward(params: MlpParams, features: np.ndarray) -> np.ndarray:
-    outputs = np.empty(features.shape[0], dtype=np.float64)
-    for start in range(0, features.shape[0], _CHUNK_CELLS):
-        y, _, _ = _forward_batch(params, features[start:start + _CHUNK_CELLS])
-        outputs[start:start + _CHUNK_CELLS] = y.reshape(-1)
-    return outputs
+def _estimate_chunks(params: MlpParams, left: np.ndarray, rows: np.ndarray,
+                     right: np.ndarray, cols: np.ndarray):
+    """The network's outputs for every (left[rows[a]], right[cols[b]])
+    input, in the normalized [0,1] target space, as (start, outputs)
+    pairs: outputs is the block rows[start:start + len(outputs)] x cols.
+
+    The first layer is factored: with W1 = [W_l | W_r], the hidden
+    pre-activation of (a, b) is A[a] + B[b], where A = left W_lᵀ + b1 and
+    B = right W_rᵀ, each computed once. No concatenated input row is
+    built, and the block costs (M+N)·d·H + M·N·H multiply-adds instead of
+    M·N·2d·H. A is computed _CHUNK_CELLS rows at a time, so a long single
+    column holds no rows x hidden array. Pointwise input is that case:
+    `right` is one row of no features, so B is a zero row.
+    """
+    dim = left.shape[1]
+    b = right[cols].astype(np.float64) @ params.w1[:, dim:].T
+    step = max(1, _CHUNK_CELLS // max(1, len(b)))
+    for block in range(0, len(rows), _CHUNK_CELLS):
+        a = left[rows[block:block + _CHUNK_CELLS]].astype(np.float64) @ params.w1[:, :dim].T
+        a += params.b1
+        for start in range(0, len(a), step):
+            h = a[start:start + step, None, :] + b[None, :, :]
+            np.maximum(h, 0.0, out=h)
+            y = _logistic(h.reshape(-1, params.hidden) @ params.w2.T + params.b2)
+            yield block + start, y.reshape(-1, len(b))
 
 
 def estimate_pairwise(
@@ -308,16 +328,12 @@ def estimate_pairwise(
     cols: Sequence[int],
     ledger: CostLedger,
 ) -> InfluenceMatrix:
-    """Estimate the rows x cols block with the tiny network.
+    """Estimate the rows x cols block with the tiny network, its first
+    layer applied once per row and once per column (`_estimate_chunks`).
 
-    The first layer is factored: with W1 = [W_f | W_t], the hidden
-    pre-activation of cell (i, j) is A[i] + B[j], where A = F W_fᵀ + b1
-    and B = T W_tᵀ are computed once per call. No pair feature row is
-    built, and a rows x cols block costs (M+N)·d·H + M·N·H
-    multiply-adds instead of M·N·2d·H. Charges estimator_forwards, one
-    per cell, and never forward_calls: keeping the two meters separate
-    is the whole point of the approach. Outputs live in the normalized
-    [0,1] target space.
+    Charges estimator_forwards, one per cell, and never forward_calls:
+    keeping the two meters separate is the whole point of the approach.
+    Outputs live in the normalized [0,1] target space.
     """
     dim = pair.fine_tune.dim
     if params.in_dim != 2 * dim:
@@ -326,17 +342,10 @@ def estimate_pairwise(
         )
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    a = pair.fine_tune.rows[rows].astype(np.float64) @ params.w1[:, :dim].T + params.b1
-    b = pair.target.rows[cols].astype(np.float64) @ params.w1[:, dim:].T
     values = np.zeros((pair.m, pair.n), dtype=np.float32)
     mask = np.zeros((pair.m, pair.n), dtype=bool)
-    step = max(1, _CHUNK_CELLS // max(1, len(cols)))
-    for start in range(0, len(rows), step):
-        h = a[start:start + step, None, :] + b[None, :, :]
-        np.maximum(h, 0.0, out=h)
-        y = _logistic(h.reshape(-1, params.hidden) @ params.w2.T + params.b2)
-        chunk = rows[start:start + step]
-        values[np.ix_(chunk, cols)] = y.reshape(len(chunk), len(cols))
+    for start, y in _estimate_chunks(params, pair.fine_tune.rows, rows, pair.target.rows, cols):
+        values[np.ix_(rows[start:start + len(y)], cols)] = y
     mask[np.ix_(rows, cols)] = True
     ledger.add_estimator_forwards(len(rows) * len(cols))
     return InfluenceMatrix(values=values, mask=mask)
@@ -349,21 +358,18 @@ def estimate_pointwise(
     norm: NormStats,
     ledger: CostLedger,
 ) -> PointwiseScores:
-    """Estimate pointwise scores; raw (0,1) outputs are mapped back
-    through the stored target range so they are comparable with
-    ground-truth scores."""
+    """Estimate pointwise scores, the one-column case of the pairwise
+    block; raw (0,1) outputs are mapped back through the stored target
+    range so they are comparable with ground-truth scores."""
     if params.in_dim != embeddings.dim:
         raise ValueError(f"net expects in_dim {params.in_dim}, embeddings give {embeddings.dim}")
-    index_list = [int(i) for i in indices]
-    if index_list:
-        features = embeddings.rows[index_list].astype(np.float64)
-        outputs = _batched_forward(params, features)
-        scores = norm.denormalize(outputs)
-    else:
-        scores = np.zeros(0)
-    ledger.add_estimator_forwards(len(index_list))
-    return PointwiseScores(
-        m=embeddings.count, indices=np.array(index_list, dtype=np.int64), values=scores)
+    indices = np.array([int(i) for i in indices], dtype=np.int64)
+    outputs = np.empty(len(indices))
+    for start, y in _estimate_chunks(params, embeddings.rows, indices, np.zeros((1, 0)), [0]):
+        outputs[start:start + len(y)] = y[:, 0]
+    ledger.add_estimator_forwards(len(indices))
+    return PointwiseScores(m=embeddings.count, indices=indices,
+                           values=norm.denormalize(outputs))
 
 
 def mse_by_quadrant(
@@ -404,20 +410,14 @@ def baseline_estimates(kind: str, shape: tuple[int, int], seed: int = 0) -> Infl
 
 
 def save_params(
-    result: TrainResult | None,
+    params: MlpParams,
     path: str | Path,
-    params: MlpParams | None = None,
     norm: NormStats | None = None,
     seed: int | None = None,
     optimizer: dict | None = None,
 ) -> None:
     """Write parameters (and the target-range map) as JSON; floats are
     serialized with full round-trip precision, so reload is bit-exact."""
-    if result is not None:
-        params = result.params
-        norm = result.norm
-    if params is None:
-        raise ValueError("nothing to save")
     doc = {
         "in_dim": params.in_dim,
         "hidden": params.hidden,

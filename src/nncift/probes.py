@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .errors import (
     ConfigError,
@@ -77,38 +78,44 @@ def _check_range(kind: str, values: list[float], where: str) -> None:
         raise DataValidationError(f"{where}: probabilities must lie in (0, 1]")
 
 
+_COUNTERS = ("forward_calls", "backward_calls", "estimator_forwards", "failed_forwards")
+
+
 @dataclass
 class CostLedger:
     """Monotone counters for probe calls plus per-phase wall time.
 
     forward_calls and backward_calls meter the expensive valuation model
     (abstract F and B units); estimator_forwards meters the tiny trained
-    network and is deliberately a separate counter.
+    network and is deliberately a separate counter. failed_forwards counts
+    the forward attempts, already in forward_calls, that got no answer, so
+    forward_calls - failed_forwards is the number of answered forwards.
     """
 
     forward_calls: int = 0
     backward_calls: int = 0
     estimator_forwards: int = 0
+    failed_forwards: int = 0
     wall_ms: dict[str, float] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
-    def add_forward(self, n: int = 1) -> None:
+    def _add(self, counter: str, n: int) -> None:
         if n < 0:
             raise ValueError("counters are monotone; n must be >= 0")
         with self._lock:
-            self.forward_calls += n
+            setattr(self, counter, getattr(self, counter) + n)
+
+    def add_forward(self, n: int = 1) -> None:
+        self._add("forward_calls", n)
 
     def add_backward(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("counters are monotone; n must be >= 0")
-        with self._lock:
-            self.backward_calls += n
+        self._add("backward_calls", n)
 
     def add_estimator_forwards(self, n: int = 1) -> None:
-        if n < 0:
-            raise ValueError("counters are monotone; n must be >= 0")
-        with self._lock:
-            self.estimator_forwards += n
+        self._add("estimator_forwards", n)
+
+    def add_failed_forward(self, n: int = 1) -> None:
+        self._add("failed_forwards", n)
 
     @contextmanager
     def time_phase(self, phase: str) -> Iterator[None]:
@@ -122,40 +129,32 @@ class CostLedger:
 
     def as_dict(self) -> dict:
         with self._lock:
-            return {
-                "forward_calls": self.forward_calls,
-                "backward_calls": self.backward_calls,
-                "estimator_forwards": self.estimator_forwards,
-                "wall_ms": dict(self.wall_ms),
-            }
+            return {**{name: getattr(self, name) for name in _COUNTERS},
+                    "wall_ms": dict(self.wall_ms)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CostLedger":
         """Resume a ledger serialized by as_dict; counters keep accumulating."""
-        ledger = cls(
-            forward_calls=int(doc.get("forward_calls", 0)),
-            backward_calls=int(doc.get("backward_calls", 0)),
-            estimator_forwards=int(doc.get("estimator_forwards", 0)),
-            wall_ms={str(k): float(v) for k, v in doc.get("wall_ms", {}).items()},
-        )
-        if min(ledger.forward_calls, ledger.backward_calls, ledger.estimator_forwards) < 0:
+        counters = {name: int(doc.get(name, 0)) for name in _COUNTERS}
+        if min(counters.values()) < 0:
             raise ValueError("counters are monotone; snapshot must be >= 0")
-        return ledger
+        return cls(**counters,
+                   wall_ms={str(k): float(v) for k, v in doc.get("wall_ms", {}).items()})
 
 
-def record_gradient_cost(n: int, ledger: CostLedger) -> None:
-    """Charge the ledger for n backward passes paid upstream when the
-    gradient features now being ingested were computed."""
-    if n < 0:
-        raise ValueError("gradient cost must be >= 0")
-    ledger.add_backward(n)
+class _Provider:
+    """Both probe kinds, each answered by the subclass's one `_probe`."""
+
+    def target_logprobs(self, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
+        return self._probe(KIND_LOGPROBS, context, target, ledger, key)
+
+    def token_max_probs(self, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
+        return self._probe(KIND_MAX_PROBS, context, target, ledger, key)
 
 
-class SyntheticProvider:
+class SyntheticProvider(_Provider):
     """Deterministic provider: every response is a pure function of
     (seed, request), so repeated runs are byte-identical."""
-
-    name = "synthetic"
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
@@ -167,36 +166,21 @@ class SyntheticProvider:
         digest = hashlib.sha256(payload).digest()
         return int.from_bytes(digest[:8], "big") / 2.0**64
 
-    @staticmethod
-    def _token_count(target: str) -> int:
-        return max(1, len(target.split()))
-
-    def target_logprobs(self, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        req = ProbeRequest(KIND_LOGPROBS, context, target)
+    def _probe(self, kind: str, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
+        ProbeRequest(kind, context, target)
         ledger.add_forward(1)
-        return [
-            math.log(0.02 + 0.96 * self._unit(req.kind, context, target, pos))
-            for pos in range(self._token_count(target))
-        ]
-
-    def token_max_probs(self, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        req = ProbeRequest(KIND_MAX_PROBS, context, target)
-        ledger.add_forward(1)
-        return [
-            0.02 + 0.96 * self._unit(req.kind, context, target, pos)
-            for pos in range(self._token_count(target))
-        ]
+        probs = [0.02 + 0.96 * self._unit(kind, context, target, pos)
+                 for pos in range(max(1, len(target.split())))]
+        return [math.log(p) for p in probs] if kind == KIND_LOGPROBS else probs
 
 
-class FileProvider:
+class FileProvider(_Provider):
     """Replays probe responses from a record file.
 
     Record file: JSON lines, each {"key": "i" or "i:j", "kind": str,
     "values": [real]}; (kind, key) pairs unique. Lookup requires the
     caller to pass the record key.
     """
-
-    name = "file"
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -231,31 +215,21 @@ class FileProvider:
                 _check_range(kind, values, where)
                 self._records[(kind, key)] = [float(v) for v in values]
 
-    def _lookup(self, kind: str, key: str | None) -> list[float]:
+    def _probe(self, kind: str, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
+        ProbeRequest(kind, context, target)
         if key is None:
             raise ValueError("file provider lookups require a record key")
         if (kind, key) not in self._records:
             raise RecordNotFoundError(f"{self.path}: no {kind!r} record for key {key!r}")
-        return self._records[(kind, key)]
-
-    def target_logprobs(self, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        ProbeRequest(KIND_LOGPROBS, context, target)
-        values = self._lookup(KIND_LOGPROBS, key)
         ledger.add_forward(1)
-        return list(values)
-
-    def token_max_probs(self, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        ProbeRequest(KIND_MAX_PROBS, context, target)
-        values = self._lookup(KIND_MAX_PROBS, key)
-        ledger.add_forward(1)
-        return list(values)
+        return list(self._records[(kind, key)])
 
 
 _HTTP_ENDPOINTS = {KIND_LOGPROBS: ("/v1/logprobs", "token_logprobs"),
                    KIND_MAX_PROBS: ("/v1/token_max_probs", "max_probs")}
 
 
-class HttpProvider:
+class HttpProvider(_Provider):
     """JSON-over-HTTP probe client.
 
     Endpoints: POST /v1/logprobs {"context","target"} -> {"token_logprobs"};
@@ -263,16 +237,15 @@ class HttpProvider:
 
     Transport failures and 5xx responses are retried with exponential
     backoff; every attempt charges one forward call because the serving
-    cost was paid whether or not the answer arrived. Other HTTP errors
-    and malformed bodies fail immediately.
+    cost was paid whether or not the answer arrived, and an attempt that
+    got no answer also counts as a failed forward. Other HTTP errors and
+    malformed bodies fail immediately.
 
     max_in_flight caps the requests, and so the pooled connections, open
     at once across threads that share the provider. `target_logprobs_batch`
     runs that many requests at once, so delift's corner keeps up to
     max_in_flight (default 8) in flight.
     """
-
-    name = "http"
 
     def __init__(
         self,
@@ -293,6 +266,9 @@ class HttpProvider:
         self.max_in_flight = max_in_flight
         self._gate = threading.BoundedSemaphore(max_in_flight)
         self._session = requests.Session()
+        adapter = HTTPAdapter(pool_maxsize=max_in_flight)
+        self._session.mount("http://", adapter)
+        self._session.mount("https://", adapter)
 
     def _post(self, endpoint: str, body: dict, ledger: CostLedger) -> dict:
         url = f"{self.base_url}{endpoint}"
@@ -305,11 +281,13 @@ class HttpProvider:
                     resp = self._session.post(url, json=body, timeout=self.timeout, headers=headers)
             except requests.RequestException as exc:
                 last_error = ProbeError(f"{url}: attempt {attempt + 1} failed: {exc}")
+                ledger.add_failed_forward(1)
             else:
                 if resp.status_code >= 500:
                     last_error = ProbeError(
                         f"{url}: attempt {attempt + 1} got status {resp.status_code}"
                     )
+                    ledger.add_failed_forward(1)
                 elif resp.status_code != 200:
                     raise ProbeError(f"{url}: status {resp.status_code}")
                 else:
@@ -330,19 +308,13 @@ class HttpProvider:
             raise ProtocolError(f"{url_hint}: {field_name!r} must be finite numbers")
         return [float(v) for v in values]
 
-    def _probe(self, kind: str, context: str, target: str, ledger: CostLedger) -> list[float]:
+    def _probe(self, kind: str, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
         ProbeRequest(kind, context, target)
         endpoint, field_name = _HTTP_ENDPOINTS[kind]
         payload = self._post(endpoint, {"context": context, "target": target}, ledger)
         values = self._extract(payload, field_name, self.base_url)
         _check_range(kind, values, self.base_url)
         return values
-
-    def target_logprobs(self, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        return self._probe(KIND_LOGPROBS, context, target, ledger)
-
-    def token_max_probs(self, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        return self._probe(KIND_MAX_PROBS, context, target, ledger)
 
 
 Provider = SyntheticProvider | FileProvider | HttpProvider

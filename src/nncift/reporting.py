@@ -28,11 +28,12 @@ from pathlib import Path
 
 from .datasets import exact_ceil
 from .errors import ReportError
+from .influence import PAIRWISE_METHODS, POINTWISE_METHODS
 
 REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
 
-_METHODS = ("delift", "delift_se", "less", "selectit")
+_METHODS = PAIRWISE_METHODS + POINTWISE_METHODS
 
 
 def predicted_counts(
@@ -168,26 +169,23 @@ class LedgerCheck:
         return {"passed": self.passed, "diff": self.diff}
 
 
-def verify_ledger(report: CostReport, allow_retries: bool = False) -> LedgerCheck:
-    """Compare measured probe counts against predictions.
+def verify_ledger(report: CostReport) -> LedgerCheck:
+    """Compare measured probe counts against predictions, exactly.
 
-    Exact equality is the contract for synthetic and file providers;
-    allow_retries tolerates extra forwards (an http provider charging
-    failed attempts can only overshoot, never undershoot).
+    A forward attempt that got no answer (an http retry) is counted in
+    both forward_calls and failed_forwards, so the answered forwards,
+    forward_calls - failed_forwards, must equal the prediction for every
+    provider.
     """
     measured_fwd = report.measured.get("forward_calls", 0)
+    failed_fwd = report.measured.get("failed_forwards", 0)
     measured_bwd = report.measured.get("backward_calls", 0)
-    fwd_ok = (
-        measured_fwd >= report.predicted_forwards
-        if allow_retries
-        else measured_fwd == report.predicted_forwards
-    )
-    bwd_ok = measured_bwd == report.predicted_backwards
     diff = {
         "forward_calls": {
             "predicted": report.predicted_forwards,
             "measured": measured_fwd,
-            "delta": measured_fwd - report.predicted_forwards,
+            "failed": failed_fwd,
+            "delta": measured_fwd - failed_fwd - report.predicted_forwards,
         },
         "backward_calls": {
             "predicted": report.predicted_backwards,
@@ -195,7 +193,8 @@ def verify_ledger(report: CostReport, allow_retries: bool = False) -> LedgerChec
             "delta": measured_bwd - report.predicted_backwards,
         },
     }
-    return LedgerCheck(passed=bool(fwd_ok and bwd_ok), diff=diff)
+    passed = diff["forward_calls"]["delta"] == 0 and diff["backward_calls"]["delta"] == 0
+    return LedgerCheck(passed=passed, diff=diff)
 
 
 def _json_safe(obj):

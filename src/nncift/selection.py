@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import exact_ceil
 from .errors import CoverageError
 from .influence import InfluenceMatrix, PointwiseScores
 
@@ -170,7 +169,3 @@ def topk_pointwise(scores: PointwiseScores, k: int) -> SelectionResult:
     running = np.cumsum(scores.values[picked])
     return SelectionResult(indices=indices, objective_values=[float(v) for v in running], budget=k)
 
-
-def budget_from_fraction(v: float | str, m: int) -> int:
-    """ceil(v * m), computed on the decimal the caller wrote."""
-    return exact_ceil(v, m)

@@ -26,7 +26,6 @@ from nncift.datasets import (
 )
 from nncift.influence import (
     InfluenceMatrix,
-    ModelScaleSpec,
     PointwiseScores,
     ScaleEntry,
     compute_influence,
@@ -45,7 +44,7 @@ from nncift.network import (
     save_params,
     train,
 )
-from nncift.probes import CostLedger, FileProvider, SyntheticProvider, record_gradient_cost
+from nncift.probes import CostLedger, FileProvider, SyntheticProvider
 from nncift.reporting import build_cost_report, savings_ratio, verify_ledger
 from nncift.selection import (
     facility_location_greedy,
@@ -220,10 +219,10 @@ def test_4_ledger_verification_and_savings(capsys):
             pair = synthetic_pair(m, max(n, 1), texts=True)
             part = partition(pair, u, seed=3)
             prompt_list = [f"rate {k}: {{prompt}}" for k in range(prompts)]
-            spec = ModelScaleSpec(tuple(
+            spec = tuple(
                 ScaleEntry(f"s{k}", (k + 1) * 10**9, SyntheticProvider(seed=k))
                 for k in range(scales)
-            ))
+            )
             compute_pointwise(method, [int(i) for i in part.id_f], prompt_list, spec, pair, ledger)
         else:
             pair = synthetic_pair(m, n, texts=(method == "delift"), gradients=(method == "less"))
@@ -231,7 +230,7 @@ def test_4_ledger_verification_and_savings(capsys):
             probe = SyntheticProvider(seed=5) if method == "delift" else None
             compute_influence(method, part.id_f, part.id_t, pair, probe=probe, ledger=ledger)
             if method == "less":
-                record_gradient_cost(m + n, ledger)
+                ledger.add_backward(m + n)
         cost = build_cost_report(
             method, m, n, u, ledger.as_dict(),
             prompts=prompts if method == "selectit" else None,
@@ -291,10 +290,10 @@ def test_5_unit_identities_exact(capsys, tmp_path):
     large = tmp_path / "large.jsonl"
     write_records(small, [{"key": "0:0", "kind": "token_max_probs", "values": [0.4]}])
     write_records(large, [{"key": "0:0", "kind": "token_max_probs", "values": [0.8]}])
-    scales = ModelScaleSpec((
+    scales = (
         ScaleEntry("small", int(1e9), FileProvider(small)),
         ScaleEntry("large", int(3e9), FileProvider(large)),
-    ))
+    )
     # (1e9*0.4 + 3e9*0.8) / 4e9 is exactly 0.7 in binary64
     checks.append(selectit_point(0, ["rate:"], scales, pair, CostLedger()) == 0.7)
 
@@ -375,7 +374,7 @@ def test_8_parameter_count_discrepancy_surfaced(capsys, tmp_path):
     full_count = params.parameter_count
     first_layer = params.first_layer_parameter_count
     path = tmp_path / "params.json"
-    save_params(None, path, params=params)
+    save_params(params, path)
     doc = json.loads(path.read_text())
     passed = (
         full_count == 205001

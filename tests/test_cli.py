@@ -116,6 +116,9 @@ class TestExitCodes:
         {"probe": {"provider": "http", "base_url": "http://127.0.0.1:9", "retires": 0}},
         {"probe": {"provider": "file"}},
         {"scales": [{"label": "1b", "parameter_count": 1, "probe": {"provider": "quantum"}}]},
+        # Fraction reads "1/2", but the report and sweep directory names need a decimal
+        {"u": "1/2"},
+        {"v_sweep": ["1/2"]},
     ])
     def test_bad_config_exits_2_before_any_probe(self, tmp_path, overrides):
         config = write_config(tmp_path, **overrides)

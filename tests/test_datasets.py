@@ -278,10 +278,8 @@ class TestPartition:
         assert len(part.id_t) == 5
 
 
-def manual_partition(id_f, ood_f, id_t, ood_t, u=0.5, seed=0):
+def manual_partition(id_f, ood_f, id_t, ood_t):
     return QuadrantPartition(
-        u=u,
-        seed=seed,
         id_f=np.array(id_f, dtype=np.int64),
         ood_f=np.array(ood_f, dtype=np.int64),
         id_t=np.array(id_t, dtype=np.int64),

@@ -15,7 +15,6 @@ from nncift.errors import (
 )
 from nncift.influence import (
     InfluenceMatrix,
-    ModelScaleSpec,
     PointwiseScores,
     ScaleEntry,
     compute_influence,
@@ -279,7 +278,7 @@ class TestCosinePairOps:
             mask = np.zeros((m, n), dtype=bool)
             for i in rows:
                 for j in cols:
-                    expected[i, j] = cosine(left.row(i), right.row(j))
+                    expected[i, j] = cosine(left.rows[i], right.rows[j])
                     mask[i, j] = True
             np.testing.assert_array_equal(matrix.mask, mask)
             assert matrix.values.tobytes() == expected.tobytes()
@@ -297,7 +296,7 @@ class TestSelectIt:
             {"key": "0:0", "kind": "token_max_probs", "values": [1.0, 1.0, 1.0]},
         ])
         pair = text_pair(1, 1)
-        score = selectit_point(0, ["rate:"], ModelScaleSpec((entry,)), pair, CostLedger())
+        score = selectit_point(0, ["rate:"], (entry,), pair, CostLedger())
         assert score == 1.0
 
     def test_two_scale_weighting_exact(self, tmp_path):
@@ -308,7 +307,7 @@ class TestSelectIt:
             {"key": "0:0", "kind": "token_max_probs", "values": [0.8]},
         ])
         pair = text_pair(1, 1)
-        score = selectit_point(0, ["rate:"], ModelScaleSpec((small, large)), pair, CostLedger())
+        score = selectit_point(0, ["rate:"], (small, large), pair, CostLedger())
         assert score == 0.7
 
     def test_two_prompt_mean_exact(self, tmp_path):
@@ -317,15 +316,15 @@ class TestSelectIt:
             {"key": "0:1", "kind": "token_max_probs", "values": [0.6]},
         ])
         pair = text_pair(1, 1)
-        score = selectit_point(0, ["a:", "b:"], ModelScaleSpec((entry,)), pair, CostLedger())
+        score = selectit_point(0, ["a:", "b:"], (entry,), pair, CostLedger())
         assert score == 0.4
 
     def test_prompt_permutation_invariance(self):
         pair = text_pair(2, 1)
-        scales = ModelScaleSpec((
+        scales = (
             ScaleEntry("a", 100, SyntheticProvider(seed=1)),
             ScaleEntry("b", 300, SyntheticProvider(seed=2)),
-        ))
+        )
         prompts = ["rate {prompt}", "score {prompt}", "judge {prompt}"]
         a = selectit_point(0, prompts, scales, pair, CostLedger())
         b = selectit_point(0, list(reversed(prompts)), scales, pair, CostLedger())
@@ -336,20 +335,12 @@ class TestSelectIt:
         e1 = ScaleEntry("a", 123, SyntheticProvider(seed=1))
         e2 = ScaleEntry("b", 456, SyntheticProvider(seed=2))
         e3 = ScaleEntry("c", 789, SyntheticProvider(seed=3))
-        a = selectit_point(0, ["p"], ModelScaleSpec((e1, e2, e3)), pair, CostLedger())
-        b = selectit_point(0, ["p"], ModelScaleSpec((e3, e1, e2)), pair, CostLedger())
+        a = selectit_point(0, ["p"], (e1, e2, e3), pair, CostLedger())
+        b = selectit_point(0, ["p"], (e3, e1, e2), pair, CostLedger())
         assert a == b
 
-    def test_weights_sum_to_one(self):
-        spec = ModelScaleSpec((
-            ScaleEntry("a", 7, SyntheticProvider()),
-            ScaleEntry("b", 11, SyntheticProvider()),
-            ScaleEntry("c", 13, SyntheticProvider()),
-        ))
-        assert math.fsum(spec.weights()) == pytest.approx(1.0, abs=1e-12)
-
     def test_empty_prompts_rejected(self):
-        spec = ModelScaleSpec((ScaleEntry("a", 1, SyntheticProvider()),))
+        spec = (ScaleEntry("a", 1, SyntheticProvider()),)
         with pytest.raises(ValueError):
             selectit_point(0, [], spec, text_pair(1, 1), CostLedger())
 
@@ -358,8 +349,8 @@ class TestSelectIt:
             ScaleEntry("a", 0, SyntheticProvider())
 
     def test_empty_scale_spec_rejected(self):
-        with pytest.raises(ValueError):
-            ModelScaleSpec(())
+        with pytest.raises(ValueError, match="scale entry"):
+            selectit_point(0, ["p"], (), text_pair(1, 1), CostLedger())
 
 
 class TestComputeInfluence:
@@ -512,10 +503,10 @@ class TestComputeInfluence:
 
 class TestComputePointwise:
     def make_scales(self):
-        return ModelScaleSpec((
+        return (
             ScaleEntry("a", 100, SyntheticProvider(seed=1)),
             ScaleEntry("b", 300, SyntheticProvider(seed=2)),
-        ))
+        )
 
     def test_call_count(self):
         pair = text_pair(3, 1)
@@ -545,7 +536,7 @@ class TestComputePointwise:
             compute_pointwise("delift", [0], ["p"], self.make_scales(), text_pair(1, 1), CostLedger())
 
     def test_foreign_probe_error_passes_through_unchanged(self):
-        scales = ModelScaleSpec((ScaleEntry("a", 100, UndecodableAfter(calls=1)),))
+        scales = (ScaleEntry("a", 100, UndecodableAfter(calls=1)),)
         with pytest.raises(UnicodeDecodeError):
             compute_pointwise("selectit", [0, 1], ["p"], scales, text_pair(2, 1), CostLedger())
 

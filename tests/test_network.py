@@ -288,7 +288,7 @@ class TestEstimatePairwise:
             assert matrix.valid_count() == len(rows) * len(cols)
             for i in rows:
                 for j in cols:
-                    feature = np.concatenate([pair.fine_tune.row(i), pair.target.row(j)])
+                    feature = np.concatenate([pair.fine_tune.rows[i], pair.target.rows[j]])
                     assert matrix.values[i, j] == np.float32(forward(params, feature))
 
     def test_builds_no_pair_features(self, monkeypatch):
@@ -335,7 +335,7 @@ class TestBuildPairFeatures:
     def test_rows_major_concatenation(self):
         pair = embedding_pair(4, 3, 2)
         features = build_pair_features(pair, [3, 1], [2, 0, 1])
-        expected = [np.concatenate([pair.fine_tune.row(i), pair.target.row(j)])
+        expected = [np.concatenate([pair.fine_tune.rows[i], pair.target.rows[j]])
                     for i in (3, 1) for j in (2, 0, 1)]
         assert features.dtype == np.float64
         np.testing.assert_array_equal(features, np.array(expected, dtype=np.float64))
@@ -437,7 +437,8 @@ class TestParamsFile:
         targets = np.random.default_rng(3).uniform(-1, 1, 40)
         result = train(features, targets, TrainConfig(epochs=2, hidden=3, seed=1))
         path = tmp_path / "params.json"
-        save_params(result, path, seed=1, optimizer=TrainConfig().optimizer_metadata())
+        save_params(result.params, path, result.norm, seed=1,
+                    optimizer=TrainConfig().optimizer_metadata())
         params, norm, meta = load_params(path)
         for a, b in zip(params.arrays(), result.params.arrays()):
             assert a.tobytes() == b.tobytes()
@@ -448,15 +449,15 @@ class TestParamsFile:
     def test_deterministic_bytes(self, tmp_path):
         params = init_params(seed=0, in_dim=3, hidden=2)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_params(None, a, params=params)
-        save_params(None, b, params=params)
+        save_params(params, a)
+        save_params(params, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_dim_mismatch_rejected(self, tmp_path):
         import json
         params = init_params(seed=0, in_dim=3, hidden=2)
         path = tmp_path / "params.json"
-        save_params(None, path, params=params)
+        save_params(params, path)
         doc = json.loads(path.read_text())
         doc["in_dim"] = 99
         path.write_text(json.dumps(doc))

@@ -1,4 +1,5 @@
 import json
+import logging
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,6 @@ from nncift.probes import (
     ProbeRequest,
     SyntheticProvider,
     build_provider,
-    record_gradient_cost,
     target_logprobs_batch,
 )
 
@@ -77,26 +77,30 @@ class TestCostLedger:
     def test_as_dict(self):
         ledger = CostLedger()
         ledger.add_forward(2)
+        ledger.add_failed_forward(1)
         snap = ledger.as_dict()
         assert snap["forward_calls"] == 2
-        assert set(snap) == {"forward_calls", "backward_calls", "estimator_forwards", "wall_ms"}
+        assert snap["failed_forwards"] == 1
+        assert set(snap) == {"forward_calls", "backward_calls", "estimator_forwards",
+                             "failed_forwards", "wall_ms"}
+        assert CostLedger.from_dict(snap).as_dict() == snap
 
 
 class TestGradientCost:
     def test_sums_to_m_plus_n(self):
         ledger = CostLedger()
-        record_gradient_cost(30, ledger)
-        record_gradient_cost(20, ledger)
+        ledger.add_backward(30)
+        ledger.add_backward(20)
         assert ledger.backward_calls == 50
 
     def test_zero_noop(self):
         ledger = CostLedger()
-        record_gradient_cost(0, ledger)
+        ledger.add_backward(0)
         assert ledger.backward_calls == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            record_gradient_cost(-1, CostLedger())
+            CostLedger().add_backward(-1)
 
 
 class TestSyntheticProvider:
@@ -310,6 +314,7 @@ class TestTargetLogprobsBatch:
         assert slow_server.failures > 0
         assert ledger.forward_calls == len(requests) + slow_server.failures
         assert ledger.forward_calls == len(slow_server.requests)
+        assert ledger.failed_forwards == slow_server.failures
 
     def test_ledger_stays_exact_under_contention(self, slow_server):
         # more workers than cores, switching threads as often as possible
@@ -327,6 +332,7 @@ class TestTargetLogprobsBatch:
         assert answers == [slow_server.logprobs(context, target) for _, context, target, _ in requests]
         assert ledger.forward_calls == len(requests) + slow_server.failures
         assert ledger.forward_calls == len(slow_server.requests)
+        assert ledger.failed_forwards == slow_server.failures
 
     def test_never_more_than_max_in_flight_requests_or_connections(self, slow_server):
         slow_server.delay = 0.05
@@ -334,6 +340,14 @@ class TestTargetLogprobsBatch:
         target_logprobs_batch(provider, batch_requests(9), CostLedger())
         assert slow_server.peak["in_flight"] == 3
         assert slow_server.peak["connections"] <= 3
+
+    def test_connection_pool_keeps_every_in_flight_connection(self, slow_server, caplog):
+        # requests' default pool holds 10 connections and discards the rest
+        provider = HttpProvider(slow_server.url, max_in_flight=16)
+        with caplog.at_level(logging.WARNING, logger="urllib3"):
+            target_logprobs_batch(provider, batch_requests(400), CostLedger())
+        assert [r.getMessage() for r in caplog.records if "pool is full" in r.getMessage()] == []
+        assert slow_server.peak["connections"] <= 16
 
     def test_lowest_index_failure_wins_and_unstarted_requests_are_never_sent(self, slow_server):
         # request 7 fails at once while the slower request 5 is still in flight
@@ -441,3 +455,31 @@ class TestRunProbeKinds:
         assert not (out / "mse.json").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["ledger_check"]["passed"] is True
+
+
+def test_pipeline_counts_a_retried_503_as_a_failed_forward(tmp_path, probe_server):
+    # delift's corner goes out as one concurrent batch; whichever request
+    # draws the 503, its retry is the one extra forward
+    probe_server.script = [(503, {})]
+    rng = np.random.default_rng(0)
+    doc = {"method": "delift", "u": 0.2, "seed": 7,
+           "probe": {"provider": "http", "base_url": probe_server.url, "backoff": 0}}
+    for side, count in (("fine_tune", 10), ("target", 5)):
+        save_embeddings(EmbeddingMatrix(rng.normal(size=(count, 4)).astype(np.float32)),
+                        tmp_path / f"{side}.emb")
+        save_texts({i: (f"{side} prompt {i}", f"{side} response {i}") for i in range(count)},
+                   tmp_path / f"{side}.jsonl")
+        doc[f"{side}_embeddings"] = str(tmp_path / f"{side}.emb")
+        doc[f"{side}_texts"] = str(tmp_path / f"{side}.jsonl")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+    # a 2 x 1 corner: 2 in-context probes, 1 context-free probe, 1 retry
+    assert len(probe_server.requests) == 4
+    ledger = json.loads((out / "ledger.json").read_text())
+    assert (ledger["forward_calls"], ledger["failed_forwards"]) == (4, 1)
+    check = json.loads((out / "report.json").read_text())["ledger_check"]
+    assert check["passed"] is True
+    assert check["diff"]["forward_calls"] == {"predicted": 3, "measured": 4, "failed": 1,
+                                              "delta": 0}

@@ -6,8 +6,8 @@ import pytest
 
 from nncift.datasets import DatasetPair, EmbeddingMatrix, partition
 from nncift.errors import ReportError
-from nncift.influence import ModelScaleSpec, ScaleEntry, compute_influence, compute_pointwise
-from nncift.probes import CostLedger, SyntheticProvider, record_gradient_cost
+from nncift.influence import ScaleEntry, compute_influence, compute_pointwise
+from nncift.probes import CostLedger, SyntheticProvider
 from nncift.reporting import (
     CostReport,
     build_cost_report,
@@ -114,7 +114,7 @@ class TestVerifyLedger:
 
     def test_less_run(self):
         ledger = CostLedger()
-        record_gradient_cost(100 + 50, ledger)
+        ledger.add_backward(100 + 50)
         report = build_cost_report("less", 100, 50, 0.05, ledger.as_dict())
         check = verify_ledger(report)
         assert check.passed
@@ -124,10 +124,10 @@ class TestVerifyLedger:
     def test_selectit_run(self):
         pair = text_pair(20, 1)
         part = partition(pair, 0.2, seed=1)
-        scales = ModelScaleSpec((
+        scales = (
             ScaleEntry("a", 100, SyntheticProvider(seed=1)),
             ScaleEntry("b", 300, SyntheticProvider(seed=2)),
-        ))
+        )
         ledger = CostLedger()
         compute_pointwise("selectit", part.id_f, ["p1 {prompt}", "p2 {prompt}", "p3 {prompt}"],
                           scales, pair, ledger)
@@ -157,10 +157,10 @@ class TestVerifyLedger:
                 compute_influence("delift", part.id_f, part.id_t, pair,
                                   SyntheticProvider(seed=0), ledger)
             elif method == "less":
-                record_gradient_cost(m + n, ledger)
+                ledger.add_backward(m + n)
             elif method == "selectit":
-                spec = ModelScaleSpec((ScaleEntry("a", 7, SyntheticProvider(seed=5)),
-                                       ScaleEntry("b", 13, SyntheticProvider(seed=6))))
+                spec = (ScaleEntry("a", 7, SyntheticProvider(seed=5)),
+                        ScaleEntry("b", 13, SyntheticProvider(seed=6)))
                 compute_pointwise("selectit", part.id_f, ["p {prompt}", "q {prompt}"],
                                   spec, pair, ledger)
                 prompts, scales = 2, 2
@@ -168,18 +168,29 @@ class TestVerifyLedger:
                                        prompts=prompts, scales=scales)
             assert verify_ledger(report).passed, (method, m, n, u)
 
-    def test_allow_retries_tolerates_overshoot(self):
+    def test_failed_forwards_explain_overshoot(self):
         ledger = CostLedger()
         ledger.add_forward(57)  # 55 predicted + 2 retried attempts
         report = build_cost_report("delift", 100, 50, 0.1, ledger.as_dict())
-        assert not verify_ledger(report).passed
-        assert verify_ledger(report, allow_retries=True).passed
+        assert not verify_ledger(report).passed  # the overshoot is unexplained
+        ledger.add_failed_forward(2)
+        report = build_cost_report("delift", 100, 50, 0.1, ledger.as_dict())
+        check = verify_ledger(report)
+        assert check.passed
+        assert check.diff["forward_calls"] == {"predicted": 55, "measured": 57, "failed": 2,
+                                               "delta": 0}
 
-    def test_allow_retries_still_rejects_undershoot(self):
+    def test_undershoot_rejected_with_failed_forwards(self):
         ledger = CostLedger()
         ledger.add_forward(54)
         report = build_cost_report("delift", 100, 50, 0.1, ledger.as_dict())
-        assert not verify_ledger(report, allow_retries=True).passed
+        assert not verify_ledger(report).passed
+        ledger.add_forward(2)
+        ledger.add_failed_forward(2)  # 56 attempts, 54 answered
+        report = build_cost_report("delift", 100, 50, 0.1, ledger.as_dict())
+        check = verify_ledger(report)
+        assert not check.passed
+        assert check.diff["forward_calls"]["delta"] == -1
 
 
 def sample_pieces():

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from nncift.datasets import exact_ceil
 from nncift.errors import CoverageError
 from nncift.influence import InfluenceMatrix, PointwiseScores
 from nncift.selection import (
     SelectionResult,
-    budget_from_fraction,
     facility_location_greedy,
     facility_location_naive,
     facility_location_value,
@@ -220,19 +220,19 @@ class TestTopkPointwise:
 
 class TestBudget:
     def test_large_pool(self):
-        assert budget_from_fraction(0.3, 15000) == 4500
+        assert exact_ceil(0.3, 15000) == 4500
 
     def test_v_zero(self):
-        assert budget_from_fraction(0.0, 100) == 0
+        assert exact_ceil(0.0, 100) == 0
 
     def test_v_one(self):
-        assert budget_from_fraction(1.0, 100) == 100
+        assert exact_ceil(1.0, 100) == 100
 
     def test_no_float_overshoot(self):
-        assert budget_from_fraction(0.07, 100) == 7
+        assert exact_ceil(0.07, 100) == 7
 
     def test_ceiling(self):
-        assert budget_from_fraction(0.3, 40) == 12
+        assert exact_ceil(0.3, 40) == 12
 
 
 class TestSelectionResult:
