@@ -17,7 +17,6 @@ from .errors import (
     ProbeError,
     ProtocolError,
     RecordNotFoundError,
-    ReportError,
     SelectionError,
     TrainingError,
 )
@@ -36,6 +35,5 @@ __all__ = [
     "CoverageError",
     "TrainingError",
     "SelectionError",
-    "ReportError",
     "ConfigError",
 ]

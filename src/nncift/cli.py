@@ -339,8 +339,13 @@ def resolve_config(
     if not isinstance(cfg["evaluate_truth"], bool):
         raise ConfigError("evaluate_truth must be a boolean")
 
-    if cfg["per_call_cost"] is not None and not isinstance(cfg["per_call_cost"], dict):
-        raise ConfigError("per_call_cost must be a mapping")
+    for key, unit in (_mapping("per_call_cost", cfg["per_call_cost"]) or {}).items():
+        if key not in ("forward", "backward"):
+            raise ConfigError(f"unknown per_call_cost field {key!r}; expected forward or backward")
+        # NaN, inf and ints past float range all fail the comparison
+        if isinstance(unit, bool) or not isinstance(unit, (int, float)) \
+                or not 0 <= unit <= sys.float_info.max:
+            raise ConfigError(f"per_call_cost {key} must be a finite number >= 0, got {unit!r}")
 
     for name in ("u_sweep", "v_sweep"):
         sweep = cfg[name]
@@ -581,55 +586,43 @@ def _emit_final_report(config: RunConfig) -> Path:
     out = config.out_dir
     pair = config.pair
     ledger_doc = _read_run_json(out / LEDGER_FILE)
-    selection_doc = _read_run_json(out / SELECTION_FILE)
     mse_path = out / MSE_FILE
     mse_doc = _read_run_json(mse_path) if mse_path.exists() else None
-
-    snapshot = {
-        key: ledger_doc.get(key)
-        for key in ("forward_calls", "backward_calls", "estimator_forwards", "failed_forwards",
-                    "wall_ms")
-    }
     pointwise = config.method in POINTWISE_METHODS
     cost = build_cost_report(
         config.method,
         pair.m,
         pair.n,
         config.u,
-        snapshot,
+        ledger_doc,
         prompts=len(config.prompts) if pointwise else None,
         scales=len(config.scales) if pointwise else None,
         per_call_cost=config.per_call_cost,
     )
     check = verify_ledger(cost)
-    quadrant_mse = None
-    if mse_doc is not None:
-        quadrant_mse = {
-            k: mse_doc[k]
-            for k in ("trained", "random_uniform", "predict_zero")
-            if k in mse_doc
-        }
-    dataset = {
-        "m": pair.m,
-        "n": pair.n,
-        "u": config.resolved["u"],
-        "v": config.resolved["v"],
-        "fine_tune_embeddings": config.fine_tune_embeddings,
-        "target_embeddings": config.target_embeddings,
+    doc = {
+        "run_id": config.run_id,
+        "config_hash": config.config_hash,
+        "method": config.method,
+        "dataset": {
+            "m": pair.m,
+            "n": pair.n,
+            "u": config.resolved["u"],
+            "v": config.resolved["v"],
+            "fine_tune_embeddings": config.fine_tune_embeddings,
+            "target_embeddings": config.target_embeddings,
+        },
+        "quadrant_mse": None if mse_doc is None else {
+            k: mse_doc[k] for k in ("trained", "random_uniform", "predict_zero") if k in mse_doc
+        },
+        "cost": cost,
+        "ledger_check": check,
+        "selection": _read_run_json(out / SELECTION_FILE),
+        "evaluation": ledger_doc.get("evaluation"),
+        "metadata": {"config": config.resolved},
     }
-    report_path = emit_report(
-        out,
-        config.config_hash,
-        config.method,
-        dataset,
-        cost,
-        check,
-        selection_doc,
-        quadrant_mse=quadrant_mse,
-        evaluation=ledger_doc.get("evaluation"),
-        metadata={"config": config.resolved},
-    )
-    print(f"report: {report_path} (ledger {'pass' if check.passed else 'FAIL'})")
+    report_path = emit_report(out, doc)
+    print(f"report: {report_path} (ledger {'pass' if check['passed'] else 'FAIL'})")
     return report_path
 
 
@@ -671,10 +664,11 @@ def _run_sweep(config: RunConfig) -> Path:
 
 def cmd_pipeline(config: RunConfig) -> Path:
     """Steps 1-3 in order, then the cost report, or a (u, v) sweep."""
+    # every cell's u, before the first cell pays for its probes
+    if any(Fraction(str(u)) == 0 for u in config.u_sweep or [config.u]):
+        raise ConfigError("pipeline runs need u > 0")
     if config.u_sweep or config.v_sweep:
         return _run_sweep(config)
-    if Fraction(str(config.u)) == 0:
-        raise ConfigError("pipeline runs need u > 0")
     cmd_valuate(config)
     cmd_train_estimate(config)
     cmd_select(config)

@@ -46,9 +46,5 @@ class SelectionError(NnciftError):
     """Subset selection cannot proceed with the given budget or inputs."""
 
 
-class ReportError(NnciftError):
-    """Report assembly found required run artifacts missing."""
-
-
 class ConfigError(NnciftError):
     """Run configuration is invalid or inconsistent with its inputs."""

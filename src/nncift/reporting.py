@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .datasets import exact_ceil
-from .errors import ReportError
 from .influence import PAIRWISE_METHODS, POINTWISE_METHODS
 
 REPORT_JSON = "report.json"
@@ -68,133 +66,77 @@ def predicted_counts(
     return exact_ceil(u, m) * prompts * scales, 0
 
 
-def savings_ratio(
-    method: str,
-    m: int,
-    n: int,
-    u: float | str,
-    prompts: int | None = None,
-    scales: int | None = None,
-    measured_forwards: int | None = None,
-) -> float:
-    """1 minus the fraction of full-valuation probe forwards actually
-    spent. Methods whose full valuation is free (delift_se, less) have
-    nothing to save: 0.0 by convention."""
-    full_fwd, _ = predicted_counts(method, m, n, None, prompts, scales)
-    if full_fwd == 0:
-        return 0.0
-    if measured_forwards is None:
-        measured_forwards, _ = predicted_counts(method, m, n, u, prompts, scales)
-    return 1.0 - measured_forwards / full_fwd
-
-
-@dataclass(frozen=True)
-class CostReport:
-    method: str
-    m: int
-    n: int
-    u: float | None
-    predicted_forwards: int
-    predicted_backwards: int
-    measured: dict
-    full_forwards: int
-    savings_ratio: float
-    per_call_cost: dict | None = None
-
-    def as_dict(self) -> dict:
-        doc = {
-            "method": self.method,
-            "m": self.m,
-            "n": self.n,
-            "u": self.u,
-            "predicted_forwards": self.predicted_forwards,
-            "predicted_backwards": self.predicted_backwards,
-            "measured_forwards": self.measured.get("forward_calls"),
-            "measured_backwards": self.measured.get("backward_calls"),
-            "estimator_forwards": self.measured.get("estimator_forwards"),
-            "wall_ms": self.measured.get("wall_ms", {}),
-            "full_valuation_forwards": self.full_forwards,
-            "savings_ratio": self.savings_ratio,
-        }
-        if self.per_call_cost is not None:
-            fwd_unit = float(self.per_call_cost.get("forward", 1.0))
-            bwd_unit = float(self.per_call_cost.get("backward", 1.0))
-            doc["weighted"] = {
-                "forward_unit_cost": fwd_unit,
-                "backward_unit_cost": bwd_unit,
-                "full_valuation": self.full_forwards * fwd_unit,
-                "measured": (
-                    self.measured.get("forward_calls", 0) * fwd_unit
-                    + self.measured.get("backward_calls", 0) * bwd_unit
-                ),
-            }
-        return doc
-
-
 def build_cost_report(
     method: str,
     m: int,
     n: int,
     u: float | str,
-    ledger_snapshot: dict,
+    ledger: dict,
     prompts: int | None = None,
     scales: int | None = None,
     per_call_cost: dict | None = None,
-) -> CostReport:
+) -> dict:
+    """The report's cost block: predicted counts next to the counters of a
+    ledger document (ledger.json, or CostLedger.as_dict()).
+
+    savings_ratio is 1 minus the fraction of full-valuation forwards spent;
+    methods whose full valuation is free (delift_se, less) have nothing to
+    save: 0.0 by convention.
+    """
     fwd, bwd = predicted_counts(method, m, n, u, prompts, scales)
     full_fwd, _ = predicted_counts(method, m, n, None, prompts, scales)
-    measured_fwd = ledger_snapshot.get("forward_calls", 0)
-    return CostReport(
-        method=method,
-        m=m,
-        n=n,
-        u=float(u) if u is not None else None,
-        predicted_forwards=fwd,
-        predicted_backwards=bwd,
-        measured=ledger_snapshot,
-        full_forwards=full_fwd,
-        savings_ratio=savings_ratio(
-            method, m, n, u, prompts, scales, measured_forwards=measured_fwd
-        ),
-        per_call_cost=per_call_cost,
-    )
+    measured_fwd = ledger.get("forward_calls", 0)
+    measured_bwd = ledger.get("backward_calls", 0)
+    cost = {
+        "method": method,
+        "m": m,
+        "n": n,
+        "u": float(u),
+        "predicted_forwards": fwd,
+        "predicted_backwards": bwd,
+        "measured_forwards": measured_fwd,
+        "measured_backwards": measured_bwd,
+        "failed_forwards": ledger.get("failed_forwards", 0),
+        "estimator_forwards": ledger.get("estimator_forwards", 0),
+        "wall_ms": ledger.get("wall_ms", {}),
+        "full_valuation_forwards": full_fwd,
+        "savings_ratio": 1.0 - measured_fwd / full_fwd if full_fwd else 0.0,
+    }
+    if per_call_cost is not None:
+        fwd_unit = float(per_call_cost.get("forward", 1.0))
+        bwd_unit = float(per_call_cost.get("backward", 1.0))
+        cost["weighted"] = {
+            "forward_unit_cost": fwd_unit,
+            "backward_unit_cost": bwd_unit,
+            "full_valuation": full_fwd * fwd_unit,
+            "measured": measured_fwd * fwd_unit + measured_bwd * bwd_unit,
+        }
+    return cost
 
 
-@dataclass(frozen=True)
-class LedgerCheck:
-    passed: bool
-    diff: dict
-
-    def as_dict(self) -> dict:
-        return {"passed": self.passed, "diff": self.diff}
-
-
-def verify_ledger(report: CostReport) -> LedgerCheck:
-    """Compare measured probe counts against predictions, exactly.
+def verify_ledger(cost: dict) -> dict:
+    """Compare a cost block's measured probe counts with its predictions, exactly.
 
     A forward attempt that got no answer (an http retry) is counted in
-    both forward_calls and failed_forwards, so the answered forwards,
-    forward_calls - failed_forwards, must equal the prediction for every
-    provider.
+    both measured_forwards and failed_forwards, so the answered forwards,
+    measured - failed, must equal the prediction for every provider.
     """
-    measured_fwd = report.measured.get("forward_calls", 0)
-    failed_fwd = report.measured.get("failed_forwards", 0)
-    measured_bwd = report.measured.get("backward_calls", 0)
     diff = {
         "forward_calls": {
-            "predicted": report.predicted_forwards,
-            "measured": measured_fwd,
-            "failed": failed_fwd,
-            "delta": measured_fwd - failed_fwd - report.predicted_forwards,
+            "predicted": cost["predicted_forwards"],
+            "measured": cost["measured_forwards"],
+            "failed": cost["failed_forwards"],
+            "delta": cost["measured_forwards"] - cost["failed_forwards"]
+            - cost["predicted_forwards"],
         },
         "backward_calls": {
-            "predicted": report.predicted_backwards,
-            "measured": measured_bwd,
-            "delta": measured_bwd - report.predicted_backwards,
+            "predicted": cost["predicted_backwards"],
+            "measured": cost["measured_backwards"],
+            "delta": cost["measured_backwards"] - cost["predicted_backwards"],
         },
     }
     passed = diff["forward_calls"]["delta"] == 0 and diff["backward_calls"]["delta"] == 0
-    return LedgerCheck(passed=passed, diff=diff)
+    return {"passed": passed, "diff": diff}
 
 
 def _json_safe(obj):
@@ -236,9 +178,10 @@ def render_text_report(doc: dict) -> str:
     lines.append("")
     cost = doc["cost"]
     lines.append("cost")
+    failed = f" ({cost['failed_forwards']} failed)" if cost["failed_forwards"] else ""
     lines.append(
         f"  probe forwards    predicted {cost['predicted_forwards']}  "
-        f"measured {cost['measured_forwards']}"
+        f"measured {cost['measured_forwards']}{failed}"
     )
     lines.append(
         f"  probe backwards   predicted {cost['predicted_backwards']}  "
@@ -259,49 +202,10 @@ def render_text_report(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(
-    out_dir: str | Path,
-    config_hash: str,
-    method: str,
-    dataset: dict,
-    cost: CostReport | None,
-    ledger_check: LedgerCheck | None,
-    selection: dict | None,
-    quadrant_mse: dict | None = None,
-    evaluation: dict | None = None,
-    metadata: dict | None = None,
-) -> Path:
-    """Write report.json and report.txt into out_dir.
-
-    cost, ledger_check, and selection are required run artifacts;
-    missing ones raise a single error naming all absences. quadrant_mse
-    is optional because full ground truth is not always affordable.
-    """
-    missing = [
-        name
-        for name, value in (
-            ("cost", cost),
-            ("ledger_check", ledger_check),
-            ("selection", selection),
-        )
-        if value is None
-    ]
-    if missing:
-        raise ReportError(f"missing run artifacts: {', '.join(missing)}")
+def emit_report(out_dir: str | Path, doc: dict) -> Path:
+    """Write the report document to out_dir as report.json and report.txt."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "run_id": config_hash[:12],
-        "config_hash": config_hash,
-        "method": method,
-        "dataset": dataset,
-        "quadrant_mse": quadrant_mse,
-        "cost": cost.as_dict(),
-        "ledger_check": ledger_check.as_dict(),
-        "selection": selection,
-        "evaluation": evaluation,
-        "metadata": metadata or {},
-    }
     doc = _json_safe(doc)
     report_path = out_dir / REPORT_JSON
     report_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")

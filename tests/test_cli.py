@@ -80,9 +80,13 @@ class TestExitCodes:
         config = write_config(tmp_path, method="less")
         assert main(["valuate", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
 
-    def test_pipeline_rejects_u_zero(self, tmp_path):
-        config = write_config(tmp_path, u=0)
-        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    @pytest.mark.parametrize("overrides", [{"u": 0}, {"u_sweep": [0.2, 0]}], ids=["u", "u_sweep"])
+    def test_pipeline_rejects_u_zero(self, tmp_path, overrides):
+        # a sweep is checked whole: no cell runs before the zero is found
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_empty_corner_fails_training_with_3(self, tmp_path):
         # u=0 valuates nothing; the training step then has no data
@@ -119,6 +123,10 @@ class TestExitCodes:
         # Fraction reads "1/2", but the report and sweep directory names need a decimal
         {"u": "1/2"},
         {"v_sweep": ["1/2"]},
+        # the report's weighted costs read these as float unit costs
+        {"per_call_cost": {"forward": "x"}},
+        {"per_call_cost": {"forwrd": 5}},
+        {"per_call_cost": {"forward": -2}},
     ])
     def test_bad_config_exits_2_before_any_probe(self, tmp_path, overrides):
         config = write_config(tmp_path, **overrides)

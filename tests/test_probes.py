@@ -479,7 +479,15 @@ def test_pipeline_counts_a_retried_503_as_a_failed_forward(tmp_path, probe_serve
     assert len(probe_server.requests) == 4
     ledger = json.loads((out / "ledger.json").read_text())
     assert (ledger["forward_calls"], ledger["failed_forwards"]) == (4, 1)
-    check = json.loads((out / "report.json").read_text())["ledger_check"]
+    report = json.loads((out / "report.json").read_text())
+    check = report["ledger_check"]
     assert check["passed"] is True
     assert check["diff"]["forward_calls"] == {"predicted": 3, "measured": 4, "failed": 1,
                                               "delta": 0}
+    # the report shows the same counters as the ledger, the failed one included
+    cost = report["cost"]
+    assert cost["failed_forwards"] == 1
+    assert (cost["measured_forwards"], cost["measured_backwards"], cost["failed_forwards"],
+            cost["estimator_forwards"]) == (ledger["forward_calls"], ledger["backward_calls"],
+                                            ledger["failed_forwards"], ledger["estimator_forwards"])
+    assert "predicted 3  measured 4 (1 failed)" in (out / "report.txt").read_text()
