@@ -11,8 +11,8 @@ Providers:
   valid ranges.
 * file: replays responses stored in a JSON-lines record file, keyed by
   the caller-supplied record key. Never touches the network.
-* http: JSON-over-HTTP client with retries and per-attempt cost
-  accounting.
+* http: JSON-over-HTTP client on a keep-alive connection pool, with
+  retries and per-attempt cost accounting.
 
 `target_logprobs_batch` answers a list of requests in request order; over
 an http provider it keeps up to `max_in_flight` of them in flight at once.
@@ -25,17 +25,20 @@ import json
 import math
 import numbers
 import os
+import queue
+import select
+import ssl
 import threading
 import time
+import weakref
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
 from typing import Iterator, Sequence
-
-import requests
-from requests.adapters import HTTPAdapter
+from urllib.parse import SplitResult, urlsplit
 
 from .errors import (
     ConfigError,
@@ -229,8 +232,64 @@ _HTTP_ENDPOINTS = {KIND_LOGPROBS: ("/v1/logprobs", "token_logprobs"),
                    KIND_MAX_PROBS: ("/v1/token_max_probs", "max_probs")}
 
 
+def _split_base_url(url) -> SplitResult:
+    """The parts of an http(s) URL with a host; ValueError for any other
+    URL, which no attempt could reach."""
+    try:
+        parts = urlsplit(url) if isinstance(url, str) else None
+        if parts and parts.scheme in ("http", "https") and parts.hostname and parts.port != 0:
+            return parts
+    except ValueError:  # a port that is not a number in 0-65535, or an unclosed "["
+        pass
+    raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {url!r}")
+
+
+def _close_all(connections: list[HTTPConnection]) -> None:
+    for conn in connections:
+        conn.close()
+
+
+class _ConnectionPool:
+    """`size` keep-alive connections to one origin, lent out last in,
+    first out. Waiting for a free connection is the in-flight gate, so no
+    more than `size` requests, or connections, are ever open at once."""
+
+    def __init__(self, parts: SplitResult, size: int, timeout: float):
+        if parts.scheme == "https":
+            connect = partial(HTTPSConnection, context=ssl.create_default_context())
+        else:
+            connect = HTTPConnection
+        # a connection opens its socket on its first request and again after close()
+        self._connections = [connect(parts.hostname, parts.port, timeout=timeout) for _ in range(size)]
+        self._idle = queue.LifoQueue()
+        for conn in self._connections:
+            self._idle.put(conn)
+        # callers drop providers unclosed: close the sockets when the pool is collected
+        weakref.finalize(self, _close_all, self._connections)
+
+    def post(self, path: str, body: bytes, headers: dict) -> tuple[int, bytes]:
+        """One request on a pooled connection: the status and the whole body."""
+        conn = self._idle.get()
+        try:
+            # an idle keep-alive socket that reads as ready was closed by the
+            # peer: reconnect rather than spend an attempt on it
+            if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+                conn.close()
+            conn.request("POST", path, body, headers)
+            response = conn.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            conn.close()  # its state is unknown: the next request reconnects
+            raise
+        finally:
+            self._idle.put(conn)
+
+    def close(self) -> None:
+        _close_all(self._connections)
+
+
 class HttpProvider(_Provider):
-    """JSON-over-HTTP probe client.
+    """JSON-over-HTTP probe client on the standard library's http.client.
 
     Endpoints: POST /v1/logprobs {"context","target"} -> {"token_logprobs"};
     POST /v1/token_max_probs {"context","target"} -> {"max_probs"}.
@@ -239,12 +298,13 @@ class HttpProvider(_Provider):
     backoff; every attempt charges one forward call because the serving
     cost was paid whether or not the answer arrived, and an attempt that
     got no answer also counts as a failed forward. Other HTTP errors and
-    malformed bodies fail immediately.
+    bodies that are not a JSON object fail immediately.
 
-    max_in_flight caps the requests, and so the pooled connections, open
-    at once across threads that share the provider. `target_logprobs_batch`
-    runs that many requests at once, so delift's corner keeps up to
-    max_in_flight (default 8) in flight.
+    Requests go over a pool of max_in_flight keep-alive connections,
+    which caps the requests, and the connections, open at once across
+    threads that share the provider. `target_logprobs_batch` runs that
+    many requests at once, so delift's corner keeps up to max_in_flight
+    (default 8) in flight. Proxy environment variables are not read.
     """
 
     def __init__(
@@ -260,41 +320,41 @@ class HttpProvider(_Provider):
             raise ValueError("retries and max_in_flight must be >= 1")
         self.base_url = base_url.rstrip("/")
         self.token = token if token is not None else os.environ.get(TOKEN_ENV_VAR)
-        self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.max_in_flight = max_in_flight
-        self._gate = threading.BoundedSemaphore(max_in_flight)
-        self._session = requests.Session()
-        adapter = HTTPAdapter(pool_maxsize=max_in_flight)
-        self._session.mount("http://", adapter)
-        self._session.mount("https://", adapter)
+        parts = _split_base_url(self.base_url)
+        self._path = parts.path
+        self._session = _ConnectionPool(parts, max_in_flight, timeout)
 
     def _post(self, endpoint: str, body: dict, ledger: CostLedger) -> dict:
         url = f"{self.base_url}{endpoint}"
-        headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
+        raw = json.dumps(body).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        if self.token:
+            headers["Authorization"] = f"Bearer {self.token}"
         last_error: Exception | None = None
         for attempt in range(self.retries):
             ledger.add_forward(1)
             try:
-                with self._gate:
-                    resp = self._session.post(url, json=body, timeout=self.timeout, headers=headers)
-            except requests.RequestException as exc:
+                status, data = self._session.post(self._path + endpoint, raw, headers)
+            except (OSError, HTTPException) as exc:
                 last_error = ProbeError(f"{url}: attempt {attempt + 1} failed: {exc}")
                 ledger.add_failed_forward(1)
             else:
-                if resp.status_code >= 500:
-                    last_error = ProbeError(
-                        f"{url}: attempt {attempt + 1} got status {resp.status_code}"
-                    )
+                if status >= 500:
+                    last_error = ProbeError(f"{url}: attempt {attempt + 1} got status {status}")
                     ledger.add_failed_forward(1)
-                elif resp.status_code != 200:
-                    raise ProbeError(f"{url}: status {resp.status_code}")
+                elif status != 200:
+                    raise ProbeError(f"{url}: status {status}")
                 else:
                     try:
-                        return resp.json()
+                        payload = json.loads(data)
                     except ValueError as exc:
                         raise ProtocolError(f"{url}: response is not JSON: {exc}") from exc
+                    if not isinstance(payload, dict):
+                        raise ProtocolError(f"{url}: response is not a JSON object")
+                    return payload
             if attempt + 1 < self.retries:
                 time.sleep(self.backoff * (2.0**attempt))
         raise last_error  # type: ignore[misc]
@@ -396,6 +456,10 @@ def check_probe_spec(spec) -> None:
     if kind == "http":
         if "base_url" not in spec:
             raise ConfigError("http provider requires a 'base_url'")
+        try:
+            _split_base_url(spec["base_url"])
+        except ValueError as exc:
+            raise ConfigError(f"probe.{exc}") from None
         _check_http_options({name: spec[name] for name in _HTTP_OPTIONS if name in spec})
 
 

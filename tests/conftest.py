@@ -50,8 +50,8 @@ class ScriptedHandler(BaseHTTPRequestHandler):
 
 
 class ProbeServer(ThreadingHTTPServer):
-    """Loopback probe server that records every request and the most
-    requests and connections it ever had open at once."""
+    """Loopback probe server that records every request, the most requests
+    and connections it ever had open at once, and how many it ever opened."""
 
     def __init__(self, handler=ScriptedHandler):
         super().__init__(("127.0.0.1", 0), handler)
@@ -60,11 +60,13 @@ class ProbeServer(ThreadingHTTPServer):
         self._lock = threading.Lock()
         self.open = {"connections": 0, "in_flight": 0}
         self.peak = dict(self.open)
+        self.total = dict(self.open)
 
     def count(self, name, step):
         with self._lock:
             self.open[name] += step
             self.peak[name] = max(self.peak[name], self.open[name])
+            self.total[name] += max(step, 0)
 
     def answer(self, path, body):
         return 200, self.default_payload(path, body)
@@ -88,6 +90,10 @@ class KeepAliveHandler(ScriptedHandler):
     # one send per reply: head and body written apart stall each reply on
     # Nagle's algorithm and the client's delayed ACK
     wbufsize = -1
+
+
+class IdleClosingHandler(KeepAliveHandler):
+    timeout = 0.2  # closes a keep-alive connection idle this long
 
 
 def request_digest(context, target):
@@ -153,3 +159,8 @@ def probe_server():
 @pytest.fixture()
 def slow_server():
     yield from serve(SlowKeyedServer(delay=0.005))
+
+
+@pytest.fixture()
+def idle_closing_server():
+    yield from serve(ProbeServer(IdleClosingHandler))

@@ -146,6 +146,10 @@ class TestExitCodes:
         {"backoff": "x"},
         {"retires": 0},
         {"max_inflight": 0},
+        # no attempt could reach these: each used to spend every retry
+        {"base_url": "127.0.0.1:8000"},
+        {"base_url": "ftp://x/"},
+        {"base_url": "http://"},
     ], ids=lambda option: "{}={!r}".format(*next(iter(option.items()))))
     def test_bad_http_option_exits_2_before_any_probe(self, tmp_path, option):
         # a subprocess with a timeout: a zero in-flight cap used to hang

@@ -1,7 +1,7 @@
 import json
-import logging
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -252,6 +252,13 @@ class TestHttpProvider:
         with pytest.raises(ProtocolError):
             provider.token_max_probs("c", "t", CostLedger())
 
+    @pytest.mark.parametrize("payload", [[1], "x"])
+    def test_reply_that_is_not_an_object_is_protocol_error(self, probe_server, payload):
+        probe_server.script = [(200, payload)]
+        provider = HttpProvider(probe_server.url, backoff=0.01)
+        with pytest.raises(ProtocolError, match="not a JSON object"):
+            provider.target_logprobs("c", "t", CostLedger())
+
     def test_positive_logprob_is_data_error(self, probe_server):
         probe_server.script = [(200, {"token_logprobs": [0.5]})]
         provider = HttpProvider(probe_server.url, backoff=0.01)
@@ -288,6 +295,16 @@ class TestHttpProvider:
             ))
         assert all(r == [0.9, 0.8] for r in results)
         assert ledger.forward_calls == 16
+
+    def test_connection_the_server_closed_while_idle_is_replaced_uncharged(self, idle_closing_server):
+        provider = HttpProvider(idle_closing_server.url, backoff=0)
+        ledger = CostLedger()
+        assert provider.target_logprobs("c", "t", ledger) == [-0.5, -0.25]
+        time.sleep(0.5)
+        assert provider.target_logprobs("c", "t", ledger) == [-0.5, -0.25]
+        assert ledger.forward_calls == len(idle_closing_server.requests) == 2
+        assert ledger.failed_forwards == 0
+        assert idle_closing_server.total["connections"] == 2
 
     def test_connection_refused_retries_then_fails(self):
         provider = HttpProvider("http://127.0.0.1:9", retries=2, backoff=0.01, timeout=0.5)
@@ -341,13 +358,11 @@ class TestTargetLogprobsBatch:
         assert slow_server.peak["in_flight"] == 3
         assert slow_server.peak["connections"] <= 3
 
-    def test_connection_pool_keeps_every_in_flight_connection(self, slow_server, caplog):
-        # requests' default pool holds 10 connections and discards the rest
+    def test_connection_pool_reuses_its_in_flight_connections(self, slow_server):
         provider = HttpProvider(slow_server.url, max_in_flight=16)
-        with caplog.at_level(logging.WARNING, logger="urllib3"):
-            target_logprobs_batch(provider, batch_requests(400), CostLedger())
-        assert [r.getMessage() for r in caplog.records if "pool is full" in r.getMessage()] == []
-        assert slow_server.peak["connections"] <= 16
+        target_logprobs_batch(provider, batch_requests(400), CostLedger())
+        assert len(slow_server.requests) == 400
+        assert slow_server.total["connections"] <= 16
 
     def test_lowest_index_failure_wins_and_unstarted_requests_are_never_sent(self, slow_server):
         # request 7 fails at once while the slower request 5 is still in flight
