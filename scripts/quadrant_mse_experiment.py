@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from nncift.datasets import DatasetPair, EmbeddingMatrix, partition, quadrant_index_sets
-from nncift.network import TrainConfig, build_pair_features, estimate_pairwise, train
+from nncift.network import TrainConfig, estimate_pairwise, train
 from nncift.probes import CostLedger
 
 QUADRANTS = ("Q1", "Q2", "Q3", "Q4")
@@ -87,7 +87,8 @@ def main(argv=None) -> int:
         corner = np.ix_(part.id_f, part.id_t)
         q1_cells = len(part.id_f) * len(part.id_t)
         result = train(
-            build_pair_features(pair, part.id_f, part.id_t),
+            fine[part.id_f],
+            target[part.id_t],
             truth[corner].reshape(-1),
             TrainConfig(seed=0, epochs=args.epochs),
         )

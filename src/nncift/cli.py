@@ -69,7 +69,6 @@ from .network import (
     QUADRANTS,
     TrainConfig,
     baseline_estimates,
-    build_pair_features,
     estimate_pairwise,
     estimate_pointwise,
     mse_by_quadrant,
@@ -409,8 +408,10 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_ledger(out: Path, config: RunConfig, ledger: CostLedger, evaluation: dict | None = None) -> None:
-    doc = {"config_hash": config.config_hash, **ledger.as_dict(), "evaluation": evaluation}
+def _write_ledger(out: Path, config: RunConfig, ledger: CostLedger, evaluation: dict | None = None,
+                  training: dict | None = None) -> None:
+    doc = {"config_hash": config.config_hash, **ledger.as_dict(), "evaluation": evaluation,
+           "training": training}
     _write_json(out / LEDGER_FILE, doc)
 
 
@@ -488,14 +489,11 @@ def cmd_train_estimate(config: RunConfig) -> Path:
         raise ConfigError(f"{q1_path} does not match the ID corner; stale artifact?")
 
     pointwise = config.method in POINTWISE_METHODS
-    if pointwise:
-        features = pair.fine_tune.rows[part.id_f].astype(np.float64)
-    else:
-        features = build_pair_features(pair, part.id_f, part.id_t)
+    right = np.zeros((1, 0)) if pointwise else pair.target.rows[part.id_t]
     targets = q1.values[corner].reshape(-1).astype(np.float64)
     train_config = config.train_config()
     with ledger.time_phase("train"):
-        result = train(features, targets, train_config)
+        result = train(pair.fine_tune.rows[part.id_f], right, targets, train_config)
     save_params(result.params, out / PARAMS_FILE, result.norm, seed=config.seed,
                 optimizer=train_config.optimizer_metadata())
     norm = result.norm
@@ -539,7 +537,8 @@ def cmd_train_estimate(config: RunConfig) -> Path:
             mse_doc[name] = {label: None if math.isnan(mse[q]) else mse[q]
                              for label, q in labels.items()}
         _write_json(out / MSE_FILE, mse_doc)
-    _write_ledger(out, config, ledger, evaluation=evaluation)
+    _write_ledger(out, config, ledger, evaluation=evaluation,
+                  training={"epoch_losses": result.epoch_losses})
     print(f"wrote {out / FULL_FILE} and {out / PARAMS_FILE}")
     return out
 
@@ -619,6 +618,7 @@ def _emit_final_report(config: RunConfig) -> Path:
         "ledger_check": check,
         "selection": _read_run_json(out / SELECTION_FILE),
         "evaluation": ledger_doc.get("evaluation"),
+        "training": ledger_doc.get("training"),
         "metadata": {"config": config.resolved},
     }
     report_path = emit_report(out, doc)

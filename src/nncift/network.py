@@ -6,12 +6,14 @@ influence values observed on the ID x ID corner; targets are affinely
 mapped into [0, 1] first and the map travels with the parameters so
 estimates and targets stay comparable.
 
-Pairwise inputs are the two embeddings of a cell concatenated. Training
-sees those concatenated rows (the ID x ID corner is small), but
-estimation never builds them: the first layer splits into a fine-tune
-half and a target half, each applied once per row or column, and a cell
-only adds its row's and its column's projections. Pointwise estimation
-is the same block with one column and an empty target half.
+Pairwise inputs are the two embeddings of a cell concatenated, but
+neither training nor estimation builds those rows: the first layer
+splits into a fine-tune half and a target half, each applied once per
+distinct row or column, and a cell only adds its row's and its column's
+projections. A training step over B cells that touch |ur| rows and |uc|
+columns costs (|ur|+|uc|)·d·H + B·H first-layer multiply-adds instead of
+B·2d·H. Pointwise input is the same block with one column and an empty
+target half.
 
 Everything here is plain numpy with analytic gradients; the training
 loop is deterministic for a fixed seed.
@@ -232,54 +234,150 @@ def loss_and_gradients(params: MlpParams, x: np.ndarray, targets: np.ndarray):
 
 
 class _Adam:
-    def __init__(self, params: MlpParams, config: TrainConfig):
+    """Adam over one flat parameter vector. The moments and two scratch
+    buffers are flat too, and a step is 14 in-place ufunc calls in the
+    per-array formula's operation order, so it rounds exactly as
+
+        m = beta1 m + (1 - beta1) g,   v = beta2 v + (1 - beta2) g**2
+        p -= lr (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+    """
+
+    def __init__(self, size: int, config: TrainConfig):
         self.config = config
-        self.m = [np.zeros_like(a) for a in params.arrays()]
-        self.v = [np.zeros_like(a) for a in params.arrays()]
+        self.m, self.v, self._s1, self._s2 = np.zeros((4, size))
         self.t = 0
 
-    def step(self, params: MlpParams, grads: MlpParams) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         c = self.config
         self.t += 1
-        for k, (arr, g) in enumerate(zip(params.arrays(), grads.arrays())):
-            self.m[k] = c.beta1 * self.m[k] + (1.0 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1.0 - c.beta2) * g**2
-            m_hat = self.m[k] / (1.0 - c.beta1**self.t)
-            v_hat = self.v[k] / (1.0 - c.beta2**self.t)
-            arr -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.eps)
+        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
+        m *= c.beta1
+        np.multiply(grad, 1.0 - c.beta1, out=s1)
+        m += s1
+        v *= c.beta2
+        np.square(grad, out=s1)
+        s1 *= 1.0 - c.beta2
+        v += s1
+        np.divide(m, 1.0 - c.beta1**self.t, out=s1)
+        s1 *= c.learning_rate
+        np.divide(v, 1.0 - c.beta2**self.t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += c.eps
+        s1 /= s2
+        flat -= s1
 
 
-def train(features: np.ndarray, targets: np.ndarray, config: TrainConfig) -> TrainResult:
-    """Fit the estimator to (feature, influence) pairs from the ID corner.
+def _on_flat(like: MlpParams, flat: np.ndarray) -> MlpParams:
+    """Parameters shaped like `like` whose arrays are consecutive views of flat."""
+    arrays, offset = [], 0
+    for arr in like.arrays():
+        arrays.append(flat[offset:offset + arr.size].reshape(arr.shape))
+        offset += arr.size
+    return MlpParams(*arrays)
+
+
+def _distinct(index: np.ndarray, size: int):
+    """The distinct values of index (all below size), ascending, and each
+    entry's position among them. The positions are None when rows taken
+    at the distinct values already line up with index: when nothing
+    repeats (the values are index itself, in its order) or when one value
+    fills the batch (its one row broadcasts)."""
+    present = np.bincount(index, minlength=size) > 0
+    distinct = np.flatnonzero(present)
+    if len(distinct) == len(index):
+        return index, None
+    if len(distinct) == 1:
+        return distinct, None
+    return distinct, (np.cumsum(present) - 1)[index]
+
+
+def _group_sum(values: np.ndarray, inverse, groups: int) -> np.ndarray:
+    """values' rows summed per group of _distinct, each sum taken in row
+    order: np.add.at's exact result, at a fraction of its cost."""
+    if groups == 1:
+        return values.sum(axis=0, keepdims=True)
+    if inverse is None:
+        return values
+    width = values.shape[1]
+    bins = (inverse[:, None] * width + np.arange(width)).reshape(-1)
+    sums = np.bincount(bins, weights=values.reshape(-1), minlength=groups * width)
+    return sums.reshape(groups, width)
+
+
+def _factored_gradients(params: MlpParams, grads: MlpParams, left: np.ndarray,
+                        right: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                        targets: np.ndarray) -> None:
+    """Write into grads what loss_and_gradients gives for the cells
+    (left[rows[k]] | right[cols[k]]), without building those rows.
+
+    With W1 = [W_f | W_t], each distinct row ur and column uc is
+    projected once and z1 = (left[ur] W_fᵀ + b1)[r] + (right[uc] W_tᵀ)[c].
+    Backward, dW_f = S_fᵀ left[ur], where S_f sums dz1 over the cells of
+    each distinct row; dW_t alike. The rest is loss_and_gradients' own.
+    """
+    dim = left.shape[1]
+    ur, r = _distinct(rows, len(left))
+    uc, c = _distinct(cols, len(right))
+    left_u, right_u = left[ur], right[uc]
+    a = left_u @ params.w1[:, :dim].T
+    a += params.b1
+    b = right_u @ params.w1[:, dim:].T
+    z1 = (a if r is None else a[r]) + (b if c is None else b[c])
+    h = np.maximum(z1, 0.0)
+    y = _logistic(h @ params.w2.T + params.b2)
+    diff = y - targets.reshape(-1, 1)
+    dz2 = (2.0 / len(rows)) * diff * y * (1.0 - y)
+    np.matmul(dz2.T, h, out=grads.w2)
+    np.sum(dz2, axis=0, out=grads.b2)
+    dz1 = dz2 * params.w2  # the outer product dz2 @ w2, each entry one exact product
+    dz1 *= z1 > 0.0
+    np.sum(dz1, axis=0, out=grads.b1)
+    np.matmul(_group_sum(dz1, r, len(ur)).T, left_u, out=grads.w1[:, :dim])
+    np.matmul(_group_sum(dz1, c, len(uc)).T, right_u, out=grads.w1[:, dim:])
+
+
+def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
+          config: TrainConfig) -> TrainResult:
+    """Fit the estimator to the ID corner: targets[k] is the influence of
+    cell (k // len(right), k % len(right)) of the left x right block
+    (F[id_f] x T[id_t]; pointwise, right is np.zeros((1, 0))).
 
     Targets are mapped into [0,1] by their observed range before
     training; the map is returned so estimates can be compared and
     inverted consistently. Mini-batch order is seeded; the whole run is
-    deterministic for a fixed config.
+    deterministic for a fixed config. Every step and every epoch's
+    corner loss use the factored first layer, so no pair row is built.
     """
-    features = np.asarray(features, dtype=np.float64)
+    left = np.asarray(left, dtype=np.float64)
+    right = np.asarray(right, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
-    if features.ndim != 2 or features.shape[0] == 0:
+    if left.ndim != 2 or right.ndim != 2 or len(left) == 0 or len(right) == 0:
         raise TrainingError("empty training set: the ID corner has no cells (u too small)")
-    if features.shape[0] != targets.shape[0]:
-        raise ValueError("features and targets misaligned")
+    if targets.shape[0] != len(left) * len(right):
+        raise ValueError("corner and targets misaligned")
     if not np.all(np.isfinite(targets)):
         raise DataValidationError("targets contain non-finite values")
     norm = NormStats.fit(targets)
     t_norm = norm.normalize(targets)
-    params = init_params(config.seed, in_dim=features.shape[1], hidden=config.hidden)
-    optimizer = _Adam(params, config)
+    init = init_params(config.seed, in_dim=left.shape[1] + right.shape[1], hidden=config.hidden)
+    flat = np.concatenate([a.reshape(-1) for a in init.arrays()])
+    grad = np.zeros_like(flat)
+    params, grads = _on_flat(init, flat), _on_flat(init, grad)
+    optimizer = _Adam(flat.size, config)
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 1))))
-    count = features.shape[0]
+    every_row, every_col = np.arange(len(left)), np.arange(len(right))
+    corner = np.empty((len(left), len(right)))
     losses = []
     for _ in range(config.epochs):
-        order = shuffle_rng.permutation(count)
-        for start in range(0, count, config.batch_size):
-            batch_idx = order[start:start + config.batch_size]
-            _, grads = loss_and_gradients(params, features[batch_idx], t_norm[batch_idx])
-            optimizer.step(params, grads)
-        y, _, _ = _forward_batch(params, features)
-        losses.append(float(np.mean((y.reshape(-1) - t_norm) ** 2)))
+        order = shuffle_rng.permutation(targets.shape[0])
+        for start in range(0, len(order), config.batch_size):
+            cells = order[start:start + config.batch_size]
+            rows, cols = np.divmod(cells, len(right))
+            _factored_gradients(params, grads, left, right, rows, cols, t_norm[cells])
+            optimizer.step(flat, grad)
+        for start, y in _estimate_chunks(params, left, every_row, right, every_col):
+            corner[start:start + len(y)] = y
+        losses.append(float(np.mean((corner.reshape(-1) - t_norm) ** 2)))
     return TrainResult(params=params, epoch_losses=losses, norm=norm)
 
 
@@ -309,13 +407,16 @@ def _estimate_chunks(params: MlpParams, left: np.ndarray, rows: np.ndarray,
     `right` is one row of no features, so B is a zero row.
     """
     dim = left.shape[1]
-    b = right[cols].astype(np.float64) @ params.w1[:, dim:].T
+    b = right[cols].astype(np.float64, copy=False) @ params.w1[:, dim:].T
     step = max(1, _CHUNK_CELLS // max(1, len(b)))
     for block in range(0, len(rows), _CHUNK_CELLS):
-        a = left[rows[block:block + _CHUNK_CELLS]].astype(np.float64) @ params.w1[:, :dim].T
+        a = left[rows[block:block + _CHUNK_CELLS]].astype(np.float64, copy=False)
+        a = a @ params.w1[:, :dim].T
         a += params.b1
         for start in range(0, len(a), step):
-            h = a[start:start + step, None, :] + b[None, :, :]
+            h = a[start:start + step, None, :]
+            # one column: each row of a is used once, so add in place
+            h = np.add(h, b, out=h if len(b) == 1 else None)
             np.maximum(h, 0.0, out=h)
             y = _logistic(h.reshape(-1, params.hidden) @ params.w2.T + params.b2)
             yield block + start, y.reshape(-1, len(b))

@@ -175,6 +175,10 @@ def render_text_report(doc: dict) -> str:
             lines.append(f"  {group:<4}              " + "  ".join(row))
     else:
         lines.append("quadrant MSE: not evaluated (no full ground truth)")
+    losses = (doc.get("training") or {}).get("epoch_losses")
+    if losses:
+        lines.append(f"training: corner MSE {losses[0]:.6f} -> {losses[-1]:.6f} "
+                     f"over {len(losses)} epochs")
     lines.append("")
     cost = doc["cost"]
     lines.append("cost")

@@ -37,7 +37,6 @@ from nncift.influence import (
 )
 from nncift.network import (
     TrainConfig,
-    build_pair_features,
     estimate_pairwise,
     init_params,
     loss_and_gradients,
@@ -178,8 +177,7 @@ def test_3_estimator_beats_baselines_at_synthetic_scale(capsys):
     for u in (0.05, 0.1, 0.2):
         part = partition(pair, u, seed=13)
         targets = truth[np.ix_(part.id_f, part.id_t)].reshape(-1)
-        result = train(build_pair_features(pair, part.id_f, part.id_t), targets,
-                       TrainConfig(seed=0))
+        result = train(fine[part.id_f], target[part.id_t], targets, TrainConfig(seed=0))
 
         trained = {}
         zero = {}

@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, artifacts, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -315,6 +316,25 @@ class TestTrainEstimate:
         trained = read_json(out / "mse.json")["trained"]
         for quadrant in ("Q2", "Q3", "Q4"):
             assert recomputed[quadrant] == trained[quadrant], quadrant
+
+    def test_training_losses_reach_the_ledger_and_the_report(self, tmp_path, monkeypatch):
+        results = []
+        original = nncift.cli.train
+
+        def recorded(*args):
+            results.append(original(*args))
+            return results[-1]
+
+        monkeypatch.setattr(nncift.cli, "train", recorded)
+        config = write_config(tmp_path, train={"epochs": 4})
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        losses = read_json(out / "ledger.json")["training"]["epoch_losses"]
+        assert len(losses) == 4 and all(math.isfinite(loss) for loss in losses)
+        assert losses == results[0].epoch_losses
+        assert read_json(out / "report.json")["training"] == {"epoch_losses": losses}
+        assert (f"training: corner MSE {losses[0]:.6f} -> {losses[-1]:.6f} over 4 epochs"
+                in (out / "report.txt").read_text())
 
     def test_params_file_reports_sizes(self, tmp_path):
         config = write_config(tmp_path, train={"hidden": 10})

@@ -21,19 +21,19 @@ GOLDEN = {
     "delift": {
         "q1.nnk": "5be242496dfb4984abece2716c7b033ba3246fc00cbf77b1ef539e7995099b16",
         "full.nnk": "edab94ae77050840510078209a09a541877db0b76a9822a5a7850186278c6fb4",
-        "params.json": "2fe175551a2321b59f07f04cb50f838b383268ce029bd0a63273544fcd4abe79",
+        "params.json": "ff5754947a737495fdcd3cbc4fe46eb5ad6dd5b02bb6460f7757511aba25b1df",
         "selection.json": "5bd841dc90483bf99a3d887756758dfdd6fd4438aa3f257d5cbcfa5f147738ce",
     },
     "delift_se": {
         "q1.nnk": "8acf26fc63587a3065782c5ccfbf7a7385bad413f3ef55ef2ae027237437dc76",
         "full.nnk": "dcf89de291642407a61ccf6f2a630b2c8ee061c1b9cbeef879d7bdb7272ce0d2",
-        "params.json": "ccc6de41d5784568cc128d77c5d6acd3b8d88b723a9d92312cfd7d0ccd67534e",
+        "params.json": "e2347f63fb141a156d13cd202c4692fde391c2e757991e11cabe2fbd6b575e68",
         "selection.json": "327416d7deeeb515b6ad0bbd0b26d598641a43b121965923c59b7f885517212f",
     },
     "less": {
         "q1.nnk": "5f45d3544c50663dc5989107a1a351c0c438feab3271286f8adc5f87143e44cb",
         "full.nnk": "a29249316fcf7bb8ce4f09516765fb844dd0f2b455e11fb9ea2e1f2708720670",
-        "params.json": "6bdf5951ce67bec57c7587b6940f74ae8f6483d8f4f53dd806dbea56af45ea27",
+        "params.json": "b38d8d7237f2fabc72972635387473ece7a393763b1ca10ea583ed585302048d",
         "selection.json": "b048d8b38204f16ebd2ed4cf99c978d301a46f7da28b9c42985269849ed7de4a",
     },
     "selectit": {

@@ -1,14 +1,18 @@
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import nncift.cli
 import nncift.network
 
-from nncift.datasets import DatasetPair, EmbeddingMatrix, partition, quadrant_index_sets
-from nncift.errors import CoverageError, FileFormatError, TrainingError
-from nncift.influence import InfluenceMatrix
+from nncift.datasets import (
+    DatasetPair, EmbeddingMatrix, partition, quadrant_index_sets, save_embeddings,
+)
+from nncift.errors import CoverageError, DataValidationError, FileFormatError, TrainingError
+from nncift.influence import InfluenceMatrix, load_influence
 from nncift.network import (
     MlpParams,
     NormStats,
@@ -173,7 +177,7 @@ class TestTrain:
         # constant targets make norm degenerate; vary them slightly
         targets = targets + np.random.default_rng(1).uniform(-0.05, 0.05, targets.shape)
         config = TrainConfig(epochs=20, learning_rate=1e-2, batch_size=32, seed=0, hidden=8)
-        result = train(features, targets, config)
+        result = train(features, np.zeros((1, 0)), targets, config)
         assert len(result.epoch_losses) == 20
         assert result.epoch_losses[-1] < result.epoch_losses[0]
 
@@ -181,15 +185,15 @@ class TestTrain:
         features, targets = toy_training_set(count=100)
         targets = np.random.default_rng(2).random(100)
         config = TrainConfig(epochs=5, batch_size=16, seed=9, hidden=6)
-        a = train(features, targets, config)
-        b = train(features, targets, config)
+        a = train(features, np.zeros((1, 0)), targets, config)
+        b = train(features, np.zeros((1, 0)), targets, config)
         for x, y in zip(a.params.arrays(), b.params.arrays()):
             assert x.tobytes() == y.tobytes()
         assert a.epoch_losses == b.epoch_losses
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(TrainingError):
-            train(np.zeros((0, 4)), np.zeros(0), TrainConfig())
+            train(np.zeros((0, 4)), np.zeros((1, 0)), np.zeros(0), TrainConfig())
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
@@ -210,9 +214,152 @@ class TestTrain:
     def test_norm_stats_recorded(self):
         features, _ = toy_training_set(count=50)
         targets = np.linspace(-0.8, 0.9, 50)
-        result = train(features, targets, TrainConfig(epochs=1, hidden=4))
+        result = train(features, np.zeros((1, 0)), targets, TrainConfig(epochs=1, hidden=4))
         assert result.norm.min == pytest.approx(-0.8)
         assert result.norm.max == pytest.approx(0.9)
+
+
+class PerArrayAdam:
+    """Adam per parameter array, each operation allocating: the flat step's reference."""
+
+    def __init__(self, params, config):
+        self.config = config
+        self.m = [np.zeros_like(a) for a in params.arrays()]
+        self.v = [np.zeros_like(a) for a in params.arrays()]
+        self.t = 0
+
+    def step(self, params, grads):
+        c = self.config
+        self.t += 1
+        for k, (arr, g) in enumerate(zip(params.arrays(), grads.arrays())):
+            self.m[k] = c.beta1 * self.m[k] + (1.0 - c.beta1) * g
+            self.v[k] = c.beta2 * self.v[k] + (1.0 - c.beta2) * g**2
+            m_hat = self.m[k] / (1.0 - c.beta1**self.t)
+            v_hat = self.v[k] / (1.0 - c.beta2**self.t)
+            arr -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.eps)
+
+
+class TestFlatAdam:
+    def test_fifty_steps_bitwise_equal_to_the_per_array_step(self):
+        config = TrainConfig(learning_rate=1e-3)
+        init = init_params(seed=4, in_dim=10, hidden=7)
+        flat = flatten_params(init)
+        reference = set_flat(init, flat.copy())
+        flat_adam = nncift.network._Adam(flat.size, config)
+        per_array = PerArrayAdam(reference, config)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            # magnitudes from 1e-8 to 1e2, both signs
+            grad = rng.choice([-1.0, 1.0], flat.size) * 10.0 ** rng.uniform(-8, 2, flat.size)
+            flat_adam.step(flat, grad)
+            per_array.step(reference, set_flat(init, grad))
+        assert flat.tobytes() == flatten_params(reference).tobytes()
+        assert flat_adam.m.tobytes() == np.concatenate([m.reshape(-1) for m in per_array.m]).tobytes()
+
+
+def factored_gradients(params, left, right, rows, cols, targets):
+    grads = MlpParams(*(np.zeros_like(a) for a in params.arrays()))
+    nncift.network._factored_gradients(params, grads, left, right, np.asarray(rows),
+                                       np.asarray(cols), np.asarray(targets))
+    return grads
+
+
+def dense_train(x, targets, config):
+    """train's loop on concatenated pair rows: loss_and_gradients, the flat
+    Adam and a full forward for each epoch's loss."""
+    norm = NormStats.fit(targets)
+    t_norm = norm.normalize(targets)
+    init = init_params(config.seed, in_dim=x.shape[1], hidden=config.hidden)
+    flat = flatten_params(init)
+    params = set_flat(init, flat)
+    optimizer = nncift.network._Adam(flat.size, config)
+    shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 1))))
+    losses = []
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(x))
+        for start in range(0, len(x), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            _, grads = loss_and_gradients(params, x[batch], t_norm[batch])
+            optimizer.step(flat, flatten_params(grads))
+        y, _, _ = nncift.network._forward_batch(params, x)
+        losses.append(float(np.mean((y.reshape(-1) - t_norm) ** 2)))
+    return params, losses
+
+
+class TestFactoredTraining:
+    @pytest.mark.parametrize("cells", [
+        [0, 6, 13, 7, 20, 34, 2, 9, 27, 16, 8, 31, 22],  # rows and columns repeat
+        [10, 12, 11, 14],  # one row
+        [1, 16, 6, 31, 21],  # one column
+        [23],  # one cell
+    ])
+    def test_step_matches_loss_and_gradients_on_pair_rows(self, cells):
+        pair = embedding_pair(7, 5, 3, seed=4)
+        params = init_params(seed=6, in_dim=6, hidden=9)
+        rows, cols = np.divmod(np.array(cells), 5)
+        targets = np.random.default_rng(1).random(len(cells))
+        x = build_pair_features(pair, range(7), range(5))[cells]
+        mse, expected = loss_and_gradients(params, x, targets)
+        got = factored_gradients(params, pair.fine_tune.rows.astype(np.float64),
+                                 pair.target.rows.astype(np.float64), rows, cols, targets)
+        for a, b in zip(got.arrays(), expected.arrays()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("size", [1, 3, 9])
+    def test_group_sum_is_add_at_in_row_order(self, size):
+        rng = np.random.default_rng(size)
+        index = rng.integers(0, size, 40)
+        values = rng.standard_normal((40, 5)) * 10.0 ** rng.uniform(-8, 2, (40, 1))
+        distinct, inverse = nncift.network._distinct(index, size)
+        expected = np.zeros((len(distinct), 5))
+        np.add.at(expected, np.searchsorted(distinct, index), values)
+        got = nncift.network._group_sum(values, inverse, len(distinct))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_pointwise_step_is_the_m_by_1_case(self):
+        left = np.random.default_rng(2).standard_normal((30, 4))
+        params = init_params(seed=1, in_dim=4, hidden=6)
+        rows = np.random.default_rng(3).permutation(30)[:11]
+        targets = np.random.default_rng(4).random(11)
+        _, expected = loss_and_gradients(params, left[rows], targets)
+        got = factored_gradients(params, left, np.zeros((1, 0)), rows, np.zeros(11, np.int64), targets)
+        for a, b in zip(got.arrays(), expected.arrays()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m, n, batch_size", [(9, 7, 16), (12, 3, 5), (20, 1, 7)])
+    def test_train_matches_the_dense_loop(self, m, n, batch_size):
+        pair = embedding_pair(m, n, 4, seed=m)
+        targets = np.random.default_rng(n).standard_normal(m * n)
+        config = TrainConfig(epochs=5, batch_size=batch_size, learning_rate=1e-2, seed=3, hidden=8)
+        result = train(pair.fine_tune.rows, pair.target.rows, targets, config)
+        expected, losses = dense_train(build_pair_features(pair, range(m), range(n)), targets, config)
+        for a, b in zip(result.params.arrays(), expected.arrays()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.epoch_losses, losses, rtol=0, atol=1e-12)
+
+    def test_pointwise_train_matches_the_dense_loop(self):
+        left = np.random.default_rng(5).standard_normal((40, 6))
+        targets = np.random.default_rng(6).random(40)
+        config = TrainConfig(epochs=4, batch_size=16, learning_rate=1e-2, seed=2, hidden=5)
+        result = train(left, np.zeros((1, 0)), targets, config)
+        expected, losses = dense_train(left, targets, config)
+        for a, b in zip(result.params.arrays(), expected.arrays()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.epoch_losses, losses, rtol=0, atol=1e-12)
+
+    def test_misaligned_targets_rejected(self):
+        with pytest.raises(ValueError, match="misaligned"):
+            train(np.zeros((3, 2)), np.zeros((4, 2)), np.zeros(11), TrainConfig())
+
+    def test_non_finite_targets_rejected(self):
+        targets = np.zeros(12)
+        targets[5] = np.nan
+        with pytest.raises(DataValidationError):
+            train(np.zeros((3, 2)), np.zeros((4, 2)), targets, TrainConfig())
+
+    def test_empty_target_side_rejected(self):
+        with pytest.raises(TrainingError):
+            train(np.zeros((3, 2)), np.zeros((0, 2)), np.zeros(0), TrainConfig())
 
 
 def embedding_pair(m, n, dim, seed=0):
@@ -291,17 +438,30 @@ class TestEstimatePairwise:
                     feature = np.concatenate([pair.fine_tune.rows[i], pair.target.rows[j]])
                     assert matrix.values[i, j] == np.float32(forward(params, feature))
 
-    def test_builds_no_pair_features(self, monkeypatch):
+    def test_builds_no_pair_features(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
-            raise AssertionError("estimation must not build pair features")
+            raise AssertionError("training and estimation must not build pair features")
 
         monkeypatch.setattr(nncift.network, "build_pair_features", refuse)
+        monkeypatch.setattr(nncift.cli, "build_pair_features", refuse, raising=False)
         pair = embedding_pair(6, 5, 3)
         params = init_params(seed=1, in_dim=6, hidden=4)
         ledger = CostLedger()
         matrix = estimate_pairwise(params, pair, range(6), range(5), ledger)
         assert matrix.valid_count() == 30
         assert ledger.estimator_forwards == 30
+
+        # a pairwise train-estimate run: the corner is trained on, then every cell estimated
+        pair = embedding_pair(30, 20, 4, seed=2)
+        config = {"method": "delift_se", "u": 0.2, "v": 0.3, "seed": 1}
+        for key, side in (("fine_tune_embeddings", pair.fine_tune), ("target_embeddings", pair.target)):
+            save_embeddings(side, tmp_path / f"{key}.emb")
+            config[key] = str(tmp_path / f"{key}.emb")
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        for step in ("valuate", "train-estimate"):
+            assert nncift.cli.main([step, "--config", str(tmp_path / "config.json"),
+                                    "--out", str(tmp_path / "run")]) == 0
+        assert load_influence(tmp_path / "run" / "full.nnk").fully_valid
 
     def test_factored_block_equals_concatenated_forward(self, monkeypatch):
         # 200 cells per chunk: the 37 x 29 block below spans six chunks
@@ -435,7 +595,7 @@ class TestParamsFile:
     def test_round_trip_bit_exact(self, tmp_path):
         features, _ = toy_training_set(count=40, in_dim=4)
         targets = np.random.default_rng(3).uniform(-1, 1, 40)
-        result = train(features, targets, TrainConfig(epochs=2, hidden=3, seed=1))
+        result = train(features, np.zeros((1, 0)), targets, TrainConfig(epochs=2, hidden=3, seed=1))
         path = tmp_path / "params.json"
         save_params(result.params, path, result.norm, seed=1,
                     optimizer=TrainConfig().optimizer_metadata())
