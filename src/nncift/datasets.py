@@ -6,7 +6,8 @@ Two interchangeable file formats hold an embedding matrix:
   uint32 row count, bytes 12-15 little-endian uint32 dim, then
   ``count * dim`` IEEE-754 float32 little-endian values, row-major.
 * JSON lines: one object per row, ``{"idx": int, "vec": [float, ...]}``,
-  rows in ascending ``idx`` with no gaps.
+  rows in ascending ``idx`` with no gaps, each ``vec`` a non-empty list
+  of numbers of one common length.
 
 Rows are opaque vectors; whatever produced them (and from which text) is
 upstream of this module.
@@ -219,6 +220,10 @@ def _load_emb1(raw: bytes, path: Path) -> EmbeddingMatrix:
     return EmbeddingMatrix(rows=rows.copy())
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_jsonl(path: Path) -> EmbeddingMatrix:
     rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -236,7 +241,10 @@ def _load_jsonl(path: Path) -> EmbeddingMatrix:
                 raise FileFormatError(
                     f"{path}:{lineno + 1}: idx {record['idx']} out of order (expected {len(rows)})"
                 )
-            rows.append(record["vec"])
+            vec = record["vec"]
+            if not (isinstance(vec, list) and vec and all(_is_number(v) for v in vec)):
+                raise FileFormatError(f"{path}:{lineno + 1}: vec must be a non-empty list of numbers")
+            rows.append(vec)
     if not rows:
         raise FileFormatError(f"{path}: no rows; empty matrices need the EMB1 format")
     widths = {len(r) for r in rows}
@@ -278,10 +286,12 @@ def load_texts(path: str | Path) -> dict[int, tuple[str, str]]:
                 raise FileFormatError(f"{path}:{lineno + 1}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict) or not {"idx", "prompt", "response"} <= obj.keys():
                 raise FileFormatError(f"{path}:{lineno + 1}: expected idx/prompt/response object")
-            idx = obj["idx"]
-            if not isinstance(idx, int) or idx < 0:
+            idx, prompt, response = obj["idx"], obj["prompt"], obj["response"]
+            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
                 raise FileFormatError(f"{path}:{lineno + 1}: idx must be a nonnegative integer")
+            if not (isinstance(prompt, str) and isinstance(response, str)):
+                raise FileFormatError(f"{path}:{lineno + 1}: prompt and response must be strings")
             if idx in records:
                 raise FileFormatError(f"{path}:{lineno + 1}: duplicate idx {idx}")
-            records[idx] = (str(obj["prompt"]), str(obj["response"]))
+            records[idx] = (prompt, response)
     return records

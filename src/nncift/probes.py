@@ -11,8 +11,9 @@ Providers:
   valid ranges.
 * file: replays responses stored in a JSON-lines record file, keyed by
   the caller-supplied record key. Never touches the network.
-* http: JSON-over-HTTP client on a keep-alive connection pool, with
-  retries and per-attempt cost accounting.
+* http: JSON-over-HTTP client with retries and per-attempt cost
+  accounting, on a pool of keep-alive HTTP/1.1 connections written on
+  `socket`: a request goes out in one send and its reply is read by hand.
 
 `target_logprobs_batch` answers a list of requests in request order; over
 an http provider it keeps up to `max_in_flight` of them in flight at once.
@@ -26,8 +27,9 @@ import math
 import numbers
 import os
 import queue
+import re
 import select
-import ssl
+import socket
 import threading
 import time
 import weakref
@@ -35,7 +37,6 @@ from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
 from typing import Iterator, Sequence
 from urllib.parse import SplitResult, urlsplit
@@ -244,7 +245,134 @@ def _split_base_url(url) -> SplitResult:
     raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {url!r}")
 
 
-def _close_all(connections: list[HTTPConnection]) -> None:
+def _check_header_values(base_url: str, token: object) -> None:
+    """Raise ConfigError for a base_url or token that the request line or a
+    header cannot carry as it is; a CR or LF in either would inject headers."""
+    if not (base_url.isascii() and base_url.isprintable()) or " " in base_url:
+        raise ConfigError(f"probe.base_url must be printable ASCII without spaces, got {base_url!r}")
+    # the value is a secret: the message does not echo it
+    if token is not None and not (isinstance(token, str) and token.isascii() and token.isprintable()):
+        raise ConfigError(f"probe.token (or {TOKEN_ENV_VAR}) must be a string of printable ASCII")
+
+
+_MAX_HEAD = 65536  # bytes in one reply's status line and headers, or one chunk-size line
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+
+
+class _TransportError(OSError):
+    """A reply the client cannot read; charged and retried like a lost connection."""
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection. A request goes out in one send;
+    the reply's head is read by hand and its body framed by chunked
+    transfer coding, Content-Length or the end of the connection. The
+    socket opens on the first request and again after close()."""
+
+    def __init__(self, address: tuple[str, int], timeout: float, tls):
+        self._address = address
+        self._timeout = timeout
+        self._tls = tls  # an ssl.SSLContext for https, else None
+        self.sock = None
+        self._reader = None
+
+    def _open(self) -> None:
+        sock = socket.create_connection(self._address, self._timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        self.sock, self._reader = sock, sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self._reader.close()
+            self.sock.close()
+            self.sock = self._reader = None
+
+    def exchange(self, request: bytes) -> tuple[int, bytes]:
+        """Send one whole request; return the final reply's status and body."""
+        if self.sock is None:
+            self._open()
+        self.sock.sendall(request)
+        version, status, headers = self._read_head()
+        while status < 200:  # 1xx replies carry no body
+            version, status, headers = self._read_head()
+        tokens = {t.strip() for t in headers.get(b"connection", b"").lower().split(b",")}
+        keep_alive = b"close" not in tokens and (version != b"HTTP/1.0" or b"keep-alive" in tokens)
+        if status in (204, 304):
+            body = b""
+        elif headers.get(b"transfer-encoding", b"").lower().rstrip().endswith(b"chunked"):
+            body = self._read_chunked()
+        elif b"content-length" in headers:
+            length = headers[b"content-length"]
+            if not length.isdigit():
+                raise _TransportError(f"bad Content-Length {length[:40]!r}")
+            body = self._read_exactly(int(length))
+        else:
+            body, keep_alive = self._reader.read(), False
+        if not keep_alive:
+            self.close()
+        return status, body
+
+    def _readline(self, limit: int) -> bytes:
+        line = self._reader.readline(limit + 1)
+        if len(line) > limit:
+            raise _TransportError(f"reply head or chunk line over {_MAX_HEAD} bytes")
+        if not line.endswith(b"\n"):
+            raise _TransportError("connection closed before the reply ended")
+        return line
+
+    def _read_exactly(self, size: int) -> bytes:
+        data = self._reader.read(size)
+        if len(data) < size:
+            raise _TransportError("connection closed before the reply ended")
+        return data
+
+    def _read_head(self) -> tuple[bytes, int, dict[bytes, bytes]]:
+        """One reply's HTTP version, status and headers (names lower-cased,
+        repeated headers joined with commas)."""
+        budget = _MAX_HEAD
+        line = self._readline(budget)
+        budget -= len(line)
+        version, _, rest = line.rstrip().partition(b" ")
+        code = rest[:3]
+        if not (version.startswith(b"HTTP/1.") and code.isdigit() and rest[3:4] in (b"", b" ")
+                and int(code) >= 100):
+            raise _TransportError(f"malformed status line {line[:80]!r}")
+        headers: dict[bytes, bytes] = {}
+        while True:
+            line = self._readline(budget)
+            budget -= len(line)
+            if line in (b"\r\n", b"\n"):
+                return version, int(code), headers
+            name, colon, value = line.partition(b":")
+            if not colon:
+                raise _TransportError(f"malformed header line {line[:80]!r}")
+            name, value = name.strip().lower(), value.strip()
+            headers[name] = headers[name] + b", " + value if name in headers else value
+
+    def _read_chunked(self) -> bytes:
+        chunks = []
+        while True:
+            size = self._readline(_MAX_HEAD).split(b";", 1)[0].strip()
+            if not _CHUNK_SIZE.fullmatch(size):
+                raise _TransportError(f"bad chunk size {size[:40]!r}")
+            if int(size, 16) == 0:
+                break
+            chunk = self._read_exactly(int(size, 16) + 2)
+            if not chunk.endswith(b"\r\n"):
+                raise _TransportError("chunk not followed by CRLF")
+            chunks.append(chunk[:-2])
+        while self._readline(_MAX_HEAD) not in (b"\r\n", b"\n"):  # trailer fields
+            pass
+        return b"".join(chunks)
+
+
+def _close_all(connections: list[_Connection]) -> None:
     for conn in connections:
         conn.close()
 
@@ -255,19 +383,20 @@ class _ConnectionPool:
     more than `size` requests, or connections, are ever open at once."""
 
     def __init__(self, parts: SplitResult, size: int, timeout: float):
+        tls = None
         if parts.scheme == "https":
-            connect = partial(HTTPSConnection, context=ssl.create_default_context())
-        else:
-            connect = HTTPConnection
-        # a connection opens its socket on its first request and again after close()
-        self._connections = [connect(parts.hostname, parts.port, timeout=timeout) for _ in range(size)]
+            import ssl  # only an https origin pays for loading it
+
+            tls = ssl.create_default_context()
+        address = (parts.hostname, parts.port or (443 if tls else 80))
+        self._connections = [_Connection(address, timeout, tls) for _ in range(size)]
         self._idle = queue.LifoQueue()
         for conn in self._connections:
             self._idle.put(conn)
         # callers drop providers unclosed: close the sockets when the pool is collected
         weakref.finalize(self, _close_all, self._connections)
 
-    def post(self, path: str, body: bytes, headers: dict) -> tuple[int, bytes]:
+    def post(self, request: bytes) -> tuple[int, bytes]:
         """One request on a pooled connection: the status and the whole body."""
         conn = self._idle.get()
         try:
@@ -275,9 +404,7 @@ class _ConnectionPool:
             # peer: reconnect rather than spend an attempt on it
             if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
                 conn.close()
-            conn.request("POST", path, body, headers)
-            response = conn.getresponse()
-            return response.status, response.read()
+            return conn.exchange(request)
         except BaseException:
             conn.close()  # its state is unknown: the next request reconnects
             raise
@@ -289,7 +416,7 @@ class _ConnectionPool:
 
 
 class HttpProvider(_Provider):
-    """JSON-over-HTTP probe client on the standard library's http.client.
+    """JSON-over-HTTP probe client on a pool of keep-alive HTTP/1.1 connections.
 
     Endpoints: POST /v1/logprobs {"context","target"} -> {"token_logprobs"};
     POST /v1/token_max_probs {"context","target"} -> {"max_probs"}.
@@ -298,13 +425,17 @@ class HttpProvider(_Provider):
     backoff; every attempt charges one forward call because the serving
     cost was paid whether or not the answer arrived, and an attempt that
     got no answer also counts as a failed forward. Other HTTP errors and
-    bodies that are not a JSON object fail immediately.
+    bodies that are not a JSON object fail immediately. A reply the client
+    cannot read (a malformed status line or header, a head over 64 KiB, a
+    connection closed mid-reply) is a transport error.
 
     Requests go over a pool of max_in_flight keep-alive connections,
     which caps the requests, and the connections, open at once across
     threads that share the provider. `target_logprobs_batch` runs that
     many requests at once, so delift's corner keeps up to max_in_flight
-    (default 8) in flight. Proxy environment variables are not read.
+    (default 8) in flight. Proxy environment variables are not read; the
+    token, from the argument or NNCIFT_HTTP_TOKEN, and the URL must be
+    printable ASCII (ConfigError otherwise, before any attempt).
     """
 
     def __init__(
@@ -324,21 +455,26 @@ class HttpProvider(_Provider):
         self.backoff = backoff
         self.max_in_flight = max_in_flight
         parts = _split_base_url(self.base_url)
+        _check_header_values(self.base_url, self.token)
         self._path = parts.path
+        host = parts.netloc.rpartition("@")[2]  # the URL's host and port, without user info
+        # every request's headers but Content-Length, which each request adds
+        self._headers = f"Host: {host}\r\nAccept-Encoding: identity\r\nContent-Type: application/json\r\n"
+        if self.token:
+            self._headers += f"Authorization: Bearer {self.token}\r\n"
         self._session = _ConnectionPool(parts, max_in_flight, timeout)
 
     def _post(self, endpoint: str, body: dict, ledger: CostLedger) -> dict:
         url = f"{self.base_url}{endpoint}"
         raw = json.dumps(body).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
+        request = (f"POST {self._path}{endpoint} HTTP/1.1\r\n{self._headers}"
+                   f"Content-Length: {len(raw)}\r\n\r\n").encode("ascii") + raw
         last_error: Exception | None = None
         for attempt in range(self.retries):
             ledger.add_forward(1)
             try:
-                status, data = self._session.post(self._path + endpoint, raw, headers)
-            except (OSError, HTTPException) as exc:
+                status, data = self._session.post(request)
+            except OSError as exc:
                 last_error = ProbeError(f"{url}: attempt {attempt + 1} failed: {exc}")
                 ledger.add_failed_forward(1)
             else:
@@ -460,6 +596,8 @@ def check_probe_spec(spec) -> None:
             _split_base_url(spec["base_url"])
         except ValueError as exc:
             raise ConfigError(f"probe.{exc}") from None
+        token = spec.get("token")
+        _check_header_values(spec["base_url"], os.environ.get(TOKEN_ENV_VAR) if token is None else token)
         _check_http_options({name: spec[name] for name in _HTTP_OPTIONS if name in spec})
 
 

@@ -1,6 +1,11 @@
+import datetime
 import hashlib
+import ipaddress
 import json
 import math
+import socket
+import socketserver
+import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -96,6 +101,78 @@ class IdleClosingHandler(KeepAliveHandler):
     timeout = 0.2  # closes a keep-alive connection idle this long
 
 
+class RawReplyHandler(socketserver.StreamRequestHandler):
+    """Reads HTTP/1.1 requests off one connection and answers each with the
+    server's next scripted reply, written byte for byte as scripted."""
+
+    def setup(self):
+        super().setup()
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.server.count("connections", 1)
+
+    def handle(self):
+        while True:
+            head = [self.rfile.readline(65537)]
+            while head[-1] not in (b"\r\n", b"\n", b""):
+                head.append(self.rfile.readline(65537))
+            if not head[-1]:
+                return  # the client closed the connection
+            length = next((int(line.split(b":", 1)[1]) for line in head
+                           if line.lower().startswith(b"content-length:")), 0)
+            self.server.requests.append({"head": b"".join(head), "body": self.rfile.read(length)})
+            raw, after = self.server.next_reply()
+            step = 1 if self.server.dribble else max(len(raw), 1)
+            try:
+                for start in range(0, len(raw), step):
+                    self.wfile.write(raw[start:start + step])
+                    if self.server.dribble:
+                        time.sleep(0.0005)
+            except OSError:
+                return  # the client gave up on the reply
+            if after == "eof":  # the end of the connection ends the body
+                self.request.shutdown(socket.SHUT_WR)
+            if after != "keep":
+                self.rfile.read()  # answer nothing more; wait for the client to close
+                return
+
+
+class RawReplyServer(socketserver.ThreadingTCPServer):
+    """Loopback server whose replies are raw bytes: `script` holds
+    (reply, after) pairs, one per request, where `after` is "keep" (keep
+    the connection), "eof" (close the sending side: the end of the body) or
+    "ignore" (answer nothing more on it). An empty script answers with
+    `raw_reply()`. With `dribble` set, replies go out one byte at a time."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), RawReplyHandler)
+        self.requests = []
+        self.script = []
+        self.dribble = False
+        self._lock = threading.Lock()
+        self.total = {"connections": 0}
+
+    def count(self, name, step):
+        with self._lock:
+            self.total[name] += step
+
+    def next_reply(self):
+        with self._lock:
+            return self.script.pop(0) if self.script else (raw_reply(), "keep")
+
+    @property
+    def url(self):
+        return f"http://127.0.0.1:{self.server_address[1]}"
+
+
+def raw_reply(payload=None, status=b"200 OK", headers=b""):
+    """An HTTP/1.1 reply framed by Content-Length, with extra header lines."""
+    body = json.dumps(payload or {"token_logprobs": [-0.5, -0.25]}).encode()
+    return (b"HTTP/1.1 " + status + b"\r\nContent-Type: application/json\r\n" + headers
+            + b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body)
+
+
 def request_digest(context, target):
     return hashlib.sha256(json.dumps([context, target]).encode("utf-8")).digest()
 
@@ -164,3 +241,57 @@ def slow_server():
 @pytest.fixture()
 def idle_closing_server():
     yield from serve(ProbeServer(IdleClosingHandler))
+
+
+@pytest.fixture()
+def raw_server():
+    yield from serve(RawReplyServer())
+
+
+def self_signed_certificate(directory):
+    """A certificate and key for 127.0.0.1, written as PEM files."""
+    x509 = pytest.importorskip("cryptography.x509")
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(x509.oid.NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (x509.CertificateBuilder().subject_name(name).issuer_name(name)
+            .public_key(key.public_key()).serial_number(x509.random_serial_number())
+            .not_valid_before(now - datetime.timedelta(minutes=5))
+            .not_valid_after(now + datetime.timedelta(days=1))
+            .add_extension(x509.SubjectAlternativeName(
+                [x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), critical=False)
+            .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+            .add_extension(x509.SubjectKeyIdentifier.from_public_key(key.public_key()), critical=False)
+            .sign(key, hashes.SHA256()))
+    cert_path, key_path = directory / "cert.pem", directory / "key.pem"
+    cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_path.write_bytes(key.private_bytes(serialization.Encoding.PEM,
+                                           serialization.PrivateFormat.PKCS8,
+                                           serialization.NoEncryption()))
+    return cert_path, key_path
+
+
+class TlsProbeServer(ProbeServer):
+    """ProbeServer with keep-alive, over TLS with the given certificate."""
+
+    def __init__(self, cert_path, key_path):
+        super().__init__(KeepAliveHandler)
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(cert_path, key_path)
+        self.socket = context.wrap_socket(self.socket, server_side=True)
+
+    @property
+    def url(self):
+        return f"https://127.0.0.1:{self.server_address[1]}"
+
+
+@pytest.fixture()
+def tls_server(tmp_path, monkeypatch):
+    """An https probe server whose self-signed certificate the default
+    verifying context trusts through SSL_CERT_FILE."""
+    cert_path, key_path = self_signed_certificate(tmp_path)
+    monkeypatch.setenv("SSL_CERT_FILE", str(cert_path))
+    yield from serve(TlsProbeServer(cert_path, key_path))

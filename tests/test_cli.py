@@ -50,6 +50,14 @@ def write_config(tmp_path, method="delift_se", m=40, n=40, dim=8, name="config.j
     return path
 
 
+def write_texts(tmp_path, m=20, n=10):
+    """Text records for m fine-tuning and n target rows; the config keys naming them."""
+    texts = {"fine_tune_texts": tmp_path / "fine.jsonl", "target_texts": tmp_path / "target.jsonl"}
+    for count, path in zip((m, n), texts.values()):
+        save_texts({i: (f"prompt {i}", f"response {i}") for i in range(count)}, path)
+    return {key: str(path) for key, path in texts.items()}
+
+
 def read_json(path):
     return json.loads(Path(path).read_text())
 
@@ -185,6 +193,53 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
         assert f"{key}: cannot read {missing}" in capsys.readouterr().err
         assert not (out / "q1.nnk").exists()
+
+    @pytest.mark.parametrize("bad", ["vec", "prompt"])
+    def test_malformed_input_rows_exit_2_before_any_probe(self, tmp_path, capsys, bad):
+        # a text that is not a string used to be probed as its str(), e.g. "None"
+        overrides = write_texts(tmp_path)
+        if bad == "vec":
+            rows = tmp_path / "fine_rows.jsonl"
+            rows.write_text("".join(json.dumps({"idx": i, "vec": [0.5, 1.0 if i != 3 else "x"]}) + "\n"
+                                    for i in range(20)))
+            overrides["fine_tune_embeddings"] = str(rows)
+            where = "fine_rows.jsonl:4"
+        else:
+            target = Path(overrides["target_texts"])
+            lines = target.read_text().splitlines()
+            lines[2] = json.dumps({"idx": 2, "prompt": None, "response": "r"})
+            target.write_text("\n".join(lines) + "\n")
+            where = "target.jsonl:3"
+        config = write_config(tmp_path, method="delift", m=20, n=10, **overrides)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert where in capsys.readouterr().err
+        assert not (out / "q1.nnk").exists()
+
+    @pytest.mark.parametrize("probe", [
+        {"token": "abc\r\nX-Evil: 1"},
+        {"token": "\u20ac"},
+        {"base_url": "http://127.0.0.1:9/a b"},
+        {"base_url": "http://127.0.0.1:9/\u00e9"},
+    ], ids=["token-crlf", "token-non-ascii", "base_url-space", "base_url-non-ascii"])
+    def test_header_value_a_request_cannot_carry_exits_2_before_any_probe(
+            self, tmp_path, capsys, monkeypatch, probe_server, probe):
+        monkeypatch.delenv("NNCIFT_HTTP_TOKEN", raising=False)
+        spec = {"provider": "http", "base_url": probe_server.url, **probe}
+        config = write_config(tmp_path, method="delift", m=20, n=10, probe=spec, **write_texts(tmp_path))
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        assert f"probe.{next(iter(probe))}" in capsys.readouterr().err
+        assert probe_server.requests == []
+
+    def test_token_from_the_environment_is_checked_before_any_probe(
+            self, tmp_path, capsys, monkeypatch, probe_server):
+        monkeypatch.setenv("NNCIFT_HTTP_TOKEN", "abc\r\nX-Evil: 1")
+        config = write_config(tmp_path, method="delift", m=20, n=10,
+                              probe={"provider": "http", "base_url": probe_server.url},
+                              **write_texts(tmp_path))
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        assert "probe.token" in capsys.readouterr().err
+        assert probe_server.requests == []
 
     def test_stale_artifacts_from_other_seed_exit_2(self, tmp_path):
         config = write_config(tmp_path)

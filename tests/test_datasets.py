@@ -156,6 +156,13 @@ class TestJsonlFormat:
         with pytest.raises(FileFormatError):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("vec", ['[1.0, "x"]', "[[1.0, 2.0]]", "[true]", "[]", '"1.0"', "null"])
+    def test_row_that_is_not_a_list_of_numbers(self, tmp_path, vec):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"idx": 0, "vec": [1.0]}\n{"idx": 1, "vec": %s}\n' % vec)
+        with pytest.raises(FileFormatError, match=r"m\.jsonl:2: vec must be a non-empty list of numbers"):
+            load_embeddings(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text("")
@@ -348,4 +355,17 @@ class TestTexts:
         path = tmp_path / "texts.jsonl"
         path.write_text('{"idx": 0, "prompt": "a"}\n')
         with pytest.raises(FileFormatError):
+            load_texts(path)
+
+    @pytest.mark.parametrize("record, error", [
+        ('"idx": 0, "prompt": null, "response": "b"', "prompt and response must be strings"),
+        ('"idx": 0, "prompt": "a", "response": 4', "prompt and response must be strings"),
+        ('"idx": 0, "prompt": ["a"], "response": "b"', "prompt and response must be strings"),
+        ('"idx": true, "prompt": "a", "response": "b"', "idx must be a nonnegative integer"),
+        ('"idx": "0", "prompt": "a", "response": "b"', "idx must be a nonnegative integer"),
+    ])
+    def test_field_of_the_wrong_type(self, tmp_path, record, error):
+        path = tmp_path / "texts.jsonl"
+        path.write_text("{%s}\n" % record)
+        with pytest.raises(FileFormatError, match=rf"texts\.jsonl:1: {error}"):
             load_texts(path)

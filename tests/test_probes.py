@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import raw_reply
 from nncift.cli import main
 from nncift.datasets import EmbeddingMatrix, save_embeddings, save_texts
 from nncift.errors import (
@@ -395,6 +399,215 @@ class TestTargetLogprobsBatch:
             target_logprobs_batch(FileProvider(path), batch_requests(3), ledger)
         # the loop stops at the failure: request 2 is never asked for
         assert ledger.forward_calls == 1
+
+
+def chunked(payload):
+    body = json.dumps(payload).encode()
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"".join(b"%x;ext=1\r\n%s\r\n" % (len(body[k:k + 7]), body[k:k + 7])
+                       for k in range(0, len(body), 7))
+            + b"0\r\nX-Trailer: t\r\n\r\n")
+
+
+VALUES = [-0.125, -2.0]
+
+
+class TestHttpTransport:
+    """How the client frames, reuses and gives up on replies, on raw replies."""
+
+    def probe_twice(self, server):
+        """The answers to two sequential probes, and the ledger that paid for them."""
+        provider = HttpProvider(server.url, backoff=0, timeout=2)
+        ledger = CostLedger()
+        answers = [provider.target_logprobs("c", f"t{k}", ledger) for k in range(2)]
+        return answers, ledger
+
+    def test_chunked_reply_keeps_its_connection(self, raw_server):
+        raw_server.script = [(chunked({"token_logprobs": VALUES}), "keep")]
+        answers, ledger = self.probe_twice(raw_server)
+        assert answers == [VALUES, [-0.5, -0.25]]
+        assert (ledger.forward_calls, ledger.failed_forwards) == (2, 0)
+        assert raw_server.total["connections"] == 1
+
+    @pytest.mark.parametrize("reply", [
+        raw_reply({"token_logprobs": VALUES}, headers=b"Connection: close\r\n"),
+        raw_reply({"token_logprobs": VALUES}).replace(b"HTTP/1.1", b"HTTP/1.0"),
+    ], ids=["connection-close", "http-1.0"])
+    def test_reply_that_ends_the_connection_is_not_reused(self, raw_server, reply):
+        # the server keeps the socket open but answers nothing more on it:
+        # reusing it would time out and charge a failed forward
+        raw_server.script = [(reply, "ignore")]
+        answers, ledger = self.probe_twice(raw_server)
+        assert answers == [VALUES, [-0.5, -0.25]]
+        assert (ledger.forward_calls, ledger.failed_forwards) == (2, 0)
+        assert raw_server.total["connections"] == 2
+
+    def test_http_1_0_keep_alive_reply_keeps_its_connection(self, raw_server):
+        reply = raw_reply({"token_logprobs": VALUES}, headers=b"Connection: Keep-Alive\r\n")
+        raw_server.script = [(reply.replace(b"HTTP/1.1", b"HTTP/1.0"), "keep")]
+        answers, ledger = self.probe_twice(raw_server)
+        assert answers == [VALUES, [-0.5, -0.25]]
+        assert raw_server.total["connections"] == 1
+
+    def test_http_1_0_reply_without_length_is_read_to_the_end(self, raw_server):
+        body = json.dumps({"token_logprobs": VALUES}).encode()
+        raw_server.script = [(b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + body, "eof")]
+        answers, ledger = self.probe_twice(raw_server)
+        assert answers == [VALUES, [-0.5, -0.25]]
+        assert (ledger.forward_calls, ledger.failed_forwards) == (2, 0)
+        assert raw_server.total["connections"] == 2
+
+    @pytest.mark.parametrize("framing", ["length", "chunked"])
+    def test_reply_dribbled_one_byte_at_a_time(self, raw_server, framing):
+        raw_server.dribble = True
+        payload = {"token_logprobs": VALUES}
+        raw_server.script = [(raw_reply(payload) if framing == "length" else chunked(payload), "keep")]
+        answers, ledger = self.probe_twice(raw_server)
+        assert answers == [VALUES, [-0.5, -0.25]]
+        assert (ledger.forward_calls, ledger.failed_forwards) == (2, 0)
+        assert raw_server.total["connections"] == 1
+
+    def test_informational_replies_are_skipped(self, raw_server):
+        preamble = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\n"
+        raw_server.script = [(preamble + raw_reply({"token_logprobs": VALUES}), "keep")]
+        answers, ledger = self.probe_twice(raw_server)
+        assert answers == [VALUES, [-0.5, -0.25]]
+        assert (ledger.forward_calls, ledger.failed_forwards) == (2, 0)
+
+    @pytest.mark.parametrize("reply, after", [
+        (b"SPDY/9 200 OK\r\n\r\n{}", "keep"),
+        (b"HTTP/1.1 2OO OK\r\nContent-Length: 2\r\n\r\n{}", "keep"),
+        (b"HTTP/1.1 200 OK\r\nno colon here\r\nContent-Length: 2\r\n\r\n{}", "keep"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\n{}", "keep"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n", "keep"),
+        (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n{}", "keep"),
+        (raw_reply()[:-3], "eof"),  # the peer closes mid-body
+        (b"HTTP/1.1 200 OK\r\nContent-Le", "eof"),  # the peer closes mid-head
+    ], ids=["status-protocol", "status-code", "header-line", "content-length", "chunk-size",
+            "header-line-over-64k", "closed-mid-body", "closed-mid-head"])
+    def test_unreadable_reply_is_a_failed_forward_and_retried(self, raw_server, reply, after):
+        raw_server.script = [(reply, after)]
+        provider = HttpProvider(raw_server.url, backoff=0, timeout=2)
+        ledger = CostLedger()
+        assert provider.target_logprobs("c", "t", ledger) == [-0.5, -0.25]
+        assert (ledger.forward_calls, ledger.failed_forwards) == (2, 1)
+        assert len(raw_server.requests) == 2
+        assert raw_server.total["connections"] == 2
+
+    @pytest.mark.parametrize("reply, after, error", [
+        (b"garbage\r\n\r\n", "keep", "malformed status line"),
+        (b"HTTP/1.1 200 OK\r\n" + b"X-Pad: %s\r\n" % (b"a" * 90) * 700, "keep",
+         "reply head or chunk line over 65536 bytes"),
+        (b"HTTP/1.1 200 OK\r\n", "eof", "connection closed before the reply ended"),
+    ], ids=["garbage", "oversized", "closed"])
+    def test_unreadable_replies_exhaust_the_retries(self, raw_server, reply, after, error):
+        raw_server.script = [(reply, after)] * 2
+        provider = HttpProvider(raw_server.url, backoff=0, timeout=2, retries=2)
+        ledger = CostLedger()
+        with pytest.raises(ProbeError, match=f"attempt 2 failed: {error}"):
+            provider.target_logprobs("c", "t", ledger)
+        assert (ledger.forward_calls, ledger.failed_forwards) == (2, 2)
+
+    def test_request_line_and_headers(self, raw_server):
+        provider = HttpProvider(raw_server.url + "/api/", token="sekrit", backoff=0)
+        provider.target_logprobs("c", "t", CostLedger())
+        head, body = raw_server.requests[0]["head"], raw_server.requests[0]["body"]
+        lines = head.decode("ascii").split("\r\n")
+        assert lines[0] == "POST /api/v1/logprobs HTTP/1.1"
+        assert sorted(lines[1:-2]) == sorted([
+            f"Host: 127.0.0.1:{raw_server.server_address[1]}", "Accept-Encoding: identity",
+            f"Content-Length: {len(body)}", "Content-Type: application/json",
+            "Authorization: Bearer sekrit"])
+        assert json.loads(body) == {"context": "c", "target": "t"}
+
+    def test_https_round_trip_on_one_connection(self, tls_server):
+        provider = HttpProvider(tls_server.url, backoff=0)
+        ledger = CostLedger()
+        for k in range(3):
+            assert provider.target_logprobs("c", f"t{k}", ledger) == [-0.5, -0.25]
+        assert (ledger.forward_calls, ledger.failed_forwards) == (3, 0)
+        assert tls_server.total["connections"] == 1
+
+    def test_untrusted_certificate_is_a_failed_forward(self, tls_server, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", os.devnull)
+        monkeypatch.setenv("SSL_CERT_DIR", os.devnull)
+        provider = HttpProvider(tls_server.url, backoff=0, retries=2)
+        ledger = CostLedger()
+        with pytest.raises(ProbeError, match="CERTIFICATE_VERIFY_FAILED"):
+            provider.target_logprobs("c", "t", ledger)
+        assert (ledger.forward_calls, ledger.failed_forwards) == (2, 2)
+        assert tls_server.requests == []
+
+
+class TestHeaderValues:
+    """A token or URL a request cannot carry is a config error, before any attempt."""
+
+    @pytest.mark.parametrize("token", ["abc\r\nX-Evil: 1", "abc\n", "\u20ac", "tab\there", "\x7f"])
+    def test_bad_token_rejected_before_any_attempt(self, probe_server, token):
+        ledger = CostLedger()
+        with pytest.raises(ConfigError, match=r"probe\.token") as excinfo:
+            HttpProvider(probe_server.url, token=token).target_logprobs("c", "t", ledger)
+        assert token not in str(excinfo.value)  # a secret stays out of the message
+        assert ledger.forward_calls == 0
+        assert probe_server.requests == []
+
+    @pytest.mark.parametrize("path", ["/a b", "/\u00e9", "/a\r\nX-Evil: 1", "/\t"])
+    def test_bad_base_url_rejected(self, path):
+        with pytest.raises(ConfigError, match=r"probe\.base_url"):
+            HttpProvider("http://127.0.0.1:9" + path)
+        with pytest.raises(ConfigError, match=r"probe\.base_url"):
+            build_provider({"provider": "http", "base_url": "http://127.0.0.1:9" + path})
+
+    def test_token_from_the_environment_is_checked_with_the_spec(self, monkeypatch):
+        monkeypatch.setenv("NNCIFT_HTTP_TOKEN", "abc\r\nX-Evil: 1")
+        with pytest.raises(ConfigError, match=r"probe\.token"):
+            build_provider({"provider": "http", "base_url": "http://127.0.0.1:9"})
+        # a token in the spec wins over the environment
+        build_provider({"provider": "http", "base_url": "http://127.0.0.1:9", "token": "ok"})
+
+    def test_non_string_token_rejected(self):
+        with pytest.raises(ConfigError, match=r"probe\.token"):
+            build_provider({"provider": "http", "base_url": "http://127.0.0.1:9", "token": 5})
+
+
+def run_python(*options, code, argv=()):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *options, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_importing_the_cli_loads_no_http_client_email_ssl_or_requests():
+    proc = run_python(code="import json, sys, nncift.cli; print(json.dumps(list(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "nncift.probes" in loaded
+    assert not loaded & {"http.client", "email.parser", "ssl", "requests"}
+
+
+LEAK_CHECK = """
+import gc, sys
+from nncift.probes import CostLedger, HttpProvider, target_logprobs_batch
+
+ledger = CostLedger()
+for cap in (1, 4):
+    provider = HttpProvider(sys.argv[1], backoff=0, max_in_flight=cap)
+    requests = [(f"r{k}", f"context {k}", f"target {k}", str(k)) for k in range(12)]
+    target_logprobs_batch(provider, requests, ledger)
+    provider.target_logprobs("context", "target", ledger)
+    del provider
+    gc.collect()
+assert ledger.forward_calls == 26, ledger
+"""
+
+
+def test_dropped_providers_leave_no_open_socket(slow_server):
+    # every unclosed socket would print a ResourceWarning, made an error, on stderr
+    proc = run_python("-X", "dev", "-W", "error::ResourceWarning", code=LEAK_CHECK,
+                      argv=[slow_server.url])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 class TestBuildProvider:
