@@ -98,11 +98,15 @@ class InfluenceMatrix:
             mask=self.mask | other.mask,
         )
 
-    def to_bytes(self) -> bytes:
+    def _nnk_parts(self) -> tuple[bytes, np.ndarray, np.ndarray]:
+        """Header, float payload and packed mask, in file order; the
+        payload is a view of the values on a little-endian host."""
         header = _NNK_HEADER.pack(NNK_MAGIC, self.m, self.n)
-        payload = self.values.astype("<f4", copy=False).tobytes(order="C")
-        mask_bytes = np.packbits(self.mask.reshape(-1), bitorder="little").tobytes()
-        return header + payload + mask_bytes
+        payload = np.ascontiguousarray(self.values, dtype="<f4")
+        return header, payload, np.packbits(self.mask.reshape(-1), bitorder="little")
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self._nnk_parts())
 
     @classmethod
     def from_bytes(cls, raw: bytes, origin: str = "<bytes>") -> "InfluenceMatrix":
@@ -123,11 +127,16 @@ class InfluenceMatrix:
         return cls(values=values.reshape(m, n).copy(), mask=mask.reshape(m, n))
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        digest = hashlib.sha256()
+        for part in self._nnk_parts():
+            digest.update(part)
+        return digest.hexdigest()
 
 
 def save_influence(matrix: InfluenceMatrix, path: str | Path) -> None:
-    Path(path).write_bytes(matrix.to_bytes())
+    with open(path, "wb") as handle:
+        for part in matrix._nnk_parts():
+            handle.write(part)
 
 
 def load_influence(path: str | Path) -> InfluenceMatrix:
@@ -271,7 +280,11 @@ def _cosine_block(
         raise DataValidationError(
             f"at cell ({rows[a]}, {cols[b]}): cosine undefined for zero-norm vectors"
         )
-    return (f @ t.T) / np.sqrt(np.outer(f_sq, t_sq))
+    gram = f @ t.T
+    denom = np.outer(f_sq, t_sq)
+    np.sqrt(denom, out=denom)
+    gram /= denom
+    return gram
 
 
 def _render_prompt(template: str, prompt_text: str) -> str:

@@ -36,7 +36,7 @@ from .influence import InfluenceMatrix, PointwiseScores
 from .probes import CostLedger
 
 QUADRANTS = ("Q1", "Q2", "Q3", "Q4")
-_CHUNK_CELLS = 8192  # estimates per forward batch, bounding its cells x hidden activations
+_CHUNK_CELLS = 1024  # estimates per forward batch, bounding its cells x hidden activations
 
 
 @dataclass
@@ -404,19 +404,28 @@ def _estimate_chunks(params: MlpParams, left: np.ndarray, rows: np.ndarray,
     built, and the block costs (M+N)·d·H + M·N·H multiply-adds instead of
     M·N·2d·H. A is computed _CHUNK_CELLS rows at a time, so a long single
     column holds no rows x hidden array. Pointwise input is that case:
-    `right` is one row of no features, so B is a zero row.
+    `right` is one row of no features, so B is a zero row, and each chunk
+    of A is added to and rectified in place.
+
+    Otherwise every chunk of whole rows (about _CHUNK_CELLS cells) forms
+    its hidden activations in one float64 workspace, allocated once per
+    call: max(_CHUNK_CELLS, len(cols)) x hidden, 0.8 MB at 1024 cells and
+    hidden 100. The chunk size moves an output by a few float64 ulps at
+    most, as BLAS sums a row by how many rows share the call: far below
+    the float32 precision the estimates are stored in.
     """
     dim = left.shape[1]
     b = right[cols].astype(np.float64, copy=False) @ params.w1[:, dim:].T
     step = max(1, _CHUNK_CELLS // max(1, len(b)))
+    # one column: each row of a is used once, so it is added to in place
+    ws = None if len(b) == 1 else np.empty((min(step, len(rows)), len(b), params.hidden))
     for block in range(0, len(rows), _CHUNK_CELLS):
         a = left[rows[block:block + _CHUNK_CELLS]].astype(np.float64, copy=False)
         a = a @ params.w1[:, :dim].T
         a += params.b1
         for start in range(0, len(a), step):
             h = a[start:start + step, None, :]
-            # one column: each row of a is used once, so add in place
-            h = np.add(h, b, out=h if len(b) == 1 else None)
+            h = np.add(h, b, out=h if ws is None else ws[:len(h)])
             np.maximum(h, 0.0, out=h)
             y = _logistic(h.reshape(-1, params.hidden) @ params.w2.T + params.b2)
             yield block + start, y.reshape(-1, len(b))
@@ -490,8 +499,10 @@ def mse_by_quadrant(
         grid = np.ix_(rows, cols)
         if not estimates.mask[grid].all() or not truth.mask[grid].all():
             raise CoverageError(f"{quadrant} has invalid cells in estimates or truth")
-        diff = estimates.values[grid].astype(np.float64) - truth.values[grid].astype(np.float64)
-        out[quadrant] = float(np.mean(diff**2))
+        sq = estimates.values[grid].astype(np.float64)
+        sq -= truth.values[grid]
+        np.square(sq, out=sq)
+        out[quadrant] = float(np.mean(sq))
     return out
 
 

@@ -33,7 +33,6 @@ import socket
 import threading
 import time
 import weakref
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -530,6 +529,9 @@ def target_logprobs_batch(
     are never sent nor charged; those in flight finish and are charged.
     """
     if isinstance(probe, HttpProvider) and probe.max_in_flight > 1:
+        # only a threaded batch pays for loading concurrent.futures (and logging)
+        from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
         pool = ThreadPoolExecutor(probe.max_in_flight)
         try:
             # workers call _probe: a wrapper on the public method (a tracer's)

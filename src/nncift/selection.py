@@ -82,8 +82,10 @@ def facility_location_greedy(matrix: InfluenceMatrix, budget: int) -> SelectionR
     kernel = _checked_kernel(matrix, budget)
     m = kernel.shape[0]
     covered = np.zeros(kernel.shape[1], dtype=np.float64)
-    # heap of (-gain, row); stamps mark the iteration a gain was computed in
-    heap: list[tuple[float, int]] = [(-_gain(kernel, i, covered), i) for i in range(m)]
+    # heap of (-gain, row); stamps mark the iteration a gain was computed in.
+    # With nothing covered a row's gain is its sum, bitwise as _gain gives it.
+    first_gains = kernel.sum(axis=1).tolist()
+    heap: list[tuple[float, int]] = [(-gain, i) for i, gain in enumerate(first_gains)]
     heapq.heapify(heap)
     last_eval = [1] * m
     indices: list[int] = []
@@ -107,9 +109,9 @@ def facility_location_greedy(matrix: InfluenceMatrix, budget: int) -> SelectionR
 def facility_location_naive(matrix: InfluenceMatrix, budget: int) -> SelectionResult:
     """Reference greedy that rescans every candidate's gain each step.
 
-    Exists to pin the lazy implementation: both call the same _gain, so
-    their float arithmetic is identical and the index sequences must
-    match exactly.
+    Exists to pin the lazy implementation: both compute gains as _gain
+    does (the lazy heap starts from row sums, the same bits while nothing
+    is covered), so the index sequences must match exactly.
     """
     kernel = _checked_kernel(matrix, budget)
     m = kernel.shape[0]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -550,6 +551,7 @@ class TestInfluenceMatrixFormat:
             matrix = InfluenceMatrix(values=values, mask=mask)
             path = tmp_path / f"k{m}x{n}.nnk"
             save_influence(matrix, path)
+            assert path.read_bytes() == matrix.to_bytes()
             loaded = load_influence(path)
             assert loaded.to_bytes() == matrix.to_bytes()
             np.testing.assert_array_equal(loaded.mask, matrix.mask)
@@ -613,7 +615,7 @@ class TestInfluenceMatrixFormat:
     def test_content_hash_stable(self):
         matrix = InfluenceMatrix.full(np.ones((2, 3), dtype=np.float32))
         assert matrix.content_hash() == matrix.content_hash()
-        assert len(matrix.content_hash()) == 64
+        assert matrix.content_hash() == hashlib.sha256(matrix.to_bytes()).hexdigest()
 
 
 class TestPointwiseScores:

@@ -490,6 +490,28 @@ class TestEstimatePairwise:
             tracemalloc.stop()
         assert peak <= bound
 
+    def test_outputs_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        pair = embedding_pair(300, 40, 64, seed=3)
+        params = init_params(seed=4, in_dim=128, hidden=100)
+        point_params = init_params(seed=5, in_dim=64, hidden=100)
+        norm = NormStats(0.0, 1.0)
+        order = np.random.default_rng(6)
+        blocks = ((range(300), range(40)), (order.permutation(300)[:97], order.permutation(40)[:29]))
+        point_rows = order.permutation(300)
+        outputs = []
+        for chunk in (1, 7, 100, nncift.network._CHUNK_CELLS):
+            monkeypatch.setattr(nncift.network, "_CHUNK_CELLS", chunk)
+            pairwise = [estimate_pairwise(params, pair, rows, cols, CostLedger()).to_bytes()
+                        for rows, cols in blocks]
+            pointwise = estimate_pointwise(point_params, pair.fine_tune, point_rows, norm, CostLedger())
+            outputs.append((pairwise, pointwise.to_matrix().to_bytes(), pointwise.values))
+        for pairwise, point_bytes, point_values in outputs[1:]:
+            assert pairwise == outputs[0][0]
+            # full.nnk holds the float32 scores; the float64 ones may differ in
+            # the last bits, as BLAS sums a row by how many rows share the call
+            assert point_bytes == outputs[0][1]
+            np.testing.assert_array_max_ulp(point_values, outputs[0][2], maxulp=64)
+
 
 class TestBuildPairFeatures:
     def test_rows_major_concatenation(self):

@@ -583,7 +583,8 @@ def test_importing_the_cli_loads_no_http_client_email_ssl_or_requests():
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
     assert "nncift.probes" in loaded
-    assert not loaded & {"http.client", "email.parser", "ssl", "requests"}
+    assert not loaded & {"http.client", "email.parser", "ssl", "requests",
+                         "concurrent.futures", "logging"}
 
 
 LEAK_CHECK = """

@@ -92,6 +92,17 @@ class TestFacilityLocationGreedy:
             assert lazy.indices == naive.indices, f"case {case}"
             assert lazy.objective_values == naive.objective_values, f"case {case}"
 
+    def test_lazy_equals_naive_on_wide_kernels(self):
+        # the heap starts from row sums; _gain's first pass must give the same bits
+        rng = np.random.default_rng(43)
+        for n in (1, 7, 129, 250):
+            for discrete in (False, True):
+                kernel = random_kernel(rng, 40, n, discrete=discrete)
+                lazy = facility_location_greedy(kernel, 12)
+                naive = facility_location_naive(kernel, 12)
+                assert lazy.indices == naive.indices, f"width {n}"
+                assert lazy.objective_values == naive.objective_values, f"width {n}"
+
     def test_greedy_guarantee_against_brute_force(self):
         rng = np.random.default_rng(7)
         bound = 1.0 - 1.0 / math.e
