@@ -615,6 +615,7 @@ class TestInfluenceMatrixFormat:
     def test_content_hash_stable(self):
         matrix = InfluenceMatrix.full(np.ones((2, 3), dtype=np.float32))
         assert matrix.content_hash() == matrix.content_hash()
+        assert len(matrix.content_hash()) == 64
         assert matrix.content_hash() == hashlib.sha256(matrix.to_bytes()).hexdigest()
 
 
