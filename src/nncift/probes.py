@@ -15,13 +15,17 @@ Providers:
   accounting, on a pool of keep-alive HTTP/1.1 connections written on
   `socket`: a request goes out in one send and its reply is read by hand.
 
-`target_logprobs_batch` answers a list of requests in request order; over
-an http provider it keeps up to `max_in_flight` of them in flight at once.
+`target_logprobs_batch` answers a list of requests in request order. Over
+an http provider it runs `max_in_flight` lanes, each one connection that
+keeps the next request written behind the one being served (HTTP/1.1
+pipelining); a request is charged when the server starts serving it, and
+a retry backs off in a queue rather than on its lane.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import numbers
@@ -33,9 +37,9 @@ import socket
 import threading
 import time
 import weakref
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Iterator, Sequence
 from urllib.parse import SplitResult, urlsplit
@@ -256,6 +260,7 @@ def _check_header_values(base_url: str, token: object) -> None:
 
 _MAX_HEAD = 65536  # bytes in one reply's status line and headers, or one chunk-size line
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+_WRITE_AHEAD = 2  # requests written on one connection: the one being served and one behind it
 
 
 class _TransportError(OSError):
@@ -264,9 +269,11 @@ class _TransportError(OSError):
 
 class _Connection:
     """One keep-alive HTTP/1.1 connection. A request goes out in one send;
-    the reply's head is read by hand and its body framed by chunked
-    transfer coding, Content-Length or the end of the connection. The
-    socket opens on the first request and again after close()."""
+    each reply's head is read by hand and its body framed by chunked
+    transfer coding, Content-Length or the end of the connection. Replies
+    come back in the order their requests were sent. The socket opens on
+    the first request and again after close(); it is `proven` once a reply
+    on it has kept it open."""
 
     def __init__(self, address: tuple[str, int], timeout: float, tls):
         self._address = address
@@ -274,6 +281,7 @@ class _Connection:
         self._tls = tls  # an ssl.SSLContext for https, else None
         self.sock = None
         self._reader = None
+        self.proven = False
 
     def _open(self) -> None:
         sock = socket.create_connection(self._address, self._timeout)
@@ -291,12 +299,24 @@ class _Connection:
             self._reader.close()
             self.sock.close()
             self.sock = self._reader = None
+            self.proven = False
 
-    def exchange(self, request: bytes) -> tuple[int, bytes]:
-        """Send one whole request; return the final reply's status and body."""
+    def close_if_peer_closed(self) -> None:
+        """With no request unanswered: an idle keep-alive socket that reads
+        as ready was closed by the peer, so the next request reconnects
+        rather than spend an attempt on it."""
+        if self.sock is not None and select.select([self.sock], [], [], 0)[0]:
+            self.close()
+
+    def send(self, request: bytes) -> None:
+        """Write one whole request."""
         if self.sock is None:
             self._open()
         self.sock.sendall(request)
+
+    def read_reply(self) -> tuple[int, bytes]:
+        """The oldest unanswered request's final reply: its status and body.
+        A reply that ends the connection closes it."""
         version, status, headers = self._read_head()
         while status < 200:  # 1xx replies carry no body
             version, status, headers = self._read_head()
@@ -313,7 +333,9 @@ class _Connection:
             body = self._read_exactly(int(length))
         else:
             body, keep_alive = self._reader.read(), False
-        if not keep_alive:
+        if keep_alive:
+            self.proven = True
+        else:
             self.close()
         return status, body
 
@@ -378,8 +400,9 @@ def _close_all(connections: list[_Connection]) -> None:
 
 class _ConnectionPool:
     """`size` keep-alive connections to one origin, lent out last in,
-    first out. Waiting for a free connection is the in-flight gate, so no
-    more than `size` requests, or connections, are ever open at once."""
+    first out. A borrower holds its connection until it gives it back, so
+    no more than `size` connections are ever open at once across the
+    threads that share the pool."""
 
     def __init__(self, parts: SplitResult, size: int, timeout: float):
         tls = None
@@ -395,23 +418,107 @@ class _ConnectionPool:
         # callers drop providers unclosed: close the sockets when the pool is collected
         weakref.finalize(self, _close_all, self._connections)
 
-    def post(self, request: bytes) -> tuple[int, bytes]:
-        """One request on a pooled connection: the status and the whole body."""
-        conn = self._idle.get()
+    def acquire(self, block: bool = True) -> _Connection | None:
+        """A free connection, waiting for one if `block`; None if none is free."""
         try:
-            # an idle keep-alive socket that reads as ready was closed by the
-            # peer: reconnect rather than spend an attempt on it
-            if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
-                conn.close()
-            return conn.exchange(request)
-        except BaseException:
-            conn.close()  # its state is unknown: the next request reconnects
-            raise
-        finally:
-            self._idle.put(conn)
+            return self._idle.get(block)
+        except queue.Empty:
+            return None
+
+    def release(self, conn: _Connection) -> None:
+        self._idle.put(conn)
 
     def close(self) -> None:
         _close_all(self._connections)
+
+
+class _Batch:
+    """One batch of HTTP probes, shared by the lanes that answer it.
+
+    New requests are handed out in index order. A retry, or a request to
+    send again, waits in a heap of due times, so a lane whose request is
+    backing off goes on with other work. Once a request has failed for
+    good, no new request, and no retry or resend of a later one, is sent.
+    """
+
+    def __init__(self, provider: "HttpProvider", probes: Sequence[tuple[str, str, str]], ledger: CostLedger):
+        self.provider = provider
+        self.probes = probes  # (kind, context, target)
+        self.ledger = ledger
+        self.requests: list[bytes | None] = [None] * len(probes)
+        self.answers: list[list[float] | None] = [None] * len(probes)
+        self.failure: tuple[int, Exception] | None = None  # the lowest-index request failed for good
+        self.fault: BaseException | None = None  # an error of no request's, which ends the batch
+        self._next = 0
+        self._limit = len(probes)  # no request from this index on is sent, anew or again
+        self._due: list[tuple[float, int, int]] = []  # heap of (due time, index, attempt)
+        self._cond = threading.Condition()  # over an RLock: fail() is called from take()
+
+    def take(self, wait: bool) -> tuple[int, int] | None:
+        """The (index, attempt) to send next: a due retry or resend first,
+        then the next new request. None if there is nothing to send now;
+        with `wait`, None only once nothing is left to send."""
+        with self._cond:
+            while True:
+                now = time.monotonic()
+                if self._due and self._due[0][0] <= now:
+                    _, index, attempt = heapq.heappop(self._due)
+                    return index, attempt
+                if self._next < self._limit:
+                    index = self._next
+                    self._next += 1
+                    try:
+                        self.requests[index] = self.provider._request(*self.probes[index])
+                    except ValueError as exc:  # a probe no server could answer
+                        self.fail(index, exc)
+                        continue
+                    return index, 0
+                if not (wait and self._due):
+                    return None
+                self._cond.wait(self._due[0][0] - now)
+
+    def queue(self, due: float, index: int, attempt: int) -> None:
+        """Send (index, attempt) once time.monotonic() reaches `due`."""
+        with self._cond:
+            if index < self._limit:
+                heapq.heappush(self._due, (due, index, attempt))
+                self._cond.notify_all()
+
+    def settle(self, item: tuple[int, int], reply: tuple[int, bytes] | OSError) -> None:
+        """Record one charged attempt's reply, or the OSError that took its place."""
+        index, attempt = item
+        try:
+            outcome = self.provider._outcome(self.probes[index][0], attempt, reply)
+        except NnciftError as exc:
+            self.fail(index, exc)
+            return
+        if isinstance(outcome, list):
+            self.answers[index] = outcome
+            return
+        self.ledger.add_failed_forward(1)
+        if attempt + 1 < self.provider.retries:
+            backoff = self.provider.backoff * 2.0**attempt
+            self.queue(time.monotonic() + backoff, index, attempt + 1)
+        else:
+            self.fail(index, outcome)
+
+    def _cut(self, limit: int) -> None:
+        self._limit = min(self._limit, limit)
+        self._due = [entry for entry in self._due if entry[1] < self._limit]
+        heapq.heapify(self._due)
+        self._cond.notify_all()
+
+    def fail(self, index: int, error: Exception) -> None:
+        with self._cond:
+            if self.failure is None or index < self.failure[0]:
+                self.failure = (index, error)
+                self._cut(index)
+
+    def stop(self, fault: BaseException) -> None:
+        """End the batch for an error of no request's: nothing more is sent."""
+        with self._cond:
+            self.fault = self.fault or fault
+            self._cut(0)
 
 
 class HttpProvider(_Provider):
@@ -428,13 +535,21 @@ class HttpProvider(_Provider):
     cannot read (a malformed status line or header, a head over 64 KiB, a
     connection closed mid-reply) is a transport error.
 
-    Requests go over a pool of max_in_flight keep-alive connections,
-    which caps the requests, and the connections, open at once across
-    threads that share the provider. `target_logprobs_batch` runs that
-    many requests at once, so delift's corner keeps up to max_in_flight
-    (default 8) in flight. Proxy environment variables are not read; the
-    token, from the argument or NNCIFT_HTTP_TOKEN, and the URL must be
-    printable ASCII (ConfigError otherwise, before any attempt).
+    Requests go out over lanes, each holding one of a pool of
+    max_in_flight keep-alive connections (default 8), which caps the
+    requests being served, and the connections, across threads that share
+    the provider. A single probe is a batch of one on one lane;
+    `target_logprobs_batch` answers a batch over max_in_flight lanes. A
+    lane whose connection has kept a reply open writes the next request
+    behind the one being served (HTTP/1.1 pipelining), so at most one more
+    request per connection waits at the server. A request is charged when
+    it becomes the oldest unanswered one on its connection, the point at
+    which an in-order server starts serving it; one written behind a reply
+    or failure that ends the connection is sent again uncharged. A retry
+    waits out its backoff in a queue while its lane goes on with other
+    requests. Proxy environment variables are not read; the token, from
+    the argument or NNCIFT_HTTP_TOKEN, and the URL must be printable
+    ASCII (ConfigError otherwise, before any attempt).
     """
 
     def __init__(
@@ -463,53 +578,110 @@ class HttpProvider(_Provider):
             self._headers += f"Authorization: Bearer {self.token}\r\n"
         self._session = _ConnectionPool(parts, max_in_flight, timeout)
 
-    def _post(self, endpoint: str, body: dict, ledger: CostLedger) -> dict:
-        url = f"{self.base_url}{endpoint}"
-        raw = json.dumps(body).encode("utf-8")
-        request = (f"POST {self._path}{endpoint} HTTP/1.1\r\n{self._headers}"
-                   f"Content-Length: {len(raw)}\r\n\r\n").encode("ascii") + raw
-        last_error: Exception | None = None
-        for attempt in range(self.retries):
-            ledger.add_forward(1)
-            try:
-                status, data = self._session.post(request)
-            except OSError as exc:
-                last_error = ProbeError(f"{url}: attempt {attempt + 1} failed: {exc}")
-                ledger.add_failed_forward(1)
-            else:
-                if status >= 500:
-                    last_error = ProbeError(f"{url}: attempt {attempt + 1} got status {status}")
-                    ledger.add_failed_forward(1)
-                elif status != 200:
-                    raise ProbeError(f"{url}: status {status}")
-                else:
-                    try:
-                        payload = json.loads(data)
-                    except ValueError as exc:
-                        raise ProtocolError(f"{url}: response is not JSON: {exc}") from exc
-                    if not isinstance(payload, dict):
-                        raise ProtocolError(f"{url}: response is not a JSON object")
-                    return payload
-            if attempt + 1 < self.retries:
-                time.sleep(self.backoff * (2.0**attempt))
-        raise last_error  # type: ignore[misc]
+    def _request(self, kind: str, context: str, target: str) -> bytes:
+        """The whole HTTP request for one probe."""
+        ProbeRequest(kind, context, target)
+        raw = json.dumps({"context": context, "target": target}).encode("utf-8")
+        return (f"POST {self._path}{_HTTP_ENDPOINTS[kind][0]} HTTP/1.1\r\n{self._headers}"
+                f"Content-Length: {len(raw)}\r\n\r\n").encode("ascii") + raw
 
-    @staticmethod
-    def _extract(payload: dict, field_name: str, url_hint: str) -> list[float]:
+    def _outcome(self, kind: str, attempt: int, reply: tuple[int, bytes] | OSError) -> list[float] | ProbeError:
+        """What one attempt came to, given its (status, body) or the OSError
+        that ended it: the values a 200 reply carries or, for a transport
+        error or a 5xx, the ProbeError to raise once no retry is left. Any
+        other reply raises at once."""
+        endpoint, field_name = _HTTP_ENDPOINTS[kind]
+        url = f"{self.base_url}{endpoint}"
+        if isinstance(reply, OSError):
+            return ProbeError(f"{url}: attempt {attempt + 1} failed: {reply}")
+        status, data = reply
+        if status >= 500:
+            return ProbeError(f"{url}: attempt {attempt + 1} got status {status}")
+        if status != 200:
+            raise ProbeError(f"{url}: status {status}")
+        try:
+            payload = json.loads(data)
+        except ValueError as exc:
+            raise ProtocolError(f"{url}: response is not JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ProtocolError(f"{url}: response is not a JSON object")
         values = payload.get(field_name)
         if not isinstance(values, list) or not values:
-            raise ProtocolError(f"{url_hint}: missing or empty {field_name!r}")
+            raise ProtocolError(f"{self.base_url}: missing or empty {field_name!r}")
         if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
-            raise ProtocolError(f"{url_hint}: {field_name!r} must be finite numbers")
-        return [float(v) for v in values]
-
-    def _probe(self, kind: str, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        ProbeRequest(kind, context, target)
-        endpoint, field_name = _HTTP_ENDPOINTS[kind]
-        payload = self._post(endpoint, {"context": context, "target": target}, ledger)
-        values = self._extract(payload, field_name, self.base_url)
+            raise ProtocolError(f"{self.base_url}: {field_name!r} must be finite numbers")
+        values = [float(v) for v in values]
         _check_range(kind, values, self.base_url)
         return values
+
+    def _lane(self, batch: _Batch, conn: _Connection) -> None:
+        """Answer batch requests on one borrowed connection until none is
+        left, then give the connection back."""
+        pending: deque[tuple[int, int]] = deque()  # (index, attempt) written on conn, oldest first
+        try:
+            while True:
+                error = None
+                # write ahead only on a connection a reply has kept open
+                while error is None and len(pending) < (_WRITE_AHEAD if conn.proven else 1):
+                    item = batch.take(wait=not pending)
+                    if item is None:
+                        break
+                    if not pending:
+                        conn.close_if_peer_closed()
+                        batch.ledger.add_forward(1)  # nothing ahead of it: served from now on
+                    pending.append(item)
+                    try:
+                        conn.send(batch.requests[item[0]])
+                    except OSError as exc:
+                        error = exc
+                if not pending:
+                    return
+                item = pending.popleft()
+                try:
+                    reply = conn.read_reply() if error is None else error
+                except OSError as exc:
+                    reply = exc
+                if isinstance(reply, OSError):
+                    conn.close()  # its state is unknown: the next request reconnects
+                if conn.sock is None:
+                    # the server reads nothing more written on it: send the rest again, uncharged
+                    while pending:
+                        batch.queue(0.0, *pending.popleft())
+                elif pending:
+                    batch.ledger.add_forward(1)  # the request behind is served from now on
+                batch.settle(item, reply)
+        except BaseException as exc:
+            conn.close()  # requests may be left unanswered on it
+            batch.stop(exc)
+        finally:
+            self._session.release(conn)
+
+    def _answer(self, probes: Sequence[tuple[str, str, str]], ledger: CostLedger,
+                lanes: int) -> tuple[list, tuple[int, Exception] | None]:
+        """Answer (kind, context, target) probes over up to `lanes` pooled
+        connections. Returns the answers in request order and the
+        (index, error) of the lowest-index request that failed, if any."""
+        batch = _Batch(self, probes, ledger)
+        # lane 0 waits for a connection; the others take what is free now
+        conns = [self._session.acquire()]
+        while len(conns) < min(lanes, len(probes)) and (conn := self._session.acquire(block=False)):
+            conns.append(conn)
+        threads = [threading.Thread(target=self._lane, args=(batch, conn), daemon=True)
+                   for conn in conns[1:]]
+        for thread in threads:
+            thread.start()
+        self._lane(batch, conns[0])  # lane 0 runs on the calling thread
+        for thread in threads:
+            thread.join()
+        if batch.fault is not None:
+            raise batch.fault
+        return batch.answers, batch.failure
+
+    def _probe(self, kind: str, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
+        answers, failure = self._answer([(kind, context, target)], ledger, 1)
+        if failure is not None:
+            raise failure[1]
+        return answers[0]
 
 
 Provider = SyntheticProvider | FileProvider | HttpProvider
@@ -521,38 +693,37 @@ def target_logprobs_batch(
     """Answer `(where, context, target, key)` target_logprobs requests, in
     request order.
 
-    An HttpProvider with max_in_flight > 1 sends them from that many
-    threads at once; every other provider answers them one after another.
+    An HttpProvider answers them over max_in_flight lanes, one pooled
+    connection each. Lane 0 runs on the calling thread, so a cap of 1
+    starts no thread. Once a reply has kept its connection open, a lane
+    keeps the next request written behind the one being served, so the
+    server finds it waiting; a request is charged when it becomes the
+    oldest unanswered one on its connection. A retry waits out its backoff
+    in a queue while its lane serves other requests. Every other provider
+    answers the requests one after another.
+
     Either way, a failure raises the error of the lowest-index failing
     request, the one a sequential loop would stop at, and an NnciftError
-    is prefixed with "at <where>". Requests that have not started by then
-    are never sent nor charged; those in flight finish and are charged.
+    is prefixed with "at <where>". Requests not yet sent by then are never
+    sent nor charged; those in flight finish and are charged.
     """
-    if isinstance(probe, HttpProvider) and probe.max_in_flight > 1:
-        # only a threaded batch pays for loading concurrent.futures (and logging)
-        from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
-        pool = ThreadPoolExecutor(probe.max_in_flight)
-        try:
-            # workers call _probe: a wrapper on the public method (a tracer's)
-            # would run on a pool thread outside its caller's span
-            futures = [pool.submit(probe._probe, KIND_LOGPROBS, context, target, ledger)
-                       for _, context, target, _ in requests]
-            wait(futures, return_when=FIRST_EXCEPTION)
-        finally:
-            # the pool starts requests in order, so none before a failure is cancelled
-            pool.shutdown(cancel_futures=True)
-        answers = (future.result for future in futures)
+    if isinstance(probe, HttpProvider):
+        probes = [(KIND_LOGPROBS, context, target) for _, context, target, _ in requests]
+        answers, failure = probe._answer(probes, ledger, probe.max_in_flight)
     else:
-        answers = (partial(probe.target_logprobs, context, target, ledger, key=key)
-                   for _, context, target, key in requests)
-    out = []
-    for (where, *_), answer in zip(requests, answers):
-        try:
-            out.append(answer())
-        except NnciftError as exc:
-            raise type(exc)(f"at {where}: {exc}") from exc
-    return out
+        answers, failure = [], None
+        for k, (_, context, target, key) in enumerate(requests):
+            try:
+                answers.append(probe.target_logprobs(context, target, ledger, key=key))
+            except NnciftError as exc:
+                failure = (k, exc)
+                break
+    if failure is not None:
+        k, exc = failure
+        if isinstance(exc, NnciftError):
+            raise type(exc)(f"at {requests[k][0]}: {exc}") from exc
+        raise exc
+    return answers
 
 
 _PROVIDER_KINDS = ("synthetic", "file", "http")

@@ -3,6 +3,7 @@ import hashlib
 import ipaddress
 import json
 import math
+import select
 import socket
 import socketserver
 import ssl
@@ -41,6 +42,8 @@ class ScriptedHandler(BaseHTTPRequestHandler):
                 status, payload = server.script.pop(0)
             else:
                 status, payload = server.answer(self.path, body)
+            if self.rbufsize == 0 and select.select([self.connection], [], [], 0)[0]:
+                server.count_ahead()
             raw = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -54,9 +57,19 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         pass
 
 
+class PeekingHandler(ScriptedHandler):
+    """Reads requests unbuffered, so a request the client wrote behind the
+    one being served waits in the socket, where the handler sees it before
+    it replies and counts it in the server's `ahead`."""
+
+    rbufsize = 0
+
+
 class ProbeServer(ThreadingHTTPServer):
     """Loopback probe server that records every request, the most requests
-    and connections it ever had open at once, and how many it ever opened."""
+    and connections it ever had open at once, how many it ever opened and,
+    with a PeekingHandler, how many replies it wrote with the next request
+    already waiting (`ahead`)."""
 
     def __init__(self, handler=ScriptedHandler):
         super().__init__(("127.0.0.1", 0), handler)
@@ -66,12 +79,17 @@ class ProbeServer(ThreadingHTTPServer):
         self.open = {"connections": 0, "in_flight": 0}
         self.peak = dict(self.open)
         self.total = dict(self.open)
+        self.ahead = 0
 
     def count(self, name, step):
         with self._lock:
             self.open[name] += step
             self.peak[name] = max(self.peak[name], self.open[name])
             self.total[name] += max(step, 0)
+
+    def count_ahead(self):
+        with self._lock:
+            self.ahead += 1
 
     def answer(self, path, body):
         return 200, self.default_payload(path, body)
@@ -95,6 +113,10 @@ class KeepAliveHandler(ScriptedHandler):
     # one send per reply: head and body written apart stall each reply on
     # Nagle's algorithm and the client's delayed ACK
     wbufsize = -1
+
+
+class PeekingKeepAliveHandler(KeepAliveHandler):
+    rbufsize = 0  # see PeekingHandler
 
 
 class IdleClosingHandler(KeepAliveHandler):
@@ -132,7 +154,8 @@ class RawReplyHandler(socketserver.StreamRequestHandler):
             if after == "eof":  # the end of the connection ends the body
                 self.request.shutdown(socket.SHUT_WR)
             if after != "keep":
-                self.rfile.read()  # answer nothing more; wait for the client to close
+                # answer nothing more; keep what the client writes until it closes
+                self.server.unread.append(self.rfile.read())
                 return
 
 
@@ -141,7 +164,9 @@ class RawReplyServer(socketserver.ThreadingTCPServer):
     (reply, after) pairs, one per request, where `after` is "keep" (keep
     the connection), "eof" (close the sending side: the end of the body) or
     "ignore" (answer nothing more on it). An empty script answers with
-    `raw_reply()`. With `dribble` set, replies go out one byte at a time."""
+    `raw_reply()`. With `dribble` set, replies go out one byte at a time.
+    `unread` holds, per connection ended early, what the client wrote on
+    it after the last request answered."""
 
     daemon_threads = True
 
@@ -150,12 +175,21 @@ class RawReplyServer(socketserver.ThreadingTCPServer):
         self.requests = []
         self.script = []
         self.dribble = False
+        self.unread = []
         self._lock = threading.Lock()
         self.total = {"connections": 0}
 
     def count(self, name, step):
         with self._lock:
             self.total[name] += step
+
+    def wait_unread(self, count, timeout=5.0):
+        """`unread` once it holds `count` entries; a handler adds its entry
+        only after the client has closed the connection."""
+        deadline = time.monotonic() + timeout
+        while len(self.unread) < count and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return self.unread
 
     def next_reply(self):
         with self._lock:
@@ -182,15 +216,17 @@ class SlowKeyedServer(ProbeServer):
 
     Like a model server whose answers and failures depend on what is asked,
     not on arrival order: the first attempt of about one request in
-    `fail_one_in` gets a 503, and a request whose context or target is in
-    `reject` always gets a 404. `delays` maps a target to its own delay.
+    `fail_one_in`, and of a request whose target is in `fail_once`, gets a
+    503, and a request whose context or target is in `reject` always gets
+    a 404. `delays` maps a target to its own delay.
     """
 
-    def __init__(self, delay=0.0):
-        super().__init__(KeepAliveHandler)
+    def __init__(self, delay=0.0, handler=KeepAliveHandler):
+        super().__init__(handler)
         self.delay = delay
         self.delays = {}
         self.fail_one_in = 0
+        self.fail_once = set()
         self.reject = set()
         self.failures = 0
         self._failed = set()
@@ -207,7 +243,7 @@ class SlowKeyedServer(ProbeServer):
         if self.reject & {context, target}:
             return 404, {}
         digest = request_digest(context, target)
-        if self.fail_one_in and digest[-1] % self.fail_one_in == 0:
+        if target in self.fail_once or self.fail_one_in and digest[-1] % self.fail_one_in == 0:
             with self._lock:
                 if digest not in self._failed:
                     self._failed.add(digest)
@@ -236,6 +272,16 @@ def probe_server():
 @pytest.fixture()
 def slow_server():
     yield from serve(SlowKeyedServer(delay=0.005))
+
+
+@pytest.fixture()
+def peeking_server():
+    yield from serve(SlowKeyedServer(delay=0.005, handler=PeekingKeepAliveHandler))
+
+
+@pytest.fixture()
+def peeking_http_1_0_server():
+    yield from serve(ProbeServer(PeekingHandler))
 
 
 @pytest.fixture()

@@ -539,6 +539,73 @@ class TestHttpTransport:
         assert tls_server.requests == []
 
 
+def served_targets(server):
+    return [json.loads(req["body"])["target"] for req in server.requests]
+
+
+class TestPipelining:
+    """Each lane keeps one request written behind the one being served,
+    once a reply has kept its connection open."""
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_the_next_request_is_waiting_when_a_reply_is_written(self, peeking_server, cap):
+        requests = batch_requests(20)
+        provider = HttpProvider(peeking_server.url, max_in_flight=cap)
+        ledger = CostLedger()
+        answers = target_logprobs_batch(provider, requests, ledger)
+        assert answers == [peeking_server.logprobs(context, target) for _, context, target, _ in requests]
+        assert peeking_server.ahead > 0
+        # what is written ahead waits: the server never serves more than the cap at once
+        assert peeking_server.peak["in_flight"] == cap
+        assert peeking_server.total["connections"] == cap
+        assert ledger.forward_calls == len(peeking_server.requests) == len(requests)
+
+    def test_request_written_behind_a_closing_reply_is_sent_again_uncharged(self, raw_server):
+        # the first reply proves the connection; the second closes it while
+        # request 2 is already written behind it
+        closing = raw_reply({"token_logprobs": VALUES}, headers=b"Connection: close\r\n")
+        raw_server.script = [(raw_reply(), "keep"), (closing, "ignore")]
+        provider = HttpProvider(raw_server.url, backoff=0, timeout=2, max_in_flight=1)
+        ledger = CostLedger()
+        answers = target_logprobs_batch(provider, batch_requests(3), ledger)
+        assert answers == [[-0.5, -0.25], VALUES, [-0.5, -0.25]]
+        assert b'"target 2"' in raw_server.wait_unread(1)[0]
+        assert served_targets(raw_server) == ["target 0", "target 1", "target 2"]
+        assert (ledger.forward_calls, ledger.failed_forwards) == (len(raw_server.requests), 0)
+        assert raw_server.total["connections"] == 2
+
+    def test_connection_dropped_mid_reply_fails_only_the_request_being_served(self, raw_server):
+        raw_server.script = [(raw_reply(), "keep"), (raw_reply()[:-3], "eof")]
+        provider = HttpProvider(raw_server.url, backoff=0, timeout=2, max_in_flight=1)
+        ledger = CostLedger()
+        answers = target_logprobs_batch(provider, batch_requests(3), ledger)
+        assert answers == [[-0.5, -0.25]] * 3
+        assert b'"target 2"' in raw_server.wait_unread(1)[0]
+        # request 1 is charged twice, once as failed; request 2 once, when it was served
+        assert sorted(served_targets(raw_server)) == ["target 0", "target 1", "target 1", "target 2"]
+        assert (ledger.forward_calls, ledger.failed_forwards) == (4, 1)
+
+    def test_http_1_0_server_is_never_sent_a_request_ahead(self, peeking_http_1_0_server):
+        provider = HttpProvider(peeking_http_1_0_server.url, max_in_flight=2)
+        ledger = CostLedger()
+        answers = target_logprobs_batch(provider, batch_requests(10), ledger)
+        assert answers == [[-0.5, -0.25]] * 10
+        assert peeking_http_1_0_server.ahead == 0
+        assert peeking_http_1_0_server.total["connections"] == len(peeking_http_1_0_server.requests) == 10
+        assert (ledger.forward_calls, ledger.failed_forwards) == (10, 0)
+
+    def test_a_retry_backs_off_in_a_queue_not_on_its_lane(self, slow_server):
+        slow_server.fail_once = {"target 0"}
+        requests = batch_requests(10)
+        provider = HttpProvider(slow_server.url, backoff=0.2, max_in_flight=1)
+        ledger = CostLedger()
+        answers = target_logprobs_batch(provider, requests, ledger)
+        assert answers == [slow_server.logprobs(context, target) for _, context, target, _ in requests]
+        targets = [req["body"]["target"] for req in slow_server.requests]
+        assert targets == [f"target {k}" for k in range(10)] + ["target 0"]
+        assert (ledger.forward_calls, ledger.failed_forwards) == (11, 1)
+
+
 class TestHeaderValues:
     """A token or URL a request cannot carry is a config error, before any attempt."""
 
@@ -587,8 +654,22 @@ def test_importing_the_cli_loads_no_http_client_email_ssl_or_requests():
                          "concurrent.futures", "logging"}
 
 
+def test_an_http_batch_loads_no_concurrent_futures_or_logging(slow_server):
+    code = """
+import json, sys
+from nncift.probes import CostLedger, HttpProvider, target_logprobs_batch
+requests = [(f"r{k}", f"context {k}", f"target {k}", str(k)) for k in range(12)]
+target_logprobs_batch(HttpProvider(sys.argv[1], max_in_flight=4), requests, CostLedger())
+print(json.dumps(list(sys.modules)))
+"""
+    proc = run_python(code=code, argv=[slow_server.url])
+    assert proc.returncode == 0, proc.stderr
+    assert not set(json.loads(proc.stdout)) & {"concurrent.futures", "logging", "http.client"}
+
+
 LEAK_CHECK = """
-import gc, sys
+import gc, sys, threading
+from nncift.errors import ProbeError
 from nncift.probes import CostLedger, HttpProvider, target_logprobs_batch
 
 ledger = CostLedger()
@@ -600,15 +681,34 @@ for cap in (1, 4):
     del provider
     gc.collect()
 assert ledger.forward_calls == 26, ledger
+
+# a batch that fails at a 404 while requests are written ahead on every lane
+provider = HttpProvider(sys.argv[1], backoff=0, max_in_flight=4)
+failing = CostLedger()
+requests = [(f"r{k}", f"context {k}", "rejected" if k == 9 else f"target {k}", str(k))
+            for k in range(40)]
+try:
+    target_logprobs_batch(provider, requests, failing)
+except ProbeError as exc:
+    assert str(exc).startswith("at r9: "), exc
+else:
+    raise AssertionError("the batch did not fail")
+del provider
+gc.collect()
+assert threading.active_count() == 1, threading.enumerate()
+print(failing.forward_calls)
 """
 
 
 def test_dropped_providers_leave_no_open_socket(slow_server):
+    slow_server.reject = {"rejected"}
     # every unclosed socket would print a ResourceWarning, made an error, on stderr
     proc = run_python("-X", "dev", "-W", "error::ResourceWarning", code=LEAK_CHECK,
                       argv=[slow_server.url])
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    # the failed batch charged every request the server saw, and no other
+    assert len(slow_server.requests) == 26 + int(proc.stdout)
 
 
 class TestBuildProvider:
