@@ -21,6 +21,7 @@ loop is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import numbers
@@ -37,6 +38,8 @@ from .probes import CostLedger
 
 QUADRANTS = ("Q1", "Q2", "Q3", "Q4")
 _CHUNK_CELLS = 1024  # estimates per forward batch, bounding its cells x hidden activations
+_WEIGHTS = ("w1", "b1", "w2", "b2")  # MlpParams.arrays() order, as stored in params.json
+_WEIGHT_DTYPE = "<f8"
 
 
 @dataclass
@@ -181,12 +184,10 @@ def init_params(seed: int, in_dim: int, hidden: int = 100) -> MlpParams:
 
 
 def _logistic(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # e = exp(-|z|) never overflows: 1/(1+e) for z >= 0, e/(1+e) below it.
+    # min(z, -z) rather than -abs(z) keeps a NaN's sign bit as it came in.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _forward_batch(params: MlpParams, x: np.ndarray):
@@ -528,8 +529,10 @@ def save_params(
     seed: int | None = None,
     optimizer: dict | None = None,
 ) -> None:
-    """Write parameters (and the target-range map) as JSON; floats are
-    serialized with full round-trip precision, so reload is bit-exact."""
+    """Write parameters (and the target-range map) as JSON. Each weight
+    array is stored as its raw little-endian float64 bytes in base64, so
+    reload is bit-exact; the dims, counts, seed, optimizer and norm_stats
+    stay plain JSON at the top level."""
     doc = {
         "in_dim": params.in_dim,
         "hidden": params.hidden,
@@ -537,13 +540,32 @@ def save_params(
         "first_layer_parameter_count": params.first_layer_parameter_count,
         "seed": seed,
         "optimizer": optimizer or {},
-        "w1": params.w1.tolist(),
-        "b1": params.b1.tolist(),
-        "w2": params.w2.tolist(),
-        "b2": params.b2.tolist(),
         "norm_stats": [norm.min, norm.max] if norm is not None else None,
     }
+    for name, arr in zip(_WEIGHTS, params.arrays()):
+        raw = np.ascontiguousarray(arr, dtype=_WEIGHT_DTYPE).tobytes()
+        doc[name] = {"dtype": _WEIGHT_DTYPE, "shape": list(arr.shape),
+                     "data": base64.b64encode(raw).decode("ascii")}
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _decode_weight(path: Path, name: str, entry, shape: tuple[int, ...]) -> np.ndarray:
+    if not isinstance(entry, dict) or entry.keys() != {"dtype", "shape", "data"}:
+        raise FileFormatError(f"{path}: {name} must be a {{dtype, shape, data}} object")
+    if entry["dtype"] != _WEIGHT_DTYPE:
+        raise FileFormatError(f"{path}: {name} dtype must be {_WEIGHT_DTYPE!r}, got {entry['dtype']!r}")
+    declared = entry["shape"]
+    if declared != list(shape) or any(type(v) is not int for v in declared):
+        raise FileFormatError(f"{path}: {name} shape {declared!r} does not match in_dim/hidden "
+                              f"{list(shape)}")
+    try:
+        raw = base64.b64decode(entry["data"], validate=True)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: {name} data is not a base64 string: {exc}") from exc
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
+        raise FileFormatError(f"{path}: {name} holds {len(raw)} bytes, shape needs {expected}")
+    return np.frombuffer(raw, dtype=_WEIGHT_DTYPE).reshape(shape).copy()
 
 
 def load_params(path: str | Path) -> tuple[MlpParams, NormStats | None, dict]:
@@ -552,28 +574,25 @@ def load_params(path: str | Path) -> tuple[MlpParams, NormStats | None, dict]:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
-    required = {"in_dim", "hidden", "w1", "b1", "w2", "b2"}
-    if not isinstance(doc, dict) or not required <= doc.keys():
+    if not isinstance(doc, dict) or not {"in_dim", "hidden", *_WEIGHTS} <= doc.keys():
         raise FileFormatError(f"{path}: missing required parameter fields")
-    try:
-        params = MlpParams(
-            w1=np.array(doc["w1"], dtype=np.float64),
-            b1=np.array(doc["b1"], dtype=np.float64),
-            w2=np.array(doc["w2"], dtype=np.float64),
-            b2=np.array(doc["b2"], dtype=np.float64),
-        )
-    except (ValueError, TypeError) as exc:
-        raise FileFormatError(f"{path}: malformed parameter arrays: {exc}") from exc
-    if params.in_dim != doc["in_dim"] or params.hidden != doc["hidden"]:
-        raise FileFormatError(
-            f"{path}: declared dims ({doc['in_dim']}, {doc['hidden']}) do not match arrays"
-        )
+    in_dim, hidden = doc["in_dim"], doc["hidden"]
+    if not (type(in_dim) is int and type(hidden) is int and in_dim >= 0 and hidden >= 0):
+        raise FileFormatError(f"{path}: in_dim and hidden must be non-negative ints, "
+                              f"got {in_dim!r}, {hidden!r}")
+    shapes = ((hidden, in_dim), (hidden,), (1, hidden), (1,))
+    params = MlpParams(*(_decode_weight(path, name, doc[name], shape)
+                         for name, shape in zip(_WEIGHTS, shapes)))
     norm = None
-    if doc.get("norm_stats") is not None:
-        stats = doc["norm_stats"]
-        if not isinstance(stats, list) or len(stats) != 2:
-            raise FileFormatError(f"{path}: norm_stats must be a [min, max] pair")
-        norm = NormStats(min=float(stats[0]), max=float(stats[1]))
+    stats = doc.get("norm_stats")
+    if stats is not None:
+        if not (isinstance(stats, list) and len(stats) == 2
+                and all(type(v) in (int, float) for v in stats)):
+            raise FileFormatError(f"{path}: norm_stats must be a [min, max] pair of numbers")
+        try:
+            norm = NormStats(min=float(stats[0]), max=float(stats[1]))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: norm_stats {stats}: {exc}") from exc
     meta = {k: doc.get(k) for k in ("seed", "optimizer", "parameter_count",
                                     "first_layer_parameter_count")}
     return params, norm, meta

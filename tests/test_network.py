@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import tracemalloc
@@ -94,6 +95,23 @@ class TestForward:
         params = init_params(seed=0, in_dim=4, hidden=2)
         with pytest.raises(ValueError):
             forward(params, [1.0, 2.0])
+
+    def test_logistic_bytes_match_the_masked_formula(self):
+        def masked(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        edges = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0,
+                 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan]
+        grid = np.concatenate([edges, np.linspace(-50, 50, 10001),
+                               np.random.default_rng(0).standard_normal(1000) * 20])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for z in (grid, grid.reshape(-1, 1)[:1000]):
+                assert nncift.network._logistic(z).tobytes() == masked(z).tobytes()
 
 
 class TestGradients:
@@ -656,4 +674,105 @@ class TestParamsFile:
         path = tmp_path / "params.json"
         path.write_text("not json")
         with pytest.raises(FileFormatError):
+            load_params(path)
+
+    def test_paper_shape_round_trip_bit_exact_and_owned(self, tmp_path):
+        params = init_params(seed=5, in_dim=2048, hidden=100)
+        params.b1[:] = np.random.default_rng(1).standard_normal(100)
+        params.b2[:] = -0.0
+        path = tmp_path / "params.json"
+        save_params(params, path, NormStats(min=-1.5, max=2.25), seed=5)
+        loaded, norm, _ = load_params(path)
+        for a, b in zip(loaded.arrays(), params.arrays()):
+            assert a.dtype == np.float64 and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert a.flags.owndata and a.flags.writeable
+        assert (norm.min, norm.max) == (-1.5, 2.25)
+
+    def test_file_is_json_with_metadata_at_top_level(self, tmp_path):
+        path = tmp_path / "params.json"
+        save_params(init_params(seed=0, in_dim=3, hidden=2), path, NormStats(min=0.0, max=1.0),
+                    seed=4, optimizer={"name": "adam"})
+        doc = json.loads(path.read_text())
+        assert doc["norm_stats"] == [0.0, 1.0]
+        assert (doc["in_dim"], doc["hidden"], doc["seed"]) == (3, 2, 4)
+        assert (doc["parameter_count"], doc["first_layer_parameter_count"]) == (11, 8)
+        assert doc["optimizer"] == {"name": "adam"}
+        assert doc["w1"]["dtype"] == "<f8" and doc["w1"]["shape"] == [2, 3]
+        assert isinstance(doc["w1"]["data"], str)
+
+    def test_weights_are_not_written_as_text(self, tmp_path):
+        # Raw float64 in base64 is 4/3 x 8 bytes a weight; decimal text is about 19.
+        params = init_params(seed=0, in_dim=2048, hidden=100)
+        path = tmp_path / "params.json"
+        save_params(params, path, NormStats(min=0.0, max=1.0))
+        assert path.stat().st_size <= 1.4 * 8 * params.parameter_count
+
+    @staticmethod
+    def _saved_doc(tmp_path):
+        path = tmp_path / "params.json"
+        save_params(init_params(seed=0, in_dim=3, hidden=2), path, NormStats(min=0.0, max=1.0))
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("case", [
+        "bad_base64_char", "truncated_data", "f4_dtype", "shape_in_dim_mismatch",
+        "bool_shape_entry", "negative_shape_entry", "shape_not_list", "legacy_list_form",
+        "data_not_string", "extra_key",
+    ])
+    def test_malformed_weights_rejected(self, tmp_path, case):
+        path, doc = self._saved_doc(tmp_path)
+        w1 = doc["w1"]
+        if case == "bad_base64_char":
+            w1["data"] = "*" + w1["data"][1:]
+        elif case == "truncated_data":
+            w1["data"] = w1["data"][:-8]  # still valid base64, 6 bytes short
+        elif case == "f4_dtype":
+            w1["dtype"] = "<f4"
+        elif case == "shape_in_dim_mismatch":
+            w1["shape"] = [3, 2]
+        elif case == "bool_shape_entry":
+            doc["b2"]["shape"] = [True]
+        elif case == "negative_shape_entry":
+            w1["shape"] = [-2, -3]
+        elif case == "shape_not_list":
+            w1["shape"] = "2x3"
+        elif case == "legacy_list_form":
+            for name in ("w1", "b1", "w2", "b2"):
+                doc[name] = np.zeros(doc[name]["shape"]).tolist()
+        elif case == "data_not_string":
+            w1["data"] = [0.0] * 6
+        elif case == "extra_key":
+            w1["order"] = "C"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match="params.json"):
+            load_params(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("norm_stats", ["a", 1]),
+        ("norm_stats", [1, None]),
+        ("norm_stats", [2, 1]),
+        ("norm_stats", [True, 1]),
+        ("norm_stats", {"min": 0, "max": 1}),
+        ("in_dim", 3.0),
+        ("hidden", True),
+        ("in_dim", "3"),
+        ("hidden", -2),
+    ])
+    def test_malformed_metadata_rejected(self, tmp_path, field, value):
+        path, doc = self._saved_doc(tmp_path)
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match="params.json"):
+            load_params(path)
+
+    def test_non_finite_weights_stay_a_validation_error(self, tmp_path):
+        params = init_params(seed=0, in_dim=3, hidden=2)
+        path = tmp_path / "params.json"
+        save_params(params, path)
+        doc = json.loads(path.read_text())
+        bad = params.w1.copy()
+        bad[0, 0] = np.nan
+        doc["w1"]["data"] = base64.b64encode(bad.astype("<f8").tobytes()).decode("ascii")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataValidationError):
             load_params(path)
