@@ -2,8 +2,10 @@
 
 The four byte-deterministic artifacts of a pipeline run are pinned for
 every method, so any rewrite of valuation, training, estimation or
-selection that changes their bytes fails here. A deliberate change to
-these hashes must be explained where it lands.
+selection that changes their bytes fails here. A second table pins the
+decoded values and validity of q1.nnk and full.nnk, so a change to the
+file layout alone moves the first table but not the second. A deliberate
+change to these hashes must be explained where it lands.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import pytest
 
 from nncift.cli import main
 from nncift.datasets import EmbeddingMatrix, save_embeddings
+from nncift.influence import load_influence
 
 M, N, DIM = 200, 80, 32
 
@@ -44,6 +47,27 @@ GOLDEN = {
     },
 }
 
+# sha256 of the decoded values' bytes then np.packbits(mask): these stay
+# put when only the file layout changes, so they pin the values bit for bit.
+GOLDEN_VALUES = {
+    "delift": {
+        "q1.nnk": "c38ec9f88f8e4c058eaa0723ab11fd19ed8c999846a3d0557e0dbef63f522089",
+        "full.nnk": "ac126d34517b3d7626e6500af56f79c5d1f998bd7054175c9585c486d91fee64",
+    },
+    "delift_se": {
+        "q1.nnk": "699dc4253f322d0a745bc93824c0f6281a7c8c53fed18f379fdc8866c8596159",
+        "full.nnk": "81e2eb343ece3bd8a15255f9816add2c78d2cd5761b6e661219bacdfe9425118",
+    },
+    "less": {
+        "q1.nnk": "12d63f95e58c5ab5de4e270271c028ff2eccbfe8ba2c2adde12d9872859aa318",
+        "full.nnk": "1bbee3cd013f302c5ff901037867572d697ebcf758cb97bffd2680785ac6a711",
+    },
+    "selectit": {
+        "q1.nnk": "ea096e068212d49f8abd583d34a50c000499ae14d5072dd3d0dede632fa0e512",
+        "full.nnk": "fb045aeb4c82b591f3902c04e36ec94f9f014cd08f63bc7c89ca13d6932935d8",
+    },
+}
+
 
 def unit_rows(count, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -52,8 +76,20 @@ def unit_rows(count, seed):
     return EmbeddingMatrix(rows.astype(np.float32))
 
 
-@pytest.mark.parametrize("method", sorted(GOLDEN))
-def test_small_scale_artifacts_match_golden_hashes(tmp_path, method):
+@pytest.fixture(scope="module")
+def pipeline_out(tmp_path_factory):
+    """One pipeline run per method, shared by the hash tests."""
+    runs = {}
+
+    def run(method):
+        if method not in runs:
+            runs[method] = _run_pipeline(tmp_path_factory.mktemp(method), method)
+        return runs[method]
+
+    return run
+
+
+def _run_pipeline(tmp_path, method):
     doc = {"method": method, "u": 0.05, "v": 0.3, "seed": 7}
     inputs = {"fine_tune_embeddings": (M, 1)}
     if method != "selectit":
@@ -69,6 +105,24 @@ def test_small_scale_artifacts_match_golden_hashes(tmp_path, method):
     config.write_text(json.dumps(doc))
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN))
+def test_small_scale_artifacts_match_golden_hashes(pipeline_out, method):
+    out = pipeline_out(method)
     hashes = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
               for name in GOLDEN[method]}
     assert hashes == GOLDEN[method]
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_VALUES))
+def test_small_scale_values_match_golden_hashes(pipeline_out, method):
+    out = pipeline_out(method)
+    hashes = {}
+    for name in GOLDEN_VALUES[method]:
+        matrix = load_influence(out / name)
+        digest = hashlib.sha256(matrix.values.tobytes())
+        digest.update(np.packbits(matrix.mask).tobytes())
+        hashes[name] = digest.hexdigest()
+    assert hashes == GOLDEN_VALUES[method]
