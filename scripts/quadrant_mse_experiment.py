@@ -40,9 +40,8 @@ def quadrant_errors(pair, part, params, norm, truth):
     for quadrant in QUADRANTS:
         rows, cols = quadrant_index_sets(part, quadrant)
         estimates = estimate_pairwise(params, pair, rows, cols, ledger)
-        grid = np.ix_(rows, cols)
-        raw = norm.denormalize(estimates.values[grid].astype(np.float64))
-        out[quadrant] = float(((raw - truth[grid]) ** 2).mean())
+        raw = norm.denormalize(estimates.block.astype(np.float64))
+        out[quadrant] = float(((raw - truth[np.ix_(rows, cols)]) ** 2).mean())
     return out
 
 

@@ -480,17 +480,14 @@ def cmd_train_estimate(config: RunConfig) -> Path:
         raise ConfigError(f"{q1_path} not found; run valuate first")
     q1 = load_influence(q1_path)
     ledger = _load_ledger(out, config)
-    if q1.values.shape != (part.m, part.n):
+    if (q1.m, q1.n) != (part.m, part.n):
         raise ConfigError(f"{q1_path} is {q1.m}x{q1.n} but this run needs {part.m}x{part.n}")
-    corner = np.ix_(part.id_f, part.id_t)
-    expected = np.zeros(q1.mask.shape, dtype=bool)
-    expected[corner] = True
-    if not np.array_equal(q1.mask, expected):
+    if not (np.array_equal(q1.rows, part.id_f) and np.array_equal(q1.cols, part.id_t)):
         raise ConfigError(f"{q1_path} does not match the ID corner; stale artifact?")
 
     pointwise = config.method in POINTWISE_METHODS
     right = np.zeros((1, 0)) if pointwise else pair.target.rows[part.id_t]
-    targets = q1.values[corner].reshape(-1).astype(np.float64)
+    targets = q1.block.reshape(-1).astype(np.float64)
     train_config = config.train_config()
     with ledger.time_phase("train"):
         result = train(pair.fine_tune.rows[part.id_f], right, targets, train_config)
@@ -499,7 +496,7 @@ def cmd_train_estimate(config: RunConfig) -> Path:
     norm = result.norm
 
     def normalized(matrix: InfluenceMatrix) -> InfluenceMatrix:
-        return InfluenceMatrix(values=norm.normalize(matrix.values), mask=matrix.mask)
+        return replace(matrix, block=norm.normalize(matrix.block))
 
     # one network pass over every cell, the corner included, feeds both
     # full.nnk and the truth evaluation
@@ -521,11 +518,11 @@ def cmd_train_estimate(config: RunConfig) -> Path:
         eval_ledger = CostLedger()
         with eval_ledger.time_phase("evaluate"):
             truth = _valuate(config, rows, cols, eval_ledger)
-            truth = InfluenceMatrix.full(norm.normalize(truth.values))
+            truth = normalized(truth)
             predictors = {
                 "trained": normalized(estimates) if pointwise else estimates,
-                "random_uniform": baseline_estimates("random_uniform", q1.mask.shape, config.seed),
-                "predict_zero": baseline_estimates("predict_zero", q1.mask.shape, config.seed),
+                "random_uniform": baseline_estimates("random_uniform", (q1.m, q1.n), config.seed),
+                "predict_zero": baseline_estimates("predict_zero", (q1.m, q1.n), config.seed),
             }
             by_quadrant = {name: mse_by_quadrant(predictions, truth, part)
                            for name, predictions in predictors.items()}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,24 +201,24 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
         fh.write(payload)
 
 
-def _load_emb1(raw: bytes, path: Path) -> EmbeddingMatrix:
-    if len(raw) < _EMB1_HEADER.size:
+def _load_emb1(fh, header: bytes, path: Path) -> EmbeddingMatrix:
+    """Read the payload after `header` straight into one float32 array."""
+    if len(header) < _EMB1_HEADER.size:
         raise PayloadLengthError(f"{path}: file shorter than the 16-byte header")
-    magic, count, dim = _EMB1_HEADER.unpack_from(raw)
-    if magic != EMB1_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}")
+    _, count, dim = _EMB1_HEADER.unpack(header)
     if dim < 1:
         raise FileFormatError(f"{path}: dim must be >= 1, header says {dim}")
     expected = count * dim * 4
-    body = raw[_EMB1_HEADER.size:]
-    if len(body) != expected:
-        raise PayloadLengthError(
-            f"{path}: payload is {len(body)} bytes, header declares {expected}"
-        )
-    rows = np.frombuffer(body, dtype="<f4").reshape(count, dim)
-    if rows.size and not np.all(np.isfinite(rows)):
-        raise DataValidationError(f"{path}: payload contains non-finite values")
-    return EmbeddingMatrix(rows=rows.copy())
+    size = os.fstat(fh.fileno()).st_size - _EMB1_HEADER.size
+    if size != expected:
+        raise PayloadLengthError(f"{path}: payload is {size} bytes, header declares {expected}")
+    rows = np.empty((count, dim), dtype="<f4")
+    if fh.readinto(rows) != expected:
+        raise PayloadLengthError(f"{path}: payload ended before the {expected} bytes it declares")
+    try:
+        return EmbeddingMatrix(rows=rows)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: payload contains non-finite values") from exc
 
 
 def _is_number(value) -> bool:
@@ -256,9 +257,11 @@ def _load_jsonl(path: Path) -> EmbeddingMatrix:
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Load a matrix from either supported format, sniffing the EMB1 magic."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:8] == EMB1_MAGIC:
-        return _load_emb1(raw, path)
+    with open(path, "rb") as fh:
+        raw = fh.read(_EMB1_HEADER.size)
+        if raw[:8] == EMB1_MAGIC:
+            return _load_emb1(fh, raw, path)
+        raw += fh.read()
     if path.suffix == ".jsonl" or raw.lstrip()[:1] in (b"{", b""):
         return _load_jsonl(path)
     raise FileFormatError(f"{path}: bad magic {raw[:8]!r}")

@@ -10,11 +10,11 @@ Four valuation methods share this module:
 * selectit: pointwise certainty score aggregated over rating prompts
   and model scales, weighted by parameter count.
 
-Partial (quadrant-restricted) results live in a masked matrix that
-serializes to the NNCIFTK binary format: magic ``NNCIFTK\\0``, u32 LE m,
-u32 LE n, m*n float32 LE values row-major, then ceil(m*n/8) mask bytes
-(bit set = cell valid), cells in row-major order, least significant bit
-first within each byte.
+Results live in an m x n matrix known on one rows x cols block (the ID
+corner, or every cell). It serializes to the NNCIFTB binary format:
+magic ``NNCIFTB\\0``, u32 LE m, n, r and c, then r u32 LE row indices,
+c u32 LE column indices and the r*c float32 LE block, row-major, rows
+and columns in the order the block holds them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,6 +30,7 @@ import numpy as np
 
 from .datasets import DatasetPair
 from .errors import (
+    CoverageError,
     DataValidationError,
     FileFormatError,
     NnciftError,
@@ -38,93 +39,148 @@ from .errors import (
 )
 from .probes import CostLedger, Provider, target_logprobs_batch
 
-NNK_MAGIC = b"NNCIFTK\x00"
-_NNK_HEADER = struct.Struct("<8sII")
+NNK_MAGIC = b"NNCIFTB\x00"
+_NNK_HEADER = struct.Struct("<8sIIII")
 
 PAIRWISE_METHODS = ("delift", "delift_se", "less")
 POINTWISE_METHODS = ("selectit",)
 
 
+def _checked_index(index, size: int, axis: str) -> np.ndarray:
+    index = np.asarray(index, dtype=np.int64)
+    if index.ndim != 1:
+        raise ValueError(f"{axis} indices must be 1-D, got shape {index.shape}")
+    if index.size and (index.min() < 0 or index.max() >= size):
+        raise ValueError(f"{axis} index out of range [0, {size})")
+    if len(np.unique(index)) != len(index):
+        raise ValueError(f"duplicate {axis} index")
+    return index
+
+
+def _in_order(index: np.ndarray, size: int) -> bool:
+    return len(index) == size and bool((index == np.arange(size)).all())
+
+
 @dataclass(frozen=True, eq=False)
 class InfluenceMatrix:
-    """m x n influence values with a per-cell validity mask.
+    """An m x n influence matrix whose known cells are one rows x cols block.
 
-    Invalid cells are stored as 0.0 so serialized bytes depend only on
-    the valid content.
+    `rows` and `cols` are distinct in-range indices in the caller's order;
+    `block[a, b]` is the value at (rows[a], cols[b]). Every other cell is
+    unknown.
     """
 
-    values: np.ndarray
-    mask: np.ndarray
+    m: int
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    block: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float32))
-        mask = np.ascontiguousarray(np.asarray(self.mask, dtype=bool))
-        if values.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {values.shape}")
-        if mask.shape != values.shape:
-            raise ValueError(f"mask shape {mask.shape} != values shape {values.shape}")
-        if not np.all(np.isfinite(values[mask])):
-            raise DataValidationError("valid cells contain non-finite values")
-        values = np.where(mask, values, np.float32(0.0))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
+        m, n = int(self.m), int(self.n)
+        if m < 0 or n < 0:
+            raise ValueError(f"shape must be nonnegative, got {m} x {n}")
+        rows = _checked_index(self.rows, m, "row")
+        cols = _checked_index(self.cols, n, "column")
+        block = np.ascontiguousarray(self.block, dtype=np.float32)
+        if block.shape != (len(rows), len(cols)):
+            raise ValueError(f"block shape {block.shape} != {len(rows)} rows x {len(cols)} cols")
+        if not np.isfinite(block).all():
+            raise DataValidationError("block contains non-finite values")
+        for name, value in (("m", m), ("n", n), ("rows", rows), ("cols", cols), ("block", block)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def full(cls, values: np.ndarray) -> "InfluenceMatrix":
         values = np.asarray(values)
-        return cls(values=values, mask=np.ones(values.shape, dtype=bool))
-
-    @property
-    def m(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[1])
+        m, n = values.shape
+        return cls(m, n, np.arange(m), np.arange(n), values)
 
     @property
     def fully_valid(self) -> bool:
-        return bool(self.mask.all())
+        """Whether the block is the whole matrix with rows and columns in
+        index order, so that `block[i, j]` is cell (i, j)."""
+        return _in_order(self.rows, self.m) and _in_order(self.cols, self.n)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Dense m x n values with 0.0 outside the block: the block itself
+        when it is fully valid, else a read-only copy."""
+        if self.fully_valid:
+            return self.block
+        dense = np.zeros((self.m, self.n), dtype=np.float32)
+        dense[np.ix_(self.rows, self.cols)] = self.block
+        dense.flags.writeable = False
+        return dense
+
+    @property
+    def mask(self) -> np.ndarray:
+        """Dense m x n validity, True on the block."""
+        dense = np.zeros((self.m, self.n), dtype=bool)
+        dense[np.ix_(self.rows, self.cols)] = True
+        dense.flags.writeable = False
+        return dense
 
     def valid_count(self) -> int:
-        return int(self.mask.sum())
+        return int(self.block.size)
+
+    def _positions(self, rows, cols) -> list[np.ndarray]:
+        """Where the given rows and cols sit in the block; CoverageError
+        if any of them lies outside it."""
+        found = []
+        for index, own, size, axis in ((rows, self.rows, self.m, "row"),
+                                       (cols, self.cols, self.n, "column")):
+            at = np.full(size, -1, dtype=np.int64)
+            at[own] = np.arange(len(own))
+            index = np.asarray(index, dtype=np.int64)
+            pos = at[index]
+            if (pos < 0).any():
+                raise CoverageError(f"{axis} {index[np.argmax(pos < 0)]} lies outside the block")
+            found.append(pos)
+        return found
+
+    def take(self, rows, cols) -> np.ndarray:
+        """The rows x cols values, row-major in the order given."""
+        rows_at, cols_at = self._positions(rows, cols)
+        return self.block.take(rows_at, 0).take(cols_at, 1)
 
     def overlay(self, other: "InfluenceMatrix") -> "InfluenceMatrix":
-        """This matrix with other's valid cells written on top."""
-        if other.values.shape != self.values.shape:
+        """This matrix with other's block written on top; other's cells
+        must lie inside this block."""
+        if (other.m, other.n) != (self.m, self.n):
             raise ValueError("shape mismatch in overlay")
-        return InfluenceMatrix(
-            values=np.where(other.mask, other.values, self.values),
-            mask=self.mask | other.mask,
-        )
+        block = self.block.copy()
+        block[np.ix_(*self._positions(other.rows, other.cols))] = other.block
+        return replace(self, block=block)
 
-    def _nnk_parts(self) -> tuple[bytes, np.ndarray, np.ndarray]:
-        """Header, float payload and packed mask, in file order; the
-        payload is a view of the values on a little-endian host."""
-        header = _NNK_HEADER.pack(NNK_MAGIC, self.m, self.n)
-        payload = np.ascontiguousarray(self.values, dtype="<f4")
-        return header, payload, np.packbits(self.mask.reshape(-1), bitorder="little")
+    def _nnk_parts(self) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
+        """Header, row indices, column indices and block, in file order;
+        the block part is a view on a little-endian host."""
+        header = _NNK_HEADER.pack(NNK_MAGIC, self.m, self.n, len(self.rows), len(self.cols))
+        return (header, self.rows.astype("<u4"), self.cols.astype("<u4"),
+                np.ascontiguousarray(self.block, dtype="<f4"))
 
     def to_bytes(self) -> bytes:
         return b"".join(self._nnk_parts())
 
     @classmethod
     def from_bytes(cls, raw: bytes, origin: str = "<bytes>") -> "InfluenceMatrix":
+        if len(raw) >= len(NNK_MAGIC) and raw[:len(NNK_MAGIC)] != NNK_MAGIC:
+            raise FileFormatError(f"{origin}: bad magic {raw[:len(NNK_MAGIC)]!r}")
         if len(raw) < _NNK_HEADER.size:
-            raise PayloadLengthError(f"{origin}: shorter than the 16-byte header")
-        magic, m, n = _NNK_HEADER.unpack_from(raw)
-        if magic != NNK_MAGIC:
-            raise FileFormatError(f"{origin}: bad magic {magic!r}")
-        cells = m * n
-        value_bytes = cells * 4
-        mask_len = (cells + 7) // 8
-        expected = _NNK_HEADER.size + value_bytes + mask_len
+            raise PayloadLengthError(f"{origin}: shorter than the {_NNK_HEADER.size}-byte header")
+        _, m, n, r, c = _NNK_HEADER.unpack_from(raw)
+        expected = _NNK_HEADER.size + 4 * (r + c + r * c)
         if len(raw) != expected:
             raise PayloadLengthError(f"{origin}: file is {len(raw)} bytes, expected {expected}")
-        values = np.frombuffer(raw, dtype="<f4", count=cells, offset=_NNK_HEADER.size)
-        packed = np.frombuffer(raw, dtype=np.uint8, offset=_NNK_HEADER.size + value_bytes)
-        mask = np.unpackbits(packed, count=cells, bitorder="little").astype(bool)
-        return cls(values=values.reshape(m, n).copy(), mask=mask.reshape(m, n))
+        indices = np.frombuffer(raw, dtype="<u4", count=r + c, offset=_NNK_HEADER.size)
+        block = np.frombuffer(raw, dtype="<f4", offset=_NNK_HEADER.size + 4 * (r + c))
+        try:
+            return cls(m, n, indices[:r], indices[r:], block.reshape(r, c))
+        except ValueError as exc:
+            raise FileFormatError(f"{origin}: {exc}") from exc
+        except DataValidationError as exc:
+            raise DataValidationError(f"{origin}: {exc}") from exc
 
     def content_hash(self) -> str:
         digest = hashlib.sha256()
@@ -167,24 +223,16 @@ class PointwiseScores:
         object.__setattr__(self, "values", values)
 
     def to_matrix(self) -> InfluenceMatrix:
-        """Pack into an m x 1 masked matrix so pointwise runs reuse the
-        pairwise artifact format."""
-        values = np.zeros((self.m, 1), dtype=np.float32)
-        mask = np.zeros((self.m, 1), dtype=bool)
-        values[self.indices, 0] = self.values.astype(np.float32)
-        mask[self.indices, 0] = True
-        return InfluenceMatrix(values=values, mask=mask)
+        """The scored indices as a block of the m x 1 matrix, so pointwise
+        runs reuse the pairwise artifact format."""
+        return InfluenceMatrix(self.m, 1, self.indices, [0], self.values[:, None])
 
     @classmethod
     def from_matrix(cls, matrix: InfluenceMatrix) -> "PointwiseScores":
         if matrix.n != 1:
             raise ValueError("pointwise matrices must have a single column")
-        indices = np.nonzero(matrix.mask[:, 0])[0]
-        return cls(
-            m=matrix.m,
-            indices=indices,
-            values=matrix.values[indices, 0].astype(np.float64),
-        )
+        indices = matrix.rows if matrix.block.size else matrix.rows[:0]
+        return cls(m=matrix.m, indices=indices, values=matrix.block.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -387,11 +435,7 @@ def compute_influence(
         if pair.fine_tune_gradients is None or pair.target_gradients is None:
             raise RecordNotFoundError("gradient features not loaded for both sides")
         block = _cosine_block(pair.fine_tune_gradients.rows, pair.target_gradients.rows, rows, cols)
-    values = np.zeros((pair.m, pair.n), dtype=np.float32)
-    mask = np.zeros((pair.m, pair.n), dtype=bool)
-    values[np.ix_(rows, cols)] = block
-    mask[np.ix_(rows, cols)] = True
-    return InfluenceMatrix(values=values, mask=mask)
+    return InfluenceMatrix(pair.m, pair.n, rows, cols, block)
 
 
 def compute_pointwise(

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .datasets import DatasetPair, EmbeddingMatrix, QuadrantPartition, quadrant_index_sets
-from .errors import CoverageError, DataValidationError, FileFormatError, TrainingError
+from .errors import DataValidationError, FileFormatError, TrainingError
 from .influence import InfluenceMatrix, PointwiseScores
 from .probes import CostLedger
 
@@ -453,13 +453,11 @@ def estimate_pairwise(
         )
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    values = np.zeros((pair.m, pair.n), dtype=np.float32)
-    mask = np.zeros((pair.m, pair.n), dtype=bool)
+    block = np.empty((len(rows), len(cols)), dtype=np.float32)
     for start, y in _estimate_chunks(params, pair.fine_tune.rows, rows, pair.target.rows, cols):
-        values[np.ix_(rows[start:start + len(y)], cols)] = y
-    mask[np.ix_(rows, cols)] = True
+        block[start:start + len(y)] = y
     ledger.add_estimator_forwards(len(rows) * len(cols))
-    return InfluenceMatrix(values=values, mask=mask)
+    return InfluenceMatrix(pair.m, pair.n, rows, cols, block)
 
 
 def estimate_pointwise(
@@ -489,7 +487,7 @@ def mse_by_quadrant(
     part: QuadrantPartition,
 ) -> dict[str, float]:
     """Mean squared difference per quadrant; empty quadrants yield NaN."""
-    if estimates.values.shape != truth.values.shape:
+    if (estimates.m, estimates.n) != (truth.m, truth.n):
         raise ValueError("estimate and truth shapes differ")
     out: dict[str, float] = {}
     for quadrant in QUADRANTS:
@@ -497,11 +495,8 @@ def mse_by_quadrant(
         if len(rows) == 0 or len(cols) == 0:
             out[quadrant] = math.nan
             continue
-        grid = np.ix_(rows, cols)
-        if not estimates.mask[grid].all() or not truth.mask[grid].all():
-            raise CoverageError(f"{quadrant} has invalid cells in estimates or truth")
-        sq = estimates.values[grid].astype(np.float64)
-        sq -= truth.values[grid]
+        sq = estimates.take(rows, cols).astype(np.float64)
+        sq -= truth.take(rows, cols)
         np.square(sq, out=sq)
         out[quadrant] = float(np.mean(sq))
     return out

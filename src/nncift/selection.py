@@ -48,7 +48,7 @@ def normalize_kernel(matrix: InfluenceMatrix) -> InfluenceMatrix:
     """
     if not matrix.fully_valid:
         raise CoverageError("kernel normalization requires a fully valid matrix")
-    values = matrix.values.astype(np.float64)
+    values = matrix.block.astype(np.float64)
     lo = float(values.min()) if values.size else 0.0
     hi = float(values.max()) if values.size else 0.0
     if hi == lo:
@@ -67,7 +67,7 @@ def _checked_kernel(matrix: InfluenceMatrix, budget: int) -> np.ndarray:
         raise ValueError("facility location needs budget >= 1")
     if not matrix.fully_valid:
         raise CoverageError("facility location requires a fully valid kernel")
-    kernel = matrix.values.astype(np.float64)
+    kernel = matrix.block.astype(np.float64)
     if kernel.size and (kernel.min() < 0.0 or kernel.max() > 1.0):
         raise ValueError("facility location expects a kernel in [0, 1]; normalize first")
     return kernel
@@ -152,7 +152,7 @@ def topk_rowmax(matrix: InfluenceMatrix, k: int) -> SelectionResult:
     m = matrix.m
     if not 0 <= k <= m:
         raise ValueError(f"k must lie in [0, {m}], got {k}")
-    scores = matrix.values.astype(np.float64).max(axis=1)
+    scores = matrix.block.astype(np.float64).max(axis=1)
     order = np.lexsort((np.arange(m), -scores))
     indices = [int(i) for i in order[:k]]
     running = np.cumsum(scores[order[:k]])

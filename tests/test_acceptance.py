@@ -348,17 +348,21 @@ def test_7_binary_formats_round_trip(capsys, tmp_path):
         m = int(rng.integers(1, 25))
         n = int(rng.integers(1, 25))
         values = rng.normal(size=(m, n)).astype(np.float32)
-        mask = rng.random((m, n)) < 0.6
+        # a random row subset x column subset, each in random order
+        rows = rng.permutation(m)[:int(rng.integers(0, m + 1))]
+        cols = rng.permutation(n)[:int(rng.integers(0, n + 1))]
         if case == 0:
-            mask[:] = True
+            rows, cols = np.arange(m), np.arange(n)
         if case == 1:
-            mask[:] = False
-        matrix = InfluenceMatrix(values=np.where(mask, values, 0.0), mask=mask)
+            rows, cols = rows[:0], cols[:0]
+        mask = np.zeros((m, n), dtype=bool)
+        mask[np.ix_(rows, cols)] = True
+        matrix = InfluenceMatrix(m, n, rows, cols, values[np.ix_(rows, cols)])
         raw = matrix.to_bytes()
         loaded = InfluenceMatrix.from_bytes(raw, origin="test")
         ok &= np.array_equal(loaded.mask, mask)
-        ok &= loaded.values.tobytes() == matrix.values.tobytes()
-        ok &= loaded.to_bytes() == raw  # includes the packed mask bytes
+        ok &= loaded.values.tobytes() == np.where(mask, values, np.float32(0.0)).tobytes()
+        ok &= loaded.to_bytes() == raw  # includes the index bytes
     elapsed = time.perf_counter() - started
     passed = ok and elapsed < 5.0
     announce(capsys, 7, "embedding and influence files round-trip bit-exactly",

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +136,46 @@ class TestEmb1RoundTrip:
         raw[16:20] = np.array([np.inf], dtype="<f4").tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(DataValidationError):
+            load_embeddings(path)
+
+
+def emb1_rows_from_bytes(path):
+    """The whole-file decoding: read every byte, slice off the header,
+    view the rest as float32 and copy it out."""
+    raw = path.read_bytes()
+    count, dim = struct.unpack_from("<II", raw, 8)
+    return np.frombuffer(raw[16:], dtype="<f4").reshape(count, dim).copy()
+
+
+class TestEmb1InPlaceLoad:
+    def test_rows_equal_the_whole_file_decoding(self, tmp_path):
+        rng = np.random.default_rng(11)
+        for case in range(20):
+            count, dim = int(rng.integers(0, 50)), int(rng.integers(1, 300))
+            rows = (rng.standard_normal((count, dim)) * 10.0 ** rng.integers(-30, 30)).astype(np.float32)
+            path = tmp_path / f"r{case}.emb"
+            save_embeddings(EmbeddingMatrix(rows=rows), path)
+            loaded = load_embeddings(path)
+            assert loaded.rows.dtype == np.float32 and loaded.rows.flags.writeable
+            assert loaded.rows.shape == (count, dim)
+            assert loaded.rows.tobytes() == emb1_rows_from_bytes(path).tobytes()
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda raw: raw[:-4], PayloadLengthError),
+        (lambda raw: raw[:-1], PayloadLengthError),
+        (lambda raw: raw[:16], PayloadLengthError),
+        (lambda raw: raw + b"\x00" * 4, PayloadLengthError),
+        (lambda raw: raw + b"\x00", PayloadLengthError),
+        (lambda raw: raw[:20] + np.array([np.nan], dtype="<f4").tobytes() + raw[24:],
+         DataValidationError),
+        (lambda raw: raw[:-4] + np.array([-np.inf], dtype="<f4").tobytes(), DataValidationError),
+    ], ids=["one_float_short", "one_byte_short", "header_only", "one_float_long",
+            "one_byte_long", "nan", "negative_inf"])
+    def test_bad_payload_names_the_path(self, tmp_path, edit, error):
+        path = tmp_path / "bad.emb"
+        save_embeddings(random_matrix(np.random.default_rng(0), 3, 4), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(error, match=re.escape(str(path))):
             load_embeddings(path)
 
 

@@ -22,28 +22,28 @@ M, N, DIM = 200, 80, 32
 
 GOLDEN = {
     "delift": {
-        "q1.nnk": "5be242496dfb4984abece2716c7b033ba3246fc00cbf77b1ef539e7995099b16",
-        "full.nnk": "edab94ae77050840510078209a09a541877db0b76a9822a5a7850186278c6fb4",
+        "q1.nnk": "e454d0c3aabd6ce33ad810df03343ddfc9dced1b2114a4d24afb0a321c26b312",
+        "full.nnk": "2c8bb5ef6e4ede02aad88d396a9e747ddfdca7027e46aa0557590927a4f044db",
         "params.json": "969cd1bf451e1baf65a43bbb7a34db021de6cb18bd68c5cc11490456b2f0439f",
-        "selection.json": "5bd841dc90483bf99a3d887756758dfdd6fd4438aa3f257d5cbcfa5f147738ce",
+        "selection.json": "aa8b431e01008d87cd54dd56849f85369fbf21adba836c29fdf4130e714eeaf0",
     },
     "delift_se": {
-        "q1.nnk": "8acf26fc63587a3065782c5ccfbf7a7385bad413f3ef55ef2ae027237437dc76",
-        "full.nnk": "dcf89de291642407a61ccf6f2a630b2c8ee061c1b9cbeef879d7bdb7272ce0d2",
+        "q1.nnk": "6774536cfcb655be16696f938d85acabf8662584a7521208c7b5d7fe8b035068",
+        "full.nnk": "4ed5fd077cc485500fd239abc9cee668e835fb4b2d582ec680cb2688d29aac6d",
         "params.json": "d7602cd4eec0899b1a6907f7239693ed20ac3272e823865f9d6accd437d84bb4",
-        "selection.json": "327416d7deeeb515b6ad0bbd0b26d598641a43b121965923c59b7f885517212f",
+        "selection.json": "e843fa3edb7dd810443023b5cc3d896d0284d6cb299596fbd3dacadc9043b093",
     },
     "less": {
-        "q1.nnk": "5f45d3544c50663dc5989107a1a351c0c438feab3271286f8adc5f87143e44cb",
-        "full.nnk": "a29249316fcf7bb8ce4f09516765fb844dd0f2b455e11fb9ea2e1f2708720670",
+        "q1.nnk": "60a961e8a11ab90fb5945f40bc9c462e7b505cbf083658872ae3501fa670fc41",
+        "full.nnk": "d9ed81cbc2af108390d1133ff391a7ae8fe406c5df208b9f6035a3fa53840c64",
         "params.json": "35e21ab880244ad18056af45b4b0a5438b9948cac72fd620206f39e6a0d33c79",
-        "selection.json": "b048d8b38204f16ebd2ed4cf99c978d301a46f7da28b9c42985269849ed7de4a",
+        "selection.json": "939ecab59a0ce3c79e9525d1594eb2040b1b61bf32c4a7fc5de387d172f64b24",
     },
     "selectit": {
-        "q1.nnk": "f1ae980bb673097912e2830270f9091f06af254625cde9e46a2469a140dff62c",
-        "full.nnk": "96aa38f15e4ff8eaab08a37051e1fdf6806815fab11a9137a6b8da6a63bc61aa",
+        "q1.nnk": "f3185ea64643734a5616570f3b27207ea31a3a9a78b045650580c4997d269715",
+        "full.nnk": "f11c02d7401fc25d6560f30be3ef6dd4197775b735c2a9d083097aaf476a43be",
         "params.json": "125ebc1549a784d2ecafa98cfefe3be73266607a3251d3867f533d251f51f438",
-        "selection.json": "9a735f41176fa2cbe7d3534489e80d9e207d0c914a32b87302f350f4081d18c8",
+        "selection.json": "ef42845124aad75f121f7f13a3481683631ffc9f45520ea654ad989221bfdccb",
     },
 }
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from nncift.datasets import DatasetPair, EmbeddingMatrix, partition
 from nncift.errors import (
+    CoverageError,
     DataValidationError,
     FileFormatError,
     PayloadLengthError,
@@ -542,13 +545,21 @@ class TestComputePointwise:
             compute_pointwise("selectit", [0, 1], ["p"], scales, text_pair(2, 1), CostLedger())
 
 
+def nnk_bytes(m, n, rows, cols, block):
+    """An NNCIFTB file written by hand, field by field."""
+    return (b"NNCIFTB\x00" + struct.pack("<IIII", m, n, len(rows), len(cols))
+            + np.asarray(rows, dtype="<u4").tobytes() + np.asarray(cols, dtype="<u4").tobytes()
+            + np.asarray(block, dtype="<f4").tobytes())
+
+
 class TestInfluenceMatrixFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         for m, n in [(1, 1), (3, 7), (16, 2), (5, 13)]:
-            values = rng.standard_normal((m, n)).astype(np.float32)
-            mask = rng.random((m, n)) < 0.6
-            matrix = InfluenceMatrix(values=values, mask=mask)
+            rows = rng.permutation(m)[:int(rng.integers(1, m + 1))]
+            cols = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+            block = rng.standard_normal((len(rows), len(cols))).astype(np.float32)
+            matrix = InfluenceMatrix(m, n, rows, cols, block)
             path = tmp_path / f"k{m}x{n}.nnk"
             save_influence(matrix, path)
             assert path.read_bytes() == matrix.to_bytes()
@@ -556,24 +567,39 @@ class TestInfluenceMatrixFormat:
             assert loaded.to_bytes() == matrix.to_bytes()
             np.testing.assert_array_equal(loaded.mask, matrix.mask)
 
-    def test_mask_bits_lsb_first(self):
-        values = np.zeros((1, 9), dtype=np.float32)
-        mask = np.zeros((1, 9), dtype=bool)
-        mask[0, 0] = True
-        mask[0, 8] = True
-        raw = InfluenceMatrix(values=values, mask=mask).to_bytes()
-        assert raw[16 + 9 * 4:] == bytes([0b00000001, 0b00000001])
+    def test_index_byte_layout(self):
+        block = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], dtype=np.float32)
+        raw = InfluenceMatrix(9, 4, [7, 0, 3], [2, 1], block).to_bytes()
+        assert raw[:8] == b"NNCIFTB\x00"
+        assert struct.unpack_from("<IIII", raw, 8) == (9, 4, 3, 2)
+        assert struct.unpack_from("<5I", raw, 24) == (7, 0, 3, 2, 1)
+        assert raw[44:] == block.astype("<f4").tobytes()
+        assert len(raw) == 24 + 4 * (3 + 2 + 6)
 
-    def test_invalid_cells_zeroed(self):
-        values = np.array([[1.0, 99.0]], dtype=np.float32)
-        mask = np.array([[True, False]])
-        matrix = InfluenceMatrix(values=values, mask=mask)
-        assert matrix.values[0, 1] == 0.0
+    def test_unsorted_block_round_trips_in_caller_order(self, tmp_path):
+        block = np.arange(6, dtype=np.float32).reshape(3, 2)
+        matrix = InfluenceMatrix(5, 4, [4, 0, 2], [3, 1], block)
+        path = tmp_path / "u.nnk"
+        save_influence(matrix, path)
+        loaded = load_influence(path)
+        np.testing.assert_array_equal(loaded.rows, [4, 0, 2])
+        np.testing.assert_array_equal(loaded.cols, [3, 1])
+        assert loaded.block.tobytes() == block.tobytes()
+        assert loaded.values[4, 3] == 0.0 and loaded.values[0, 1] == 3.0
+        assert not loaded.values[1].any()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.nnk"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 10)
         with pytest.raises(FileFormatError):
+            load_influence(path)
+
+    def test_dense_masked_format_rejected(self, tmp_path):
+        # the earlier NNCIFTK layout: m, n, m*n float32 values, packed mask
+        path = tmp_path / "dense.nnk"
+        path.write_bytes(b"NNCIFTK\x00" + struct.pack("<II", 2, 3)
+                         + np.ones(6, dtype="<f4").tobytes() + bytes([0b111111]))
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
             load_influence(path)
 
     def test_truncated(self, tmp_path):
@@ -584,33 +610,57 @@ class TestInfluenceMatrixFormat:
         with pytest.raises(PayloadLengthError):
             load_influence(path)
 
+    @pytest.mark.parametrize("raw", [
+        b"NNCIFTB\x00" + struct.pack("<III", 1, 1, 1),
+        nnk_bytes(3, 3, [0, 1], [2], [[1.0], [2.0]])[:-4],
+        nnk_bytes(3, 3, [0, 1], [2], [[1.0], [2.0]]) + b"\x00" * 4,
+        nnk_bytes(3, 3, [0, 1], [2], [[1.0], [2.0]])[:-1],
+    ], ids=["short_header", "one_value_short", "one_value_long", "one_byte_short"])
+    def test_length_mismatch(self, tmp_path, raw):
+        path = tmp_path / "len.nnk"
+        path.write_bytes(raw)
+        with pytest.raises(PayloadLengthError, match=re.escape(str(path))):
+            load_influence(path)
+
+    @pytest.mark.parametrize("rows, cols", [
+        ([1, 1], [0]), ([0, 3], [0]), ([0], [1, 1]), ([0, 1], [2]),
+    ], ids=["duplicate_row", "row_out_of_range", "duplicate_column", "column_out_of_range"])
+    def test_bad_indices_rejected(self, tmp_path, rows, cols):
+        path = tmp_path / "idx.nnk"
+        path.write_bytes(nnk_bytes(3, 2, rows, cols, np.zeros((len(rows), len(cols)))))
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
+            load_influence(path)
+
+    def test_non_finite_block_value_in_file_rejected(self, tmp_path):
+        path = tmp_path / "nan.nnk"
+        path.write_bytes(nnk_bytes(2, 2, [1], [0, 1], [[1.0, np.inf]]))
+        with pytest.raises(DataValidationError, match=re.escape(str(path))):
+            load_influence(path)
+
     def test_non_finite_valid_cell_rejected(self):
         with pytest.raises(DataValidationError):
-            InfluenceMatrix(values=np.array([[np.nan]], dtype=np.float32),
-                            mask=np.array([[True]]))
-
-    def test_non_finite_invalid_cell_tolerated(self):
-        matrix = InfluenceMatrix(values=np.array([[np.nan, 1.0]], dtype=np.float32),
-                                 mask=np.array([[False, True]]))
-        assert matrix.values[0, 0] == 0.0
+            InfluenceMatrix(1, 1, [0], [0], np.array([[np.nan]], dtype=np.float32))
 
     def test_empty_matrix(self, tmp_path):
-        matrix = InfluenceMatrix(values=np.zeros((0, 5), dtype=np.float32),
-                                 mask=np.zeros((0, 5), dtype=bool))
+        matrix = InfluenceMatrix(0, 5, [], range(5), np.zeros((0, 5), dtype=np.float32))
         path = tmp_path / "e.nnk"
         save_influence(matrix, path)
         loaded = load_influence(path)
         assert (loaded.m, loaded.n) == (0, 5)
 
     def test_overlay(self):
-        base = InfluenceMatrix(values=np.full((2, 2), 0.5, dtype=np.float32),
-                               mask=np.array([[False, True], [True, True]]))
-        top = InfluenceMatrix(values=np.array([[0.9, 0.0], [0.0, 0.0]], dtype=np.float32),
-                              mask=np.array([[True, False], [False, False]]))
+        base = InfluenceMatrix.full(np.full((2, 2), 0.5, dtype=np.float32))
+        top = InfluenceMatrix(2, 2, [0], [0], np.array([[0.9]], dtype=np.float32))
         merged = base.overlay(top)
         assert merged.fully_valid
         assert merged.values[0, 0] == np.float32(0.9)
         assert merged.values[1, 1] == np.float32(0.5)
+
+    def test_overlay_outside_the_block_rejected(self):
+        base = InfluenceMatrix(3, 3, [0, 2], [1], np.zeros((2, 1), dtype=np.float32))
+        top = InfluenceMatrix(3, 3, [1], [1], np.ones((1, 1), dtype=np.float32))
+        with pytest.raises(CoverageError):
+            base.overlay(top)
 
     def test_content_hash_stable(self):
         matrix = InfluenceMatrix.full(np.ones((2, 3), dtype=np.float32))

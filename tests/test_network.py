@@ -394,13 +394,11 @@ class TestEstimatePairwise:
         part = partition(pair, 0.05, seed=0)
         params = init_params(seed=0, in_dim=8, hidden=3)
         ledger = CostLedger()
-        matrix = InfluenceMatrix(values=np.zeros((100, 100)), mask=np.zeros((100, 100), dtype=bool))
-        for q in ("Q2", "Q3", "Q4"):
-            rows, cols = quadrant_index_sets(part, q)
-            matrix = matrix.overlay(estimate_pairwise(params, pair, rows, cols, ledger))
+        blocks = [estimate_pairwise(params, pair, *quadrant_index_sets(part, q), ledger)
+                  for q in ("Q2", "Q3", "Q4")]
         assert ledger.estimator_forwards == 100 * 100 - 25
         assert ledger.forward_calls == 0
-        assert matrix.valid_count() == 9975
+        assert sum(block.valid_count() for block in blocks) == 9975
 
     def test_zero_cells(self):
         pair = embedding_pair(3, 3, 4)
@@ -606,8 +604,7 @@ class TestMseByQuadrant:
 
     def test_missing_cells_rejected(self):
         part = self.make_partition()
-        holey = InfluenceMatrix(values=np.zeros((4, 4), dtype=np.float32),
-                                mask=np.zeros((4, 4), dtype=bool))
+        holey = InfluenceMatrix(4, 4, [], [], np.zeros((0, 0), dtype=np.float32))
         with pytest.raises(CoverageError):
             mse_by_quadrant(holey, full_matrix(np.zeros((4, 4))), part)
 

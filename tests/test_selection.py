@@ -60,8 +60,7 @@ class TestNormalizeKernel:
         assert float(out.values.max()) == 1.0
 
     def test_partial_mask_rejected(self):
-        matrix = InfluenceMatrix(values=np.zeros((2, 2), dtype=np.float32),
-                                 mask=np.array([[True, False], [True, True]]))
+        matrix = InfluenceMatrix(2, 2, [0, 1], [0], np.zeros((2, 1), dtype=np.float32))
         with pytest.raises(CoverageError):
             normalize_kernel(matrix)
 
@@ -155,8 +154,7 @@ class TestFacilityLocationGreedy:
             facility_location_greedy(full([[-0.1]]), 1)
 
     def test_partial_mask_rejected(self):
-        matrix = InfluenceMatrix(values=np.zeros((2, 2), dtype=np.float32),
-                                 mask=np.array([[True, False], [True, True]]))
+        matrix = InfluenceMatrix(2, 2, [0, 1], [0], np.zeros((2, 1), dtype=np.float32))
         with pytest.raises(CoverageError):
             facility_location_greedy(matrix, 1)
 
