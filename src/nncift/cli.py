@@ -438,9 +438,8 @@ def _valuate(
 ) -> InfluenceMatrix:
     """Ground truth on the rows x cols block (pointwise: on the rows)."""
     if config.method in POINTWISE_METHODS:
-        scores = compute_pointwise(config.method, rows, config.prompts, config.scale_spec,
-                                   config.pair, ledger)
-        return scores.to_matrix()
+        return compute_pointwise(config.method, rows, config.prompts, config.scale_spec,
+                                 config.pair, ledger).to_matrix()
     provider = config.provider if config.method == "delift" else None
     return compute_influence(config.method, rows, cols, config.pair, probe=provider, ledger=ledger)
 
@@ -480,10 +479,10 @@ def cmd_train_estimate(config: RunConfig) -> Path:
         raise ConfigError(f"{q1_path} not found; run valuate first")
     q1 = load_influence(q1_path)
     ledger = _load_ledger(out, config)
-    if (q1.m, q1.n) != (part.m, part.n):
-        raise ConfigError(f"{q1_path} is {q1.m}x{q1.n} but this run needs {part.m}x{part.n}")
-    if not (np.array_equal(q1.rows, part.id_f) and np.array_equal(q1.cols, part.id_t)):
-        raise ConfigError(f"{q1_path} does not match the ID corner; stale artifact?")
+    if (q1.m, q1.n) != (part.m, part.n) or not (
+            np.array_equal(q1.rows, part.id_f) and np.array_equal(q1.cols, part.id_t)):
+        raise ConfigError(f"{q1_path} ({q1.m}x{q1.n}) is not the ID corner of this "
+                          f"{part.m}x{part.n} run; stale artifact?")
 
     pointwise = config.method in POINTWISE_METHODS
     right = np.zeros((1, 0)) if pointwise else pair.target.rows[part.id_t]
@@ -551,16 +550,13 @@ def cmd_select(config: RunConfig) -> Path:
     budget = exact_ceil(config.v, full.m)
     selector = METHOD_SELECTOR[config.method]
     try:
+        kernel = normalize_kernel(full) if selector == "facility_location" else full
         if selector == "facility_location":
-            kernel = normalize_kernel(full)
             result = facility_location_greedy(kernel, budget)
-            kernel_hash = kernel.content_hash()
         elif selector == "topk_rowmax":
             result = topk_rowmax(full, budget)
-            kernel_hash = full.content_hash()
         else:
             result = topk_pointwise(PointwiseScores.from_matrix(full), budget)
-            kernel_hash = full.content_hash()
     except ValueError as exc:
         raise SelectionError(str(exc)) from exc
     doc = {
@@ -571,7 +567,7 @@ def cmd_select(config: RunConfig) -> Path:
         "indices": list(result.indices),
         "objective_values": list(result.objective_values),
         "seed": config.seed,
-        "kernel_hash": kernel_hash,
+        "kernel_hash": kernel.content_hash(),
     }
     _write_json(out / SELECTION_FILE, doc)
     print(f"wrote {out / SELECTION_FILE} ({len(result.indices)} of {full.m} rows)")

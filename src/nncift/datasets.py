@@ -210,11 +210,9 @@ def _load_emb1(fh, header: bytes, path: Path) -> EmbeddingMatrix:
         raise FileFormatError(f"{path}: dim must be >= 1, header says {dim}")
     expected = count * dim * 4
     size = os.fstat(fh.fileno()).st_size - _EMB1_HEADER.size
-    if size != expected:
+    # allocate only once the file size matches the header
+    if size != expected or fh.readinto(rows := np.empty((count, dim), dtype="<f4")) != size:
         raise PayloadLengthError(f"{path}: payload is {size} bytes, header declares {expected}")
-    rows = np.empty((count, dim), dtype="<f4")
-    if fh.readinto(rows) != expected:
-        raise PayloadLengthError(f"{path}: payload ended before the {expected} bytes it declares")
     try:
         return EmbeddingMatrix(rows=rows)
     except DataValidationError as exc:
@@ -261,7 +259,6 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
         raw = fh.read(_EMB1_HEADER.size)
         if raw[:8] == EMB1_MAGIC:
             return _load_emb1(fh, raw, path)
-        raw += fh.read()
     if path.suffix == ".jsonl" or raw.lstrip()[:1] in (b"{", b""):
         return _load_jsonl(path)
     raise FileFormatError(f"{path}: bad magic {raw[:8]!r}")

@@ -48,27 +48,28 @@ POINTWISE_METHODS = ("selectit",)
 
 def _checked_index(index, size: int, axis: str) -> np.ndarray:
     index = np.asarray(index, dtype=np.int64)
-    if index.ndim != 1:
-        raise ValueError(f"{axis} indices must be 1-D, got shape {index.shape}")
-    if index.size and (index.min() < 0 or index.max() >= size):
-        raise ValueError(f"{axis} index out of range [0, {size})")
+    if index.ndim != 1 or (index.size and (index.min() < 0 or index.max() >= size)):
+        raise ValueError(f"{axis} indices must be 1-D and in range [0, {size})")
     if len(np.unique(index)) != len(index):
         raise ValueError(f"duplicate {axis} index")
     return index
 
 
-def _in_order(index: np.ndarray, size: int) -> bool:
-    return len(index) == size and bool((index == np.arange(size)).all())
+def _locate(index, own: np.ndarray, size: int) -> np.ndarray:
+    """Position of each of `index` within `own`; CoverageError if one is absent."""
+    at = np.full(size, -1, dtype=np.int64)
+    at[own] = np.arange(len(own))
+    found = at[np.asarray(index, dtype=np.int64)]
+    if (found < 0).any():
+        raise CoverageError(f"index {np.asarray(index)[found < 0][0]} lies outside the block")
+    return found
 
 
 @dataclass(frozen=True, eq=False)
 class InfluenceMatrix:
-    """An m x n influence matrix whose known cells are one rows x cols block.
-
-    `rows` and `cols` are distinct in-range indices in the caller's order;
-    `block[a, b]` is the value at (rows[a], cols[b]). Every other cell is
-    unknown.
-    """
+    """An m x n influence matrix known on one rows x cols block:
+    `block[a, b]` is cell (rows[a], cols[b]). The indices are distinct and
+    kept in the caller's order."""
 
     m: int
     n: int
@@ -78,7 +79,7 @@ class InfluenceMatrix:
 
     def __post_init__(self):
         m, n = int(self.m), int(self.n)
-        if m < 0 or n < 0:
+        if min(m, n) < 0:
             raise ValueError(f"shape must be nonnegative, got {m} x {n}")
         rows = _checked_index(self.rows, m, "row")
         cols = _checked_index(self.cols, n, "column")
@@ -92,57 +93,38 @@ class InfluenceMatrix:
 
     @classmethod
     def full(cls, values: np.ndarray) -> "InfluenceMatrix":
-        values = np.asarray(values)
-        m, n = values.shape
+        m, n = np.shape(values)
         return cls(m, n, np.arange(m), np.arange(n), values)
 
     @property
     def fully_valid(self) -> bool:
-        """Whether the block is the whole matrix with rows and columns in
-        index order, so that `block[i, j]` is cell (i, j)."""
-        return _in_order(self.rows, self.m) and _in_order(self.cols, self.n)
+        """Whether the block is the whole matrix in index order."""
+        return all(len(index) == size and (index == np.arange(size)).all()
+                   for index, size in ((self.rows, self.m), (self.cols, self.n)))
 
     @property
     def values(self) -> np.ndarray:
-        """Dense m x n values with 0.0 outside the block: the block itself
-        when it is fully valid, else a read-only copy."""
-        if self.fully_valid:
-            return self.block
-        dense = np.zeros((self.m, self.n), dtype=np.float32)
-        dense[np.ix_(self.rows, self.cols)] = self.block
-        dense.flags.writeable = False
-        return dense
+        """Dense m x n values, 0.0 off the block; the block itself when fully valid."""
+        return self.block if self.fully_valid else self._dense(self.block)
 
     @property
     def mask(self) -> np.ndarray:
         """Dense m x n validity, True on the block."""
-        dense = np.zeros((self.m, self.n), dtype=bool)
-        dense[np.ix_(self.rows, self.cols)] = True
+        return self._dense(np.True_)
+
+    def _dense(self, fill) -> np.ndarray:
+        dense = np.zeros((self.m, self.n), dtype=fill.dtype)
+        dense[np.ix_(self.rows, self.cols)] = fill
         dense.flags.writeable = False
         return dense
 
     def valid_count(self) -> int:
         return int(self.block.size)
 
-    def _positions(self, rows, cols) -> list[np.ndarray]:
-        """Where the given rows and cols sit in the block; CoverageError
-        if any of them lies outside it."""
-        found = []
-        for index, own, size, axis in ((rows, self.rows, self.m, "row"),
-                                       (cols, self.cols, self.n, "column")):
-            at = np.full(size, -1, dtype=np.int64)
-            at[own] = np.arange(len(own))
-            index = np.asarray(index, dtype=np.int64)
-            pos = at[index]
-            if (pos < 0).any():
-                raise CoverageError(f"{axis} {index[np.argmax(pos < 0)]} lies outside the block")
-            found.append(pos)
-        return found
-
     def take(self, rows, cols) -> np.ndarray:
         """The rows x cols values, row-major in the order given."""
-        rows_at, cols_at = self._positions(rows, cols)
-        return self.block.take(rows_at, 0).take(cols_at, 1)
+        return self.block.take(_locate(rows, self.rows, self.m), 0).take(
+            _locate(cols, self.cols, self.n), 1)
 
     def overlay(self, other: "InfluenceMatrix") -> "InfluenceMatrix":
         """This matrix with other's block written on top; other's cells
@@ -150,12 +132,12 @@ class InfluenceMatrix:
         if (other.m, other.n) != (self.m, self.n):
             raise ValueError("shape mismatch in overlay")
         block = self.block.copy()
-        block[np.ix_(*self._positions(other.rows, other.cols))] = other.block
+        block[np.ix_(_locate(other.rows, self.rows, self.m),
+                     _locate(other.cols, self.cols, self.n))] = other.block
         return replace(self, block=block)
 
     def _nnk_parts(self) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
-        """Header, row indices, column indices and block, in file order;
-        the block part is a view on a little-endian host."""
+        """Header, row indices, column indices and block, in file order."""
         header = _NNK_HEADER.pack(NNK_MAGIC, self.m, self.n, len(self.rows), len(self.cols))
         return (header, self.rows.astype("<u4"), self.cols.astype("<u4"),
                 np.ascontiguousarray(self.block, dtype="<f4"))
@@ -165,39 +147,32 @@ class InfluenceMatrix:
 
     @classmethod
     def from_bytes(cls, raw: bytes, origin: str = "<bytes>") -> "InfluenceMatrix":
-        if len(raw) >= len(NNK_MAGIC) and raw[:len(NNK_MAGIC)] != NNK_MAGIC:
-            raise FileFormatError(f"{origin}: bad magic {raw[:len(NNK_MAGIC)]!r}")
         if len(raw) < _NNK_HEADER.size:
             raise PayloadLengthError(f"{origin}: shorter than the {_NNK_HEADER.size}-byte header")
-        _, m, n, r, c = _NNK_HEADER.unpack_from(raw)
+        magic, m, n, r, c = _NNK_HEADER.unpack_from(raw)
+        if magic != NNK_MAGIC:
+            raise FileFormatError(f"{origin}: bad magic {magic!r}")
         expected = _NNK_HEADER.size + 4 * (r + c + r * c)
         if len(raw) != expected:
             raise PayloadLengthError(f"{origin}: file is {len(raw)} bytes, expected {expected}")
-        indices = np.frombuffer(raw, dtype="<u4", count=r + c, offset=_NNK_HEADER.size)
-        block = np.frombuffer(raw, dtype="<f4", offset=_NNK_HEADER.size + 4 * (r + c))
+        words = np.frombuffer(raw, dtype="<u4", offset=_NNK_HEADER.size)
         try:
-            return cls(m, n, indices[:r], indices[r:], block.reshape(r, c))
-        except ValueError as exc:
-            raise FileFormatError(f"{origin}: {exc}") from exc
-        except DataValidationError as exc:
-            raise DataValidationError(f"{origin}: {exc}") from exc
+            return cls(m, n, words[:r], words[r:r + c], words[r + c:].view("<f4").reshape(r, c))
+        except (ValueError, DataValidationError) as exc:
+            kind = FileFormatError if isinstance(exc, ValueError) else DataValidationError
+            raise kind(f"{origin}: {exc}") from exc
 
     def content_hash(self) -> str:
-        digest = hashlib.sha256()
-        for part in self._nnk_parts():
-            digest.update(part)
-        return digest.hexdigest()
+        return hashlib.sha256(self.to_bytes()).hexdigest()
 
 
 def save_influence(matrix: InfluenceMatrix, path: str | Path) -> None:
     with open(path, "wb") as handle:
-        for part in matrix._nnk_parts():
-            handle.write(part)
+        handle.writelines(matrix._nnk_parts())
 
 
 def load_influence(path: str | Path) -> InfluenceMatrix:
-    path = Path(path)
-    return InfluenceMatrix.from_bytes(path.read_bytes(), origin=str(path))
+    return InfluenceMatrix.from_bytes(Path(path).read_bytes(), origin=str(path))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,14 +184,10 @@ class PointwiseScores:
     values: np.ndarray
 
     def __post_init__(self):
-        indices = np.asarray(self.indices, dtype=np.int64)
+        indices = _checked_index(self.indices, self.m, "sample")
         values = np.asarray(self.values, dtype=np.float64)
-        if indices.shape != values.shape or indices.ndim != 1:
+        if indices.shape != values.shape:
             raise ValueError("indices and values must be 1-D and aligned")
-        if len(np.unique(indices)) != len(indices):
-            raise ValueError("duplicate indices")
-        if indices.size and (indices.min() < 0 or indices.max() >= self.m):
-            raise ValueError("index out of range")
         if not np.all(np.isfinite(values)):
             raise DataValidationError("scores contain non-finite values")
         object.__setattr__(self, "indices", indices)
@@ -406,8 +377,7 @@ def compute_influence(
         raise ValueError(f"unknown pairwise method {method!r}")
     if method == "delift" and (probe is None or ledger is None):
         raise ValueError("delift requires a probe and a ledger")
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     if method == "delift":
         requests: list[tuple[str, str, str, str]] = []
         noctx_at: dict[int, int] = {}

@@ -451,8 +451,7 @@ def estimate_pairwise(
         raise ValueError(
             f"net expects in_dim {params.in_dim}, pair embeddings give {2 * dim}"
         )
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     block = np.empty((len(rows), len(cols)), dtype=np.float32)
     for start, y in _estimate_chunks(params, pair.fine_tune.rows, rows, pair.target.rows, cols):
         block[start:start + len(y)] = y

@@ -49,11 +49,9 @@ def normalize_kernel(matrix: InfluenceMatrix) -> InfluenceMatrix:
     if not matrix.fully_valid:
         raise CoverageError("kernel normalization requires a fully valid matrix")
     values = matrix.block.astype(np.float64)
-    lo = float(values.min()) if values.size else 0.0
-    hi = float(values.max()) if values.size else 0.0
-    if hi == lo:
-        return InfluenceMatrix.full(np.zeros_like(values, dtype=np.float32))
-    return InfluenceMatrix.full(((values - lo) / (hi - lo)).astype(np.float32))
+    lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
+    scaled = (values - lo) / (hi - lo) if hi > lo else np.zeros_like(values)
+    return InfluenceMatrix.full(scaled.astype(np.float32))
 
 
 def _gain(kernel: np.ndarray, row: int, covered: np.ndarray) -> float:
