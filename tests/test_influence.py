@@ -587,6 +587,7 @@ class TestInfluenceMatrixFormat:
         assert loaded.block.tobytes() == block.tobytes()
         assert loaded.values[4, 3] == 0.0 and loaded.values[0, 1] == 3.0
         assert not loaded.values[1].any()
+        np.testing.assert_array_equal(loaded.take([0, 4], [1, 3]), [[3.0, 2.0], [1.0, 0.0]])
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.nnk"
