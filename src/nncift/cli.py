@@ -102,6 +102,8 @@ METHOD_SELECTOR = {
 _TRAIN_KEYS = frozenset(f.name for f in fields(TrainConfig)) - {"seed"}
 _SCALE_KEYS = frozenset({"label", "parameter_count", "probe"})
 _DEFAULT_PROMPTS = ["Rate the quality of the following instruction sample.\n{prompt}"]
+_PATH_KEYS = ("fine_tune_embeddings", "target_embeddings", "fine_tune_gradients",
+              "target_gradients", "fine_tune_texts", "target_texts", "out_dir")
 
 
 @dataclass(frozen=True)
@@ -271,8 +273,11 @@ def resolve_config(
     _check_fraction("v", cfg["v"])
 
     seed = cfg["seed"] = seed_override if seed_override is not None else doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    for key in _PATH_KEYS:
+        if not isinstance(cfg[key], (str, type(None))):
+            raise ConfigError(f"{key} must be a path string, got {cfg[key]!r}")
 
     if not cfg["fine_tune_embeddings"]:
         raise ConfigError("fine_tune_embeddings path is required")
@@ -293,9 +298,10 @@ def resolve_config(
     if bad:
         raise ConfigError(f"unknown train fields: {', '.join(bad)}")
 
-    prompts = cfg["prompts"] = list(doc.get("prompts") or _DEFAULT_PROMPTS)
-    if not prompts or not all(isinstance(p, str) and p for p in prompts):
-        raise ConfigError("prompts must be a non-empty list of non-empty strings")
+    prompts = _DEFAULT_PROMPTS if cfg["prompts"] is None else cfg["prompts"]
+    if not (isinstance(prompts, list) and prompts and all(isinstance(p, str) and p for p in prompts)):
+        raise ConfigError(f"prompts must be a non-empty list of non-empty strings, got {prompts!r}")
+    cfg["prompts"] = list(prompts)
 
     scales = doc.get("scales")
     if scales is None:
@@ -389,18 +395,11 @@ def _load_inputs(config: RunConfig) -> DatasetPair:
     if config.method == "less":
         kwargs["fine_tune_gradients"] = _read_input(config, "fine_tune_gradients", load_embeddings)
         kwargs["target_gradients"] = _read_input(config, "target_gradients", load_embeddings)
-    if config.method in ("delift", "selectit"):
-        kwargs["fine_tune_texts"] = (
-            _read_input(config, "fine_tune_texts", load_texts)
-            if config.fine_tune_texts
-            else _generated_texts(fine.count, "fine_tune")
-        )
-    if config.method == "delift":
-        kwargs["target_texts"] = (
-            _read_input(config, "target_texts", load_texts)
-            if config.target_texts
-            else _generated_texts(target.count, "target")
-        )
+    sides = {"delift": ("fine_tune", "target"), "selectit": ("fine_tune",)}.get(config.method, ())
+    for side, count in zip(sides, (fine.count, target.count)):
+        key = f"{side}_texts"
+        kwargs[key] = (_read_input(config, key, load_texts) if getattr(config, key)
+                       else _generated_texts(count, side))
     return DatasetPair(fine_tune=fine, target=target, **kwargs)
 
 
@@ -424,13 +423,17 @@ def _read_run_json(path: Path) -> dict:
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _load_ledger(out: Path, config: RunConfig) -> CostLedger:
-    doc = _read_run_json(out / LEDGER_FILE)
+def _load_ledger(out: Path, config: RunConfig) -> tuple[dict, CostLedger]:
+    """ledger.json's document and the ledger it holds, which `config`'s run must have written."""
+    path = out / LEDGER_FILE
+    doc = _read_run_json(path)
+    try:
+        ledger = CostLedger.from_dict(doc)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     if doc.get("config_hash") != config.config_hash:
-        raise ConfigError(
-            f"{out / LEDGER_FILE} was produced by a different config; rerun valuate"
-        )
-    return CostLedger.from_dict(doc)
+        raise ConfigError(f"{path} was produced by a different config; rerun valuate")
+    return doc, ledger
 
 
 def _valuate(
@@ -478,7 +481,7 @@ def cmd_train_estimate(config: RunConfig) -> Path:
     if not q1_path.exists():
         raise ConfigError(f"{q1_path} not found; run valuate first")
     q1 = load_influence(q1_path)
-    ledger = _load_ledger(out, config)
+    _, ledger = _load_ledger(out, config)
     if (q1.m, q1.n) != (part.m, part.n) or not (
             np.array_equal(q1.rows, part.id_f) and np.array_equal(q1.cols, part.id_t)):
         raise ConfigError(f"{q1_path} ({q1.m}x{q1.n}) is not the ID corner of this "
@@ -577,7 +580,7 @@ def cmd_select(config: RunConfig) -> Path:
 def _emit_final_report(config: RunConfig) -> Path:
     out = config.out_dir
     pair = config.pair
-    ledger_doc = _read_run_json(out / LEDGER_FILE)
+    ledger_doc, _ = _load_ledger(out, config)
     mse_path = out / MSE_FILE
     mse_doc = _read_run_json(mse_path) if mse_path.exists() else None
     pointwise = config.method in POINTWISE_METHODS
@@ -620,13 +623,8 @@ def _emit_final_report(config: RunConfig) -> Path:
 
 
 def _sweep_cell(config: RunConfig, u, v) -> RunConfig:
-    doc = dict(config.resolved)
-    doc["u"] = u
-    doc["v"] = v
-    doc["u_sweep"] = None
-    doc["v_sweep"] = None
-    doc["out_dir"] = str(config.out_dir / f"u{u}_v{v}")
-    return resolve_config(doc)
+    return resolve_config({**config.resolved, "u": u, "v": v, "u_sweep": None, "v_sweep": None,
+                           "out_dir": str(config.out_dir / f"u{u}_v{v}")})
 
 
 def _run_sweep(config: RunConfig) -> Path:

@@ -291,6 +291,8 @@ def load_texts(path: str | Path) -> dict[int, tuple[str, str]]:
                 raise FileFormatError(f"{path}:{lineno + 1}: idx must be a nonnegative integer")
             if not (isinstance(prompt, str) and isinstance(response, str)):
                 raise FileFormatError(f"{path}:{lineno + 1}: prompt and response must be strings")
+            if not response:  # no probe can score an empty target
+                raise FileFormatError(f"{path}:{lineno + 1}: response must be non-empty")
             if idx in records:
                 raise FileFormatError(f"{path}:{lineno + 1}: duplicate idx {idx}")
             records[idx] = (prompt, response)

@@ -10,6 +10,8 @@ Four valuation methods share this module:
 * selectit: pointwise certainty score aggregated over rating prompts
   and model scales, weighted by parameter count.
 
+delift and selectit send every probe through `probes.probe_batch`.
+
 Results live in an m x n matrix known on one rows x cols block (the ID
 corner, or every cell). It serializes to the NNCIFTB binary format:
 magic ``NNCIFTB\\0``, u32 LE m, n, r and c, then r u32 LE row indices,
@@ -33,17 +35,17 @@ from .errors import (
     CoverageError,
     DataValidationError,
     FileFormatError,
-    NnciftError,
     PayloadLengthError,
     RecordNotFoundError,
 )
-from .probes import CostLedger, Provider, target_logprobs_batch
+from .probes import KIND_LOGPROBS, KIND_MAX_PROBS, CostLedger, Provider, probe_batch
 
 NNK_MAGIC = b"NNCIFTB\x00"
 _NNK_HEADER = struct.Struct("<8sIIII")
 
 PAIRWISE_METHODS = ("delift", "delift_se", "less")
 POINTWISE_METHODS = ("selectit",)
+_POINTWISE_BLOCK = 1024  # indices per selectit batch: bounds the requests and answers held
 
 
 def _checked_index(index, size: int, axis: str) -> np.ndarray:
@@ -314,40 +316,6 @@ def _render_prompt(template: str, prompt_text: str) -> str:
     return f"{template}\n{prompt_text}"
 
 
-def selectit_point(
-    i: int,
-    prompts: Sequence[str],
-    scales: Sequence[ScaleEntry],
-    pair: DatasetPair,
-    ledger: CostLedger,
-) -> float:
-    """Certainty score for sample i: per-position max next-token
-    probabilities averaged along the response, averaged over rating
-    prompts, then combined across model scales proportionally to
-    parameter count. Sums use math.fsum, so prompt and scale order
-    cannot change the result."""
-    if not prompts:
-        raise ValueError("at least one prompt template required")
-    if not scales:
-        raise ValueError("at least one scale entry required")
-    prompt_text, response_text = pair.text("fine_tune", i)
-    sentence_scores: list[float] = []
-    for entry in scales:
-        per_prompt: list[float] = []
-        for p, template in enumerate(prompts):
-            context = _render_prompt(template, prompt_text)
-            probs = entry.probe.token_max_probs(context, response_text, ledger, key=f"{i}:{p}")
-            if not probs:
-                raise DataValidationError(f"empty token list for sample {i}, prompt {p}")
-            per_prompt.append(math.fsum(probs) / len(probs))
-        sentence_scores.append(math.fsum(per_prompt) / len(per_prompt))
-    weighted = math.fsum(
-        entry.parameter_count * s for entry, s in zip(scales, sentence_scores)
-    )
-    total = sum(entry.parameter_count for entry in scales)
-    return weighted / total
-
-
 def compute_influence(
     method: str,
     rows: Sequence[int],
@@ -396,7 +364,7 @@ def compute_influence(
                 ctx_of[a, b] = len(requests)
                 requests.append((where, _delift_context(i_prompt, i_response, j_prompt),
                                  j_response, f"{i}:{j}"))
-        answers = target_logprobs_batch(probe, requests, ledger)
+        answers = probe_batch(probe, KIND_LOGPROBS, requests, ledger)
         distances = np.array([distance_from_logprobs(lp) for lp in answers], dtype=np.float64)
         block = distances[noctx_of] - distances[ctx_of]
     elif method == "delift_se":
@@ -416,19 +384,39 @@ def compute_pointwise(
     pair: DatasetPair,
     ledger: CostLedger,
 ) -> PointwiseScores:
-    """One score per requested fine-tuning index; cost grows as
-    len(indices) * len(prompts) * len(scales) forward calls."""
+    """One certainty score per requested fine-tuning index: per-position max
+    next-token probabilities averaged along the response, averaged over
+    rating prompts, then combined across model scales proportionally to
+    parameter count. Sums use math.fsum, so prompt and scale order cannot
+    change a score.
+
+    Each block of _POINTWISE_BLOCK indices builds its (index, prompt)
+    requests once and sends them to each scale's probe in turn as one
+    `probe_batch`; a failure stops at the first scale that fails. Cost is
+    len(indices) * len(prompts) * len(scales) forward calls.
+    """
     if method not in POINTWISE_METHODS:
         raise ValueError(f"unknown pointwise method {method!r}")
+    if not prompts:
+        raise ValueError("at least one prompt template required")
+    if not scales:
+        raise ValueError("at least one scale entry required")
     index_list = [int(i) for i in indices]
+    per, total = len(prompts), sum(entry.parameter_count for entry in scales)
     scores: list[float] = []
-    for i in index_list:
-        try:
-            scores.append(selectit_point(i, prompts, scales, pair, ledger))
-        except NnciftError as exc:
-            raise type(exc)(f"at index {i}: {exc}") from exc
-    return PointwiseScores(
-        m=pair.m,
-        indices=np.array(index_list, dtype=np.int64),
-        values=np.array(scores, dtype=np.float64),
-    )
+    for start in range(0, len(index_list), _POINTWISE_BLOCK):
+        block = index_list[start:start + _POINTWISE_BLOCK]
+        requests = []
+        for i in block:
+            prompt_text, response_text = pair.text("fine_tune", i)
+            requests += [(f"index {i}", _render_prompt(template, prompt_text), response_text, f"{i}:{p}")
+                         for p, template in enumerate(prompts)]
+        # per scale, each request's mean over the response's positions
+        means = [[math.fsum(probs) / len(probs)
+                  for probs in probe_batch(entry.probe, KIND_MAX_PROBS, requests, ledger)]
+                 for entry in scales]
+        for a in range(len(block)):
+            sentence = [math.fsum(m[a * per:(a + 1) * per]) / per for m in means]
+            scores.append(math.fsum(entry.parameter_count * s
+                                    for entry, s in zip(scales, sentence)) / total)
+    return PointwiseScores(pair.m, np.array(index_list, dtype=np.int64), np.array(scores))

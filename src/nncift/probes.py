@@ -15,11 +15,12 @@ Providers:
   accounting, on a pool of keep-alive HTTP/1.1 connections written on
   `socket`: a request goes out in one send and its reply is read by hand.
 
-`target_logprobs_batch` answers a list of requests in request order. Over
-an http provider it runs `max_in_flight` lanes, each one connection that
-keeps the next request written behind the one being served (HTTP/1.1
-pipelining); a request is charged when the server starts serving it, and
-a retry backs off in a queue rather than on its lane.
+`probe_batch` is the one way a list of probes is sent: it answers
+requests of either kind in request order. Over an http provider it runs
+`max_in_flight` lanes, each one connection that keeps the next request
+written behind the one being served (HTTP/1.1 pipelining); a request is
+charged when the server starts serving it, and a retry backs off in a
+queue rather than on its lane.
 """
 
 from __future__ import annotations
@@ -141,12 +142,17 @@ class CostLedger:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CostLedger":
-        """Resume a ledger serialized by as_dict; counters keep accumulating."""
-        counters = {name: int(doc.get(name, 0)) for name in _COUNTERS}
-        if min(counters.values()) < 0:
-            raise ValueError("counters are monotone; snapshot must be >= 0")
-        return cls(**counters,
-                   wall_ms={str(k): float(v) for k, v in doc.get("wall_ms", {}).items()})
+        """Resume a ledger serialized by as_dict; counters keep accumulating.
+        ValueError for a document as_dict could not have written."""
+        if not isinstance(doc, dict) or not isinstance(wall_ms := doc.get("wall_ms", {}), dict):
+            raise ValueError("expected a ledger object whose wall_ms is an object")
+        counters = {name: doc.get(name, 0) for name in _COUNTERS}
+        for name, value in counters.items():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in wall_ms.values()):
+            raise ValueError("wall_ms values must be numbers")
+        return cls(**counters, wall_ms={str(k): float(v) for k, v in wall_ms.items()})
 
 
 class _Provider:
@@ -539,7 +545,7 @@ class HttpProvider(_Provider):
     max_in_flight keep-alive connections (default 8), which caps the
     requests being served, and the connections, across threads that share
     the provider. A single probe is a batch of one on one lane;
-    `target_logprobs_batch` answers a batch over max_in_flight lanes. A
+    `probe_batch` answers a batch over max_in_flight lanes. A
     lane whose connection has kept a reply open writes the next request
     behind the one being served (HTTP/1.1 pipelining), so at most one more
     request per connection waits at the server. A request is charged when
@@ -687,10 +693,10 @@ class HttpProvider(_Provider):
 Provider = SyntheticProvider | FileProvider | HttpProvider
 
 
-def target_logprobs_batch(
-    probe: Provider, requests: Sequence[tuple[str, str, str, str]], ledger: CostLedger
+def probe_batch(
+    probe: Provider, kind: str, requests: Sequence[tuple[str, str, str, str]], ledger: CostLedger
 ) -> list[list[float]]:
-    """Answer `(where, context, target, key)` target_logprobs requests, in
+    """Answer `(where, context, target, key)` requests of one probe kind, in
     request order.
 
     An HttpProvider answers them over max_in_flight lanes, one pooled
@@ -700,7 +706,7 @@ def target_logprobs_batch(
     server finds it waiting; a request is charged when it becomes the
     oldest unanswered one on its connection. A retry waits out its backoff
     in a queue while its lane serves other requests. Every other provider
-    answers the requests one after another.
+    answers the requests one after another through its `kind` method.
 
     Either way, a failure raises the error of the lowest-index failing
     request, the one a sequential loop would stop at, and an NnciftError
@@ -708,13 +714,14 @@ def target_logprobs_batch(
     sent nor charged; those in flight finish and are charged.
     """
     if isinstance(probe, HttpProvider):
-        probes = [(KIND_LOGPROBS, context, target) for _, context, target, _ in requests]
+        probes = [(kind, context, target) for _, context, target, _ in requests]
         answers, failure = probe._answer(probes, ledger, probe.max_in_flight)
     else:
+        answer = getattr(probe, kind)
         answers, failure = [], None
         for k, (_, context, target, key) in enumerate(requests):
             try:
-                answers.append(probe.target_logprobs(context, target, ledger, key=key))
+                answers.append(answer(context, target, ledger, key=key))
             except NnciftError as exc:
                 failure = (k, exc)
                 break

@@ -212,7 +212,7 @@ def request_digest(context, target):
 
 
 class SlowKeyedServer(ProbeServer):
-    """Answers /v1/logprobs from the request content after `delay` seconds.
+    """Answers both endpoints from the request content after `delay` seconds.
 
     Like a model server whose answers and failures depend on what is asked,
     not on arrival order: the first attempt of about one request in
@@ -237,6 +237,10 @@ class SlowKeyedServer(ProbeServer):
         digest = request_digest(context, target)
         return [math.log(0.02 + 0.96 * digest[pos] / 255) for pos in range(len(target.split()))]
 
+    @classmethod
+    def max_probs(cls, context, target):
+        return [math.exp(lp) for lp in cls.logprobs(context, target)]
+
     def answer(self, path, body):
         context, target = body["context"], body["target"]
         time.sleep(self.delays.get(target, self.delay))
@@ -249,6 +253,8 @@ class SlowKeyedServer(ProbeServer):
                     self._failed.add(digest)
                     self.failures += 1
                     return 503, {}
+        if path.endswith("/token_max_probs"):
+            return 200, {"max_probs": self.max_probs(context, target)}
         return 200, {"token_logprobs": self.logprobs(context, target)}
 
 

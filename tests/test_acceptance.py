@@ -33,7 +33,6 @@ from nncift.influence import (
     cosine,
     delift_pair,
     distance_from_logprobs,
-    selectit_point,
 )
 from nncift.network import (
     TrainConfig,
@@ -292,7 +291,8 @@ def test_5_unit_identities_exact(capsys, tmp_path):
         ScaleEntry("large", int(3e9), FileProvider(large)),
     )
     # (1e9*0.4 + 3e9*0.8) / 4e9 is exactly 0.7 in binary64
-    checks.append(selectit_point(0, ["rate:"], scales, pair, CostLedger()) == 0.7)
+    checks.append(compute_pointwise("selectit", [0], ["rate:"], scales, pair,
+                                    CostLedger()).values[0] == 0.7)
 
     elapsed = time.perf_counter() - started
     passed = all(checks) and elapsed < 1.0

@@ -15,6 +15,7 @@ from nncift.cli import main, resolve_config
 from nncift.datasets import (
     DatasetPair, EmbeddingMatrix, load_embeddings, partition, save_embeddings, save_texts,
 )
+from nncift.errors import FileFormatError
 from nncift.influence import InfluenceMatrix, compute_influence, load_influence
 from nncift.network import load_params, mse_by_quadrant
 
@@ -136,12 +137,43 @@ class TestExitCodes:
         {"per_call_cost": {"forward": "x"}},
         {"per_call_cost": {"forwrd": 5}},
         {"per_call_cost": {"forward": -2}},
+        # a string would be read as one prompt per character
+        {"method": "selectit", "prompts": "Rate this"},
+        {"prompts": 5},
+        {"prompts": []},
+        {"seed": -1},
+        {"fine_tune_embeddings": 5},
+        {"target_texts": ["t.jsonl"]},
+        {"out_dir": 5},
     ])
     def test_bad_config_exits_2_before_any_probe(self, tmp_path, overrides):
         config = write_config(tmp_path, **overrides)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
         assert not (out / "q1.nnk").exists()
+
+    def test_negative_seed_override_exits_2_before_any_probe(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out), "--seed", "-1"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ledger", [[], {"forward_calls": "x"}, {"forward_calls": -1},
+                                        {"wall_ms": [1.0]}],
+                             ids=["list", "string_counter", "negative_counter", "wall_ms_list"])
+    def test_malformed_ledger_exits_2_naming_the_file(self, tmp_path, capsys, ledger):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["valuate", "--config", str(config), "--out", str(out)]) == 0
+        # the run's own config hash stays, so only the shape is wrong
+        bad = ledger if isinstance(ledger, list) else {**read_json(out / "ledger.json"), **ledger}
+        (out / "ledger.json").write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["train-estimate", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error [FileFormatError] {out / 'ledger.json'}: " in capsys.readouterr().err
+        assert not (out / "full.nnk").exists()
+        with pytest.raises(FileFormatError, match="ledger.json"):
+            nncift.cli._emit_final_report(resolve_config(read_json(config), out_override=out))
 
     @pytest.mark.parametrize("option", [
         {"max_in_flight": 0},
@@ -629,6 +661,12 @@ class TestConfigResolution:
             ({"method": "selectit", "scales": http_scale}, False),
         ):
             assert resolve_config({**base, **doc}).evaluate_truth is expected, doc
+
+    def test_null_prompts_get_the_default(self):
+        doc = {"method": "selectit", "fine_tune_embeddings": "f.emb"}
+        default = resolve_config(doc)
+        assert resolve_config({**doc, "prompts": None}).config_hash == default.config_hash
+        assert len(default.prompts) == 1
 
     def test_unknown_train_field_rejected(self, tmp_path):
         config = write_config(tmp_path, train={"momentum": 0.9})

@@ -406,6 +406,7 @@ class TestTexts:
         ('"idx": 0, "prompt": ["a"], "response": "b"', "prompt and response must be strings"),
         ('"idx": true, "prompt": "a", "response": "b"', "idx must be a nonnegative integer"),
         ('"idx": "0", "prompt": "a", "response": "b"', "idx must be a nonnegative integer"),
+        ('"idx": 0, "prompt": "a", "response": ""', "response must be non-empty"),
     ])
     def test_field_of_the_wrong_type(self, tmp_path, record, error):
         path = tmp_path / "texts.jsonl"

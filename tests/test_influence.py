@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nncift import influence
 from nncift.datasets import DatasetPair, EmbeddingMatrix, partition
 from nncift.errors import (
     CoverageError,
@@ -28,7 +29,6 @@ from nncift.influence import (
     distance_from_logprobs,
     load_influence,
     save_influence,
-    selectit_point,
 )
 from nncift.errors import ProbeError
 from nncift.probes import CostLedger, FileProvider, HttpProvider, SyntheticProvider
@@ -288,6 +288,11 @@ class TestCosinePairOps:
             assert matrix.values.tobytes() == expected.tobytes()
 
 
+def selectit_score(prompts, scales, pair, ledger):
+    """Sample 0's selectit score."""
+    return compute_pointwise("selectit", [0], prompts, scales, pair, ledger).values[0]
+
+
 def scale_with_records(tmp_path, label, count, records):
     path = tmp_path / f"{label}.jsonl"
     write_records(path, records)
@@ -300,7 +305,7 @@ class TestSelectIt:
             {"key": "0:0", "kind": "token_max_probs", "values": [1.0, 1.0, 1.0]},
         ])
         pair = text_pair(1, 1)
-        score = selectit_point(0, ["rate:"], (entry,), pair, CostLedger())
+        score = selectit_score(["rate:"], (entry,), pair, CostLedger())
         assert score == 1.0
 
     def test_two_scale_weighting_exact(self, tmp_path):
@@ -311,7 +316,7 @@ class TestSelectIt:
             {"key": "0:0", "kind": "token_max_probs", "values": [0.8]},
         ])
         pair = text_pair(1, 1)
-        score = selectit_point(0, ["rate:"], (small, large), pair, CostLedger())
+        score = selectit_score(["rate:"], (small, large), pair, CostLedger())
         assert score == 0.7
 
     def test_two_prompt_mean_exact(self, tmp_path):
@@ -320,7 +325,7 @@ class TestSelectIt:
             {"key": "0:1", "kind": "token_max_probs", "values": [0.6]},
         ])
         pair = text_pair(1, 1)
-        score = selectit_point(0, ["a:", "b:"], (entry,), pair, CostLedger())
+        score = selectit_score(["a:", "b:"], (entry,), pair, CostLedger())
         assert score == 0.4
 
     def test_prompt_permutation_invariance(self):
@@ -330,8 +335,8 @@ class TestSelectIt:
             ScaleEntry("b", 300, SyntheticProvider(seed=2)),
         )
         prompts = ["rate {prompt}", "score {prompt}", "judge {prompt}"]
-        a = selectit_point(0, prompts, scales, pair, CostLedger())
-        b = selectit_point(0, list(reversed(prompts)), scales, pair, CostLedger())
+        a = selectit_score(prompts, scales, pair, CostLedger())
+        b = selectit_score(list(reversed(prompts)), scales, pair, CostLedger())
         assert a == b
 
     def test_scale_permutation_invariance(self):
@@ -339,14 +344,14 @@ class TestSelectIt:
         e1 = ScaleEntry("a", 123, SyntheticProvider(seed=1))
         e2 = ScaleEntry("b", 456, SyntheticProvider(seed=2))
         e3 = ScaleEntry("c", 789, SyntheticProvider(seed=3))
-        a = selectit_point(0, ["p"], (e1, e2, e3), pair, CostLedger())
-        b = selectit_point(0, ["p"], (e3, e1, e2), pair, CostLedger())
+        a = selectit_score(["p"], (e1, e2, e3), pair, CostLedger())
+        b = selectit_score(["p"], (e3, e1, e2), pair, CostLedger())
         assert a == b
 
     def test_empty_prompts_rejected(self):
         spec = (ScaleEntry("a", 1, SyntheticProvider()),)
         with pytest.raises(ValueError):
-            selectit_point(0, [], spec, text_pair(1, 1), CostLedger())
+            selectit_score([], spec, text_pair(1, 1), CostLedger())
 
     def test_nonpositive_parameter_count_rejected(self):
         with pytest.raises(ValueError):
@@ -354,7 +359,7 @@ class TestSelectIt:
 
     def test_empty_scale_spec_rejected(self):
         with pytest.raises(ValueError, match="scale entry"):
-            selectit_point(0, ["p"], (), text_pair(1, 1), CostLedger())
+            selectit_score(["p"], (), text_pair(1, 1), CostLedger())
 
 
 class TestComputeInfluence:
@@ -543,6 +548,52 @@ class TestComputePointwise:
         scales = (ScaleEntry("a", 100, UndecodableAfter(calls=1)),)
         with pytest.raises(UnicodeDecodeError):
             compute_pointwise("selectit", [0, 1], ["p"], scales, text_pair(2, 1), CostLedger())
+
+    def test_blocks_score_as_one_pass(self, monkeypatch):
+        pair = text_pair(7, 1)
+        whole = compute_pointwise("selectit", range(7), ["p {prompt}", "q {prompt}"],
+                                  self.make_scales(), pair, CostLedger())
+        monkeypatch.setattr(influence, "_POINTWISE_BLOCK", 3)
+        ledger = CostLedger()
+        blocked = compute_pointwise("selectit", range(7), ["p {prompt}", "q {prompt}"],
+                                    self.make_scales(), pair, ledger)
+        assert blocked.values.tobytes() == whole.values.tobytes()
+        assert ledger.forward_calls == 7 * 2 * 2
+
+    def test_probe_error_names_the_index_after_the_scales_before_it(self, tmp_path):
+        # a block goes to each scale in turn: "small" answers both indices
+        # before "large" fails at index 1
+        small = scale_with_records(tmp_path, "small", 1, [
+            {"key": f"{i}:0", "kind": "token_max_probs", "values": [0.5]} for i in range(2)])
+        large = scale_with_records(tmp_path, "large", 3, [
+            {"key": "0:0", "kind": "token_max_probs", "values": [0.5]}])
+        ledger = CostLedger()
+        with pytest.raises(RecordNotFoundError, match=r"^at index 1: "):
+            compute_pointwise("selectit", [0, 1], ["p"], (small, large), text_pair(2, 1), ledger)
+        assert ledger.forward_calls == 3
+
+    def test_http_corner_runs_over_the_in_flight_cap(self, slow_server):
+        slow_server.delay = 0.02
+        slow_server.fail_one_in = 3
+        pair = text_pair(40, 1)
+        corner = partition(pair, 0.25, seed=3).id_f
+        prompts = ["rate {prompt}", "score {prompt}"]
+
+        def run(cap):
+            scales = tuple(ScaleEntry(label, count, HttpProvider(slow_server.url, backoff=0,
+                                                                 max_in_flight=cap))
+                           for label, count in (("small", 10**9), ("large", 3 * 10**9)))
+            ledger, failures = CostLedger(), slow_server.failures
+            scores = compute_pointwise("selectit", corner, prompts, scales, pair, ledger)
+            failures = slow_server.failures - failures
+            assert ledger.forward_calls == len(corner) * len(prompts) * len(scales) + failures
+            assert ledger.failed_forwards == failures
+            return scores
+
+        piped = run(2)
+        assert slow_server.peak["in_flight"] == 2
+        assert slow_server.failures > 0
+        assert piped.values.tobytes() == run(1).values.tobytes()
 
 
 def nnk_bytes(m, n, rows, cols, block):

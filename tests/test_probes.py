@@ -28,7 +28,7 @@ from nncift.probes import (
     ProbeRequest,
     SyntheticProvider,
     build_provider,
-    target_logprobs_batch,
+    probe_batch,
 )
 
 
@@ -329,7 +329,7 @@ class TestTargetLogprobsBatch:
         requests = batch_requests(24)
         ledger = CostLedger()
         provider = HttpProvider(slow_server.url, backoff=0, max_in_flight=cap)
-        answers = target_logprobs_batch(provider, requests, ledger)
+        answers = probe_batch(provider, "target_logprobs", requests, ledger)
         assert answers == [slow_server.logprobs(context, target) for _, context, target, _ in requests]
         # each 503 is answered once; its retry succeeds
         assert slow_server.failures > 0
@@ -347,7 +347,7 @@ class TestTargetLogprobsBatch:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            answers = target_logprobs_batch(provider, requests, ledger)
+            answers = probe_batch(provider, "target_logprobs", requests, ledger)
         finally:
             sys.setswitchinterval(interval)
         assert answers == [slow_server.logprobs(context, target) for _, context, target, _ in requests]
@@ -358,13 +358,13 @@ class TestTargetLogprobsBatch:
     def test_never_more_than_max_in_flight_requests_or_connections(self, slow_server):
         slow_server.delay = 0.05
         provider = HttpProvider(slow_server.url, max_in_flight=3)
-        target_logprobs_batch(provider, batch_requests(9), CostLedger())
+        probe_batch(provider, "target_logprobs", batch_requests(9), CostLedger())
         assert slow_server.peak["in_flight"] == 3
         assert slow_server.peak["connections"] <= 3
 
     def test_connection_pool_reuses_its_in_flight_connections(self, slow_server):
         provider = HttpProvider(slow_server.url, max_in_flight=16)
-        target_logprobs_batch(provider, batch_requests(400), CostLedger())
+        probe_batch(provider, "target_logprobs", batch_requests(400), CostLedger())
         assert len(slow_server.requests) == 400
         assert slow_server.total["connections"] <= 16
 
@@ -376,7 +376,7 @@ class TestTargetLogprobsBatch:
         provider = HttpProvider(slow_server.url, max_in_flight=4)
         ledger = CostLedger()
         with pytest.raises(ProbeError, match=r"^at r5: .*status 404"):
-            target_logprobs_batch(provider, batch_requests(40), ledger)
+            probe_batch(provider, "target_logprobs", batch_requests(40), ledger)
         sent = sorted(int(req["body"]["target"].split()[1]) for req in slow_server.requests)
         # requests start in order: what was sent is a prefix, and all of it was charged
         assert sent == list(range(len(sent)))
@@ -389,14 +389,14 @@ class TestTargetLogprobsBatch:
         requests[2] = ("r2", "context 2", "", "2")
         provider = HttpProvider(slow_server.url, max_in_flight=cap)
         with pytest.raises(ValueError, match=r"^target_logprobs requires a non-empty target$"):
-            target_logprobs_batch(provider, requests, CostLedger())
+            probe_batch(provider, "target_logprobs", requests, CostLedger())
 
     def test_providers_without_concurrency_answer_in_a_loop(self, tmp_path):
         path = tmp_path / "records.jsonl"
         write_records(path, [{"key": "0", "kind": "target_logprobs", "values": [-1.0]}])
         ledger = CostLedger()
         with pytest.raises(RecordNotFoundError, match=r"^at r1: "):
-            target_logprobs_batch(FileProvider(path), batch_requests(3), ledger)
+            probe_batch(FileProvider(path), "target_logprobs", batch_requests(3), ledger)
         # the loop stops at the failure: request 2 is never asked for
         assert ledger.forward_calls == 1
 
@@ -552,7 +552,7 @@ class TestPipelining:
         requests = batch_requests(20)
         provider = HttpProvider(peeking_server.url, max_in_flight=cap)
         ledger = CostLedger()
-        answers = target_logprobs_batch(provider, requests, ledger)
+        answers = probe_batch(provider, "target_logprobs", requests, ledger)
         assert answers == [peeking_server.logprobs(context, target) for _, context, target, _ in requests]
         assert peeking_server.ahead > 0
         # what is written ahead waits: the server never serves more than the cap at once
@@ -567,7 +567,7 @@ class TestPipelining:
         raw_server.script = [(raw_reply(), "keep"), (closing, "ignore")]
         provider = HttpProvider(raw_server.url, backoff=0, timeout=2, max_in_flight=1)
         ledger = CostLedger()
-        answers = target_logprobs_batch(provider, batch_requests(3), ledger)
+        answers = probe_batch(provider, "target_logprobs", batch_requests(3), ledger)
         assert answers == [[-0.5, -0.25], VALUES, [-0.5, -0.25]]
         assert b'"target 2"' in raw_server.wait_unread(1)[0]
         assert served_targets(raw_server) == ["target 0", "target 1", "target 2"]
@@ -578,7 +578,7 @@ class TestPipelining:
         raw_server.script = [(raw_reply(), "keep"), (raw_reply()[:-3], "eof")]
         provider = HttpProvider(raw_server.url, backoff=0, timeout=2, max_in_flight=1)
         ledger = CostLedger()
-        answers = target_logprobs_batch(provider, batch_requests(3), ledger)
+        answers = probe_batch(provider, "target_logprobs", batch_requests(3), ledger)
         assert answers == [[-0.5, -0.25]] * 3
         assert b'"target 2"' in raw_server.wait_unread(1)[0]
         # request 1 is charged twice, once as failed; request 2 once, when it was served
@@ -588,7 +588,7 @@ class TestPipelining:
     def test_http_1_0_server_is_never_sent_a_request_ahead(self, peeking_http_1_0_server):
         provider = HttpProvider(peeking_http_1_0_server.url, max_in_flight=2)
         ledger = CostLedger()
-        answers = target_logprobs_batch(provider, batch_requests(10), ledger)
+        answers = probe_batch(provider, "target_logprobs", batch_requests(10), ledger)
         assert answers == [[-0.5, -0.25]] * 10
         assert peeking_http_1_0_server.ahead == 0
         assert peeking_http_1_0_server.total["connections"] == len(peeking_http_1_0_server.requests) == 10
@@ -599,7 +599,7 @@ class TestPipelining:
         requests = batch_requests(10)
         provider = HttpProvider(slow_server.url, backoff=0.2, max_in_flight=1)
         ledger = CostLedger()
-        answers = target_logprobs_batch(provider, requests, ledger)
+        answers = probe_batch(provider, "target_logprobs", requests, ledger)
         assert answers == [slow_server.logprobs(context, target) for _, context, target, _ in requests]
         targets = [req["body"]["target"] for req in slow_server.requests]
         assert targets == [f"target {k}" for k in range(10)] + ["target 0"]
@@ -657,9 +657,9 @@ def test_importing_the_cli_loads_no_http_client_email_ssl_or_requests():
 def test_an_http_batch_loads_no_concurrent_futures_or_logging(slow_server):
     code = """
 import json, sys
-from nncift.probes import CostLedger, HttpProvider, target_logprobs_batch
+from nncift.probes import CostLedger, HttpProvider, probe_batch
 requests = [(f"r{k}", f"context {k}", f"target {k}", str(k)) for k in range(12)]
-target_logprobs_batch(HttpProvider(sys.argv[1], max_in_flight=4), requests, CostLedger())
+probe_batch(HttpProvider(sys.argv[1], max_in_flight=4), "target_logprobs", requests, CostLedger())
 print(json.dumps(list(sys.modules)))
 """
     proc = run_python(code=code, argv=[slow_server.url])
@@ -670,13 +670,13 @@ print(json.dumps(list(sys.modules)))
 LEAK_CHECK = """
 import gc, sys, threading
 from nncift.errors import ProbeError
-from nncift.probes import CostLedger, HttpProvider, target_logprobs_batch
+from nncift.probes import CostLedger, HttpProvider, probe_batch
 
 ledger = CostLedger()
 for cap in (1, 4):
     provider = HttpProvider(sys.argv[1], backoff=0, max_in_flight=cap)
     requests = [(f"r{k}", f"context {k}", f"target {k}", str(k)) for k in range(12)]
-    target_logprobs_batch(provider, requests, ledger)
+    probe_batch(provider, "target_logprobs", requests, ledger)
     provider.target_logprobs("context", "target", ledger)
     del provider
     gc.collect()
@@ -688,7 +688,7 @@ failing = CostLedger()
 requests = [(f"r{k}", f"context {k}", "rejected" if k == 9 else f"target {k}", str(k))
             for k in range(40)]
 try:
-    target_logprobs_batch(provider, requests, failing)
+    probe_batch(provider, "target_logprobs", requests, failing)
 except ProbeError as exc:
     assert str(exc).startswith("at r9: "), exc
 else:
