@@ -43,6 +43,7 @@ from .datasets import (
     load_embeddings,
     load_texts,
     partition,
+    row_blocks,
 )
 from .errors import (
     ConfigError,
@@ -498,7 +499,11 @@ def cmd_train_estimate(config: RunConfig) -> Path:
     norm = result.norm
 
     def normalized(matrix: InfluenceMatrix) -> InfluenceMatrix:
-        return replace(matrix, block=norm.normalize(matrix.block))
+        # one new float32 block, filled a row block at a time
+        block = np.empty_like(matrix.block)
+        for rows in row_blocks(*block.shape):
+            block[rows] = norm.normalize(matrix.block[rows])
+        return replace(matrix, block=block)
 
     # one network pass over every cell, the corner included, feeds both
     # full.nnk and the truth evaluation
@@ -514,6 +519,7 @@ def cmd_train_estimate(config: RunConfig) -> Path:
         # ground truth was already paid for; keep it on Q1, in full.nnk's space
         full = full.overlay(q1 if pointwise else normalized(q1))
     save_influence(full, out / FULL_FILE)
+    del full  # one M x N matrix fewer held through the truth pass
 
     evaluation = None
     if config.evaluate_truth:
@@ -521,10 +527,12 @@ def cmd_train_estimate(config: RunConfig) -> Path:
         with eval_ledger.time_phase("evaluate"):
             truth = _valuate(config, rows, cols, eval_ledger)
             truth = normalized(truth)
+            # the constant predictors are scored without a matrix
             predictors = {
                 "trained": normalized(estimates) if pointwise else estimates,
                 "random_uniform": baseline_estimates("random_uniform", (q1.m, q1.n), config.seed),
-                "predict_zero": baseline_estimates("predict_zero", (q1.m, q1.n), config.seed),
+                "predict_zero": 0.0,
+                "corner_mean": float(np.mean(norm.normalize(q1.block))),
             }
             by_quadrant = {name: mse_by_quadrant(predictions, truth, part)
                            for name, predictions in predictors.items()}
@@ -608,7 +616,8 @@ def _emit_final_report(config: RunConfig) -> Path:
             "target_embeddings": config.target_embeddings,
         },
         "quadrant_mse": None if mse_doc is None else {
-            k: mse_doc[k] for k in ("trained", "random_uniform", "predict_zero") if k in mse_doc
+            k: mse_doc[k] for k in ("trained", "random_uniform", "predict_zero", "corner_mean")
+            if k in mse_doc
         },
         "cost": cost,
         "ledger_check": check,

@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -32,6 +32,20 @@ EMB1_MAGIC = b"NNCIFT1\x00"
 _EMB1_HEADER = struct.Struct("<8sII")
 
 Quadrant = Literal["Q1", "Q2", "Q3", "Q4"]
+ROW_BLOCK_CELLS = 1 << 15  # cells per row block of a whole-matrix pass: 256 KB as float64
+
+
+def row_blocks(rows: int, cols: int) -> Iterator[slice]:
+    """Slices of whole rows, about ROW_BLOCK_CELLS cells each, that cover
+    range(rows) in order; a pass over them holds one block's scratch."""
+    step = max(1, ROW_BLOCK_CELLS // max(1, cols))
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every value is finite, with no temporary: min and max
+    propagate a NaN, and an infinity is one of the two."""
+    return values.size == 0 or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
 def exact_ceil(fraction: float | int | str, count: int) -> int:
@@ -58,7 +72,7 @@ class EmbeddingMatrix:
             raise ValueError(f"embedding rows must be 2-D, got shape {rows.shape}")
         if rows.shape[1] < 1:
             raise ValueError("embedding dim must be >= 1")
-        if rows.size and not np.all(np.isfinite(rows)):
+        if not all_finite(rows):
             raise DataValidationError("embedding rows contain non-finite values")
         object.__setattr__(self, "rows", rows)
 

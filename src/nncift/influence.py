@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datasets import DatasetPair
+from .datasets import DatasetPair, all_finite, row_blocks
 from .errors import (
     CoverageError,
     DataValidationError,
@@ -88,7 +88,7 @@ class InfluenceMatrix:
         block = np.ascontiguousarray(self.block, dtype=np.float32)
         if block.shape != (len(rows), len(cols)):
             raise ValueError(f"block shape {block.shape} != {len(rows)} rows x {len(cols)} cols")
-        if not np.isfinite(block).all():
+        if not all_finite(block):
             raise DataValidationError("block contains non-finite values")
         for name, value in (("m", m), ("n", n), ("rows", rows), ("cols", cols), ("block", block)):
             object.__setattr__(self, name, value)
@@ -286,26 +286,29 @@ def _cosine_block(
     left: np.ndarray, right: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Cosine similarity of every (left[i], right[j]) for i in rows, j in
-    cols, as one normalised Gram product; `cosine` is its per-cell oracle.
+    cols, as one float32 array filled a row block at a time: each block is
+    one normalised float64 Gram product. `cosine` is its per-cell oracle.
 
     A zero-norm vector raises, naming the first cell it leaves undefined
     in row-major order.
     """
-    f = left[rows].astype(np.float64)
     t = right[cols].astype(np.float64)
-    f_sq = np.einsum("ij,ij->i", f, f)
     t_sq = np.einsum("ij,ij->i", t, t)
-    undefined = (f_sq == 0.0)[:, None] | (t_sq == 0.0)[None, :]
-    if undefined.any():
-        a, b = np.argwhere(undefined)[0]
-        raise DataValidationError(
-            f"at cell ({rows[a]}, {cols[b]}): cosine undefined for zero-norm vectors"
-        )
-    gram = f @ t.T
-    denom = np.outer(f_sq, t_sq)
-    np.sqrt(denom, out=denom)
-    gram /= denom
-    return gram
+    out = np.empty((len(rows), len(cols)), dtype=np.float32)
+    for block in row_blocks(len(rows), len(cols)):
+        f = left[rows[block]].astype(np.float64)
+        f_sq = np.einsum("ij,ij->i", f, f)
+        undefined = (f_sq == 0.0)[:, None] | (t_sq == 0.0)[None, :]
+        if undefined.any():
+            a, b = np.argwhere(undefined)[0]
+            raise DataValidationError(
+                f"at cell ({rows[block][a]}, {cols[b]}): cosine undefined for zero-norm vectors"
+            )
+        gram = f @ t.T
+        denom = np.outer(f_sq, t_sq)
+        np.sqrt(denom, out=denom)
+        np.divide(gram, denom, out=out[block])
+    return out
 
 
 def _render_prompt(template: str, prompt_text: str) -> str:

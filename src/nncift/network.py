@@ -31,13 +31,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datasets import DatasetPair, EmbeddingMatrix, QuadrantPartition, quadrant_index_sets
+from .datasets import (
+    DatasetPair,
+    EmbeddingMatrix,
+    QuadrantPartition,
+    quadrant_index_sets,
+    row_blocks,
+)
 from .errors import DataValidationError, FileFormatError, TrainingError
 from .influence import InfluenceMatrix, PointwiseScores
 from .probes import CostLedger
 
 QUADRANTS = ("Q1", "Q2", "Q3", "Q4")
 _CHUNK_CELLS = 1024  # estimates per forward batch, bounding its cells x hidden activations
+_GATHER_ROWS = 128  # rows of A gathered and projected at once, rounded to whole chunks
 _WEIGHTS = ("w1", "b1", "w2", "b2")  # MlpParams.arrays() order, as stored in params.json
 _WEIGHT_DTYPE = "<f8"
 
@@ -307,7 +314,7 @@ def _group_sum(values: np.ndarray, inverse, groups: int) -> np.ndarray:
 
 def _factored_gradients(params: MlpParams, grads: MlpParams, left: np.ndarray,
                         right: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                        targets: np.ndarray) -> None:
+                        targets: np.ndarray, scratch: tuple[np.ndarray, ...]) -> None:
     """Write into grads what loss_and_gradients gives for the cells
     (left[rows[k]] | right[cols[k]]), without building those rows.
 
@@ -315,23 +322,33 @@ def _factored_gradients(params: MlpParams, grads: MlpParams, left: np.ndarray,
     projected once and z1 = (left[ur] W_fᵀ + b1)[r] + (right[uc] W_tᵀ)[c].
     Backward, dW_f = S_fᵀ left[ur], where S_f sums dz1 over the cells of
     each distinct row; dW_t alike. The rest is loss_and_gradients' own.
+
+    The gathered rows, and the batch's z1, h and then dz1 in turn, are
+    written into `scratch` (see train), so the largest arrays of a step
+    are not allocated afresh for each step.
     """
     dim = left.shape[1]
     ur, r = _distinct(rows, len(left))
     uc, c = _distinct(cols, len(right))
-    left_u, right_u = left[ur], right[uc]
+    left_buf, right_buf, hidden_buf = scratch
+    # ur and uc are in range; mode "clip" writes straight into out, where
+    # "raise" would fill a temporary copy first
+    left_u = np.take(left, ur, axis=0, out=left_buf[:len(ur)], mode="clip")
+    right_u = np.take(right, uc, axis=0, out=right_buf[:len(uc)], mode="clip")
     a = left_u @ params.w1[:, :dim].T
     a += params.b1
     b = right_u @ params.w1[:, dim:].T
-    z1 = (a if r is None else a[r]) + (b if c is None else b[c])
-    h = np.maximum(z1, 0.0)
+    h = np.add(a if r is None else a[r], b if c is None else b[c], out=hidden_buf[:len(rows)])
+    np.maximum(h, 0.0, out=h)  # z1 rectified in place: h > 0 exactly where z1 > 0
     y = _logistic(h @ params.w2.T + params.b2)
     diff = y - targets.reshape(-1, 1)
     dz2 = (2.0 / len(rows)) * diff * y * (1.0 - y)
     np.matmul(dz2.T, h, out=grads.w2)
     np.sum(dz2, axis=0, out=grads.b2)
-    dz1 = dz2 * params.w2  # the outer product dz2 @ w2, each entry one exact product
-    dz1 *= z1 > 0.0
+    active = h > 0.0
+    # the outer product dz2 @ w2, each entry one exact product, written over h
+    dz1 = np.multiply(dz2, params.w2, out=h)
+    dz1 *= active
     np.sum(dz1, axis=0, out=grads.b1)
     np.matmul(_group_sum(dz1, r, len(ur)).T, left_u, out=grads.w1[:, :dim])
     np.matmul(_group_sum(dz1, c, len(uc)).T, right_u, out=grads.w1[:, dim:])
@@ -368,13 +385,17 @@ def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 1))))
     every_row, every_col = np.arange(len(left)), np.arange(len(right))
     corner = np.empty((len(left), len(right)))
+    # every step reuses one set of buffers: fresh ones of this size cost page
+    # faults each step once the allocator trims them back to the system
+    batch = min(config.batch_size, len(targets))
+    scratch = (np.empty_like(left), np.empty_like(right), np.empty((batch, config.hidden)))
     losses = []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(targets.shape[0])
         for start in range(0, len(order), config.batch_size):
             cells = order[start:start + config.batch_size]
             rows, cols = np.divmod(cells, len(right))
-            _factored_gradients(params, grads, left, right, rows, cols, t_norm[cells])
+            _factored_gradients(params, grads, left, right, rows, cols, t_norm[cells], scratch)
             optimizer.step(flat, grad)
         for start, y in _estimate_chunks(params, left, every_row, right, every_col):
             corner[start:start + len(y)] = y
@@ -403,10 +424,12 @@ def _estimate_chunks(params: MlpParams, left: np.ndarray, rows: np.ndarray,
     pre-activation of (a, b) is A[a] + B[b], where A = left W_lᵀ + b1 and
     B = right W_rᵀ, each computed once. No concatenated input row is
     built, and the block costs (M+N)·d·H + M·N·H multiply-adds instead of
-    M·N·2d·H. A is computed _CHUNK_CELLS rows at a time, so a long single
-    column holds no rows x hidden array. Pointwise input is that case:
-    `right` is one row of no features, so B is a zero row, and each chunk
-    of A is added to and rectified in place.
+    M·N·2d·H. A is gathered and projected in whole chunks, about
+    _GATHER_ROWS rows at a time, or one chunk when a chunk holds more rows
+    than that, so no rows x dim or rows x hidden array is held.
+    Pointwise input is the one-column case: `right` is one row of no
+    features, so B is a zero row, and each chunk of A is added to and
+    rectified in place.
 
     Otherwise every chunk of whole rows (about _CHUNK_CELLS cells) forms
     its hidden activations in one float64 workspace, allocated once per
@@ -418,10 +441,11 @@ def _estimate_chunks(params: MlpParams, left: np.ndarray, rows: np.ndarray,
     dim = left.shape[1]
     b = right[cols].astype(np.float64, copy=False) @ params.w1[:, dim:].T
     step = max(1, _CHUNK_CELLS // max(1, len(b)))
+    gather = step * max(1, _GATHER_ROWS // step)
     # one column: each row of a is used once, so it is added to in place
     ws = None if len(b) == 1 else np.empty((min(step, len(rows)), len(b), params.hidden))
-    for block in range(0, len(rows), _CHUNK_CELLS):
-        a = left[rows[block:block + _CHUNK_CELLS]].astype(np.float64, copy=False)
+    for block in range(0, len(rows), gather):
+        a = left[rows[block:block + gather]].astype(np.float64, copy=False)
         a = a @ params.w1[:, :dim].T
         a += params.b1
         for start in range(0, len(a), step):
@@ -481,12 +505,19 @@ def estimate_pointwise(
 
 
 def mse_by_quadrant(
-    estimates: InfluenceMatrix,
+    estimates: InfluenceMatrix | float,
     truth: InfluenceMatrix,
     part: QuadrantPartition,
 ) -> dict[str, float]:
-    """Mean squared difference per quadrant; empty quadrants yield NaN."""
-    if (estimates.m, estimates.n) != (truth.m, truth.n):
+    """Mean squared difference per quadrant; empty quadrants yield NaN.
+
+    `estimates` is a matrix or one constant given to every cell. Each
+    quadrant's squared error is summed a row block at a time, so no
+    quadrant-sized copy is made; the sum may differ from one np.mean over
+    the whole quadrant in its last bits.
+    """
+    constant = not isinstance(estimates, InfluenceMatrix)
+    if not constant and (estimates.m, estimates.n) != (truth.m, truth.n):
         raise ValueError("estimate and truth shapes differ")
     out: dict[str, float] = {}
     for quadrant in QUADRANTS:
@@ -494,15 +525,21 @@ def mse_by_quadrant(
         if len(rows) == 0 or len(cols) == 0:
             out[quadrant] = math.nan
             continue
-        sq = estimates.take(rows, cols).astype(np.float64)
-        sq -= truth.take(rows, cols)
-        np.square(sq, out=sq)
-        out[quadrant] = float(np.mean(sq))
+        total = 0.0
+        # `take` copies whole rows before it picks columns: size blocks by the full width
+        for block in row_blocks(len(rows), truth.n):
+            predicted = estimates if constant else estimates.take(rows[block], cols)
+            sq = np.subtract(predicted, truth.take(rows[block], cols), dtype=np.float64)
+            np.square(sq, out=sq)
+            total += float(sq.sum())
+        out[quadrant] = total / (len(rows) * len(cols))
     return out
 
 
 def baseline_estimates(kind: str, shape: tuple[int, int], seed: int = 0) -> InfluenceMatrix:
-    """The two reference predictors: seeded uniform noise and constant 0."""
+    """The two reference predictors: seeded uniform noise and constant 0.
+    The noise is drawn a row block at a time, in the stream order of one
+    rng.random((m, n)) call, so its values are that call's, as float32."""
     m, n = shape
     if m < 0 or n < 0:
         raise ValueError("shape must be nonnegative")
@@ -510,7 +547,10 @@ def baseline_estimates(kind: str, shape: tuple[int, int], seed: int = 0) -> Infl
         values = np.zeros((m, n), dtype=np.float32)
     elif kind == "random_uniform":
         rng = np.random.Generator(np.random.PCG64(seed))
-        values = rng.random((m, n)).astype(np.float32)
+        values = np.empty((m, n), dtype=np.float32)
+        for block in row_blocks(m, n):
+            rows = values[block]
+            rows[...] = rng.random(rows.shape)
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
     return InfluenceMatrix.full(values)

@@ -769,6 +769,11 @@ def check_probe_spec(spec) -> None:
         raise ConfigError(f"probe provider must be one of {', '.join(_PROVIDER_KINDS)}, got {kind!r}")
     if kind == "file" and "records" not in spec:
         raise ConfigError("file provider requires a 'records' path")
+    seed = spec.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"probe.seed must be an integer >= 0, got {seed!r}")
+    if not isinstance(spec.get("records", ""), str):
+        raise ConfigError(f"probe.records must be a path string, got {spec['records']!r}")
     if kind == "http":
         if "base_url" not in spec:
             raise ConfigError("http provider requires a 'base_url'")

@@ -165,12 +165,13 @@ def render_text_report(doc: dict) -> str:
     if mse is not None:
         groups = [q for q in ("Q1", "Q2", "Q3", "Q4") if q in mse["trained"]]
         groups = groups or sorted(mse["trained"])
-        lines.append("MSE                   trained   random     zero")
+        lines.append("MSE                   trained   random     zero   corner")
         for group in groups:
             row = [
                 _format_mse_cell(mse["trained"].get(group)),
                 _format_mse_cell(mse["random_uniform"].get(group)),
                 _format_mse_cell(mse["predict_zero"].get(group)),
+                _format_mse_cell(mse.get("corner_mean", {}).get(group)),
             ]
             lines.append(f"  {group:<4}              " + "  ".join(row))
     else:

@@ -50,8 +50,12 @@ def normalize_kernel(matrix: InfluenceMatrix) -> InfluenceMatrix:
         raise CoverageError("kernel normalization requires a fully valid matrix")
     values = matrix.block.astype(np.float64)
     lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
-    scaled = (values - lo) / (hi - lo) if hi > lo else np.zeros_like(values)
-    return InfluenceMatrix.full(scaled.astype(np.float32))
+    if hi > lo:
+        values -= lo
+        values /= hi - lo
+    else:
+        values.fill(0.0)
+    return InfluenceMatrix.full(values.astype(np.float32))
 
 
 def _gain(kernel: np.ndarray, row: int, covered: np.ndarray) -> float:

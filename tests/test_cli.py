@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -145,12 +146,28 @@ class TestExitCodes:
         {"fine_tune_embeddings": 5},
         {"target_texts": ["t.jsonl"]},
         {"out_dir": 5},
+        {"probe": {"provider": "synthetic", "seed": True}},
     ])
     def test_bad_config_exits_2_before_any_probe(self, tmp_path, overrides):
         config = write_config(tmp_path, **overrides)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
         assert not (out / "q1.nnk").exists()
+
+    @pytest.mark.parametrize("probe", [
+        {"provider": "synthetic", "seed": "x"},
+        {"provider": "synthetic", "seed": 1.5},
+        {"provider": "file", "records": 5},
+    ], ids=["string_seed", "float_seed", "int_records"])
+    def test_bad_scale_probe_exits_2_before_any_probe(self, tmp_path, capsys, probe):
+        # with texts on disk the run gets as far as building the scale's provider
+        config = write_config(tmp_path, method="selectit", m=20, target_embeddings=...,
+                              scales=[{"label": "1b", "parameter_count": 1, "probe": probe}],
+                              **write_texts(tmp_path))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_override_exits_2_before_any_probe(self, tmp_path):
         config = write_config(tmp_path)
@@ -327,6 +344,47 @@ class TestTrainEstimate:
         for predictor in ("trained", "random_uniform", "predict_zero"):
             assert set(mse[predictor]) == {"Q1", "Q2", "Q3", "Q4"}
         assert mse["space"] == "normalized"
+
+    def test_corner_mean_scores_the_mean_of_the_normalised_corner(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        run = resolve_config(read_json(config))
+        pair = DatasetPair(fine_tune=load_embeddings(run.fine_tune_embeddings),
+                           target=load_embeddings(run.target_embeddings))
+        _, norm, _ = load_params(out / "params.json")
+        corner = norm.normalize(load_influence(out / "q1.nnk").block)
+        truth = compute_influence("delift_se", range(pair.m), range(pair.n), pair)
+        truth = InfluenceMatrix.full(norm.normalize(truth.values))
+        expected = mse_by_quadrant(float(np.mean(corner)), truth, partition(pair, run.u, run.seed))
+        assert read_json(out / "mse.json")["corner_mean"] == expected
+        assert read_json(out / "report.json")["quadrant_mse"]["corner_mean"] == expected
+
+    def test_truth_evaluation_adds_two_matrices_and_block_scratch(self, tmp_path, monkeypatch):
+        m, n = 1000, 400
+        config = write_config(tmp_path, m=m, n=n, dim=16, u=0.05)
+        out = tmp_path / "run"
+        assert main(["valuate", "--config", str(config), "--out", str(out)]) == 0
+        held = []
+        original = nncift.cli._valuate
+
+        def metered(*args):
+            # train-estimate valuates only for the truth pass: meter from here
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return original(*args)
+
+        monkeypatch.setattr(nncift.cli, "_valuate", metered)
+        tracemalloc.start()
+        try:
+            assert main(["train-estimate", "--config", str(config), "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # float32 M x N: the truth and its normalised copy, then that copy and
+        # the noise baseline; every other buffer is one row block's
+        matrix = m * n * np.dtype(np.float32).itemsize
+        assert len(held) == 1 and peak - held[0] <= 2 * matrix + 2**20
 
     def test_evaluate_truth_off_skips_mse(self, tmp_path):
         config = write_config(tmp_path, evaluate_truth=False)

@@ -73,6 +73,13 @@ class TestEmbeddingMatrix:
         with pytest.raises(DataValidationError):
             EmbeddingMatrix(rows=rows)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_the_last_row_rejected(self, bad):
+        rows = np.random.default_rng(0).standard_normal((1000, 256)).astype(np.float32)
+        rows[-1, -1] = bad
+        with pytest.raises(DataValidationError, match="^embedding rows contain non-finite values$"):
+            EmbeddingMatrix(rows=rows)
+
     def test_coerces_to_float32(self):
         m = EmbeddingMatrix(rows=np.eye(2, dtype=np.float64))
         assert m.rows.dtype == np.float32

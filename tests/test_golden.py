@@ -4,8 +4,9 @@ The four byte-deterministic artifacts of a pipeline run are pinned for
 every method, so any rewrite of valuation, training, estimation or
 selection that changes their bytes fails here. A second table pins the
 decoded values and validity of q1.nnk and full.nnk, so a change to the
-file layout alone moves the first table but not the second. A deliberate
-change to these hashes must be explained where it lands.
+file layout alone moves the first table but not the second. A third
+pins mse.json, the truth evaluation's output. A deliberate change to
+these hashes must be explained where it lands.
 """
 
 import hashlib
@@ -68,6 +69,15 @@ GOLDEN_VALUES = {
     },
 }
 
+# sha256 of mse.json: the row-blocked quadrant sums and the corner_mean
+# predictor are pinned too, so any drift in the evaluation shows here.
+GOLDEN_MSE = {
+    "delift": "1b14205495e883ad73388d23fb8ceea2c22498dcbb313ff86ad0c48669e81e3b",
+    "delift_se": "1e0452cf58b37416bb0ec06c4d958e06bbe9682a0dbe0cb7b35ee87b06a045a4",
+    "less": "014cb7a368f36e8ef8e2bdd787b0bd3c790857089b7c3ae01a294b4dbff18fdb",
+    "selectit": "6a45ba53aa0d0204e085c544650f732b9dad6a2ae37265c2615ddf19470257e7",
+}
+
 
 def unit_rows(count, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -126,3 +136,9 @@ def test_small_scale_values_match_golden_hashes(pipeline_out, method):
         digest.update(np.packbits(matrix.mask).tobytes())
         hashes[name] = digest.hexdigest()
     assert hashes == GOLDEN_VALUES[method]
+
+
+@pytest.mark.parametrize("method", sorted(GOLDEN_MSE))
+def test_small_scale_mse_matches_golden_hash(pipeline_out, method):
+    raw = (pipeline_out(method) / "mse.json").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == GOLDEN_MSE[method]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nncift.datasets
 from nncift import influence
 from nncift.datasets import DatasetPair, EmbeddingMatrix, partition
 from nncift.errors import (
@@ -286,6 +287,60 @@ class TestCosinePairOps:
                     mask[i, j] = True
             np.testing.assert_array_equal(matrix.mask, mask)
             assert matrix.values.tobytes() == expected.tobytes()
+
+
+def cosine_block_one_product(left, right, rows, cols):
+    """The whole rows x cols block as one normalised float64 Gram product:
+    the oracle for the row-blocked `influence._cosine_block`."""
+    f = left[rows].astype(np.float64)
+    t = right[cols].astype(np.float64)
+    f_sq = np.einsum("ij,ij->i", f, f)
+    t_sq = np.einsum("ij,ij->i", t, t)
+    undefined = (f_sq == 0.0)[:, None] | (t_sq == 0.0)[None, :]
+    if undefined.any():
+        a, b = np.argwhere(undefined)[0]
+        raise DataValidationError(
+            f"at cell ({rows[a]}, {cols[b]}): cosine undefined for zero-norm vectors"
+        )
+    gram = f @ t.T
+    denom = np.outer(f_sq, t_sq)
+    np.sqrt(denom, out=denom)
+    gram /= denom
+    return gram
+
+
+class TestRowBlockedCosine:
+    @pytest.mark.parametrize("m, n, dim, block_cells", [
+        (20, 12, 7, 60),   # 5 rows a block, 4 whole blocks
+        (23, 12, 7, 60),   # a last block of 3 rows
+        (9, 12, 7, 5),     # fewer cells than one row: a row a block
+        (300, 250, 64, None),  # the default block: 131 rows, 3 blocks
+        (50, 13, 256, None),   # an se_mid-sized corner: one block
+    ])
+    def test_equals_the_one_product_oracle_bitwise(self, monkeypatch, m, n, dim, block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(nncift.datasets, "ROW_BLOCK_CELLS", block_cells)
+        left, right = matrix_of(m, dim=dim, seed=1).rows, matrix_of(n, dim=dim, seed=2).rows
+        order = np.random.default_rng(3)
+        for rows, cols in (
+            (np.arange(m), np.arange(n)),
+            (order.permutation(m)[:m - 2], order.permutation(n)[:n - 1]),
+        ):
+            blocked = influence._cosine_block(left, right, rows, cols)
+            expected = cosine_block_one_product(left, right, rows, cols).astype(np.float32)
+            assert blocked.dtype == np.float32 and blocked.shape == expected.shape
+            assert blocked.tobytes() == expected.tobytes()
+
+    def test_zero_norm_in_a_later_block_names_the_oracles_cell(self, monkeypatch):
+        monkeypatch.setattr(nncift.datasets, "ROW_BLOCK_CELLS", 8)  # 2 rows a block
+        left, right = matrix_of(7, seed=1).rows.copy(), matrix_of(4, seed=2).rows
+        left[5] = 0.0
+        rows, cols = np.array([6, 0, 3, 1, 5, 2, 4]), np.arange(4)
+        with pytest.raises(DataValidationError) as oracle:
+            cosine_block_one_product(left, right, rows, cols)
+        with pytest.raises(DataValidationError, match=re.escape(str(oracle.value))):
+            influence._cosine_block(left, right, rows, cols)
+        assert "(5, 0)" in str(oracle.value)
 
 
 def selectit_score(prompts, scales, pair, ledger):
@@ -692,6 +747,13 @@ class TestInfluenceMatrixFormat:
     def test_non_finite_valid_cell_rejected(self):
         with pytest.raises(DataValidationError):
             InfluenceMatrix(1, 1, [0], [0], np.array([[np.nan]], dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_the_last_row_rejected(self, bad):
+        block = np.random.default_rng(0).random((300, 250)).astype(np.float32)
+        block[-1, -1] = bad
+        with pytest.raises(DataValidationError, match="^block contains non-finite values$"):
+            InfluenceMatrix.full(block)
 
     def test_empty_matrix(self, tmp_path):
         matrix = InfluenceMatrix(0, 5, [], range(5), np.zeros((0, 5), dtype=np.float32))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import nncift.cli
+import nncift.datasets
 import nncift.network
 
 from nncift.datasets import (
@@ -15,6 +16,7 @@ from nncift.datasets import (
 from nncift.errors import CoverageError, DataValidationError, FileFormatError, TrainingError
 from nncift.influence import InfluenceMatrix, load_influence
 from nncift.network import (
+    QUADRANTS,
     MlpParams,
     NormStats,
     TrainConfig,
@@ -277,8 +279,9 @@ class TestFlatAdam:
 
 def factored_gradients(params, left, right, rows, cols, targets):
     grads = MlpParams(*(np.zeros_like(a) for a in params.arrays()))
+    scratch = (np.empty_like(left), np.empty_like(right), np.empty((len(rows), params.hidden)))
     nncift.network._factored_gradients(params, grads, left, right, np.asarray(rows),
-                                       np.asarray(cols), np.asarray(targets))
+                                       np.asarray(cols), np.asarray(targets), scratch)
     return grads
 
 
@@ -528,6 +531,15 @@ class TestEstimatePairwise:
             assert point_bytes == outputs[0][1]
             np.testing.assert_array_max_ulp(point_values, outputs[0][2], maxulp=64)
 
+    @pytest.mark.parametrize("gather", [1, 7, 128, 4096])
+    def test_pairwise_outputs_do_not_depend_on_the_gather_size(self, monkeypatch, gather):
+        pair = embedding_pair(300, 40, 64, seed=3)
+        params = init_params(seed=4, in_dim=128, hidden=100)
+        rows = np.random.default_rng(6).permutation(300)[:211]
+        expected = estimate_pairwise(params, pair, rows, range(40), CostLedger()).to_bytes()
+        monkeypatch.setattr(nncift.network, "_GATHER_ROWS", gather)
+        assert estimate_pairwise(params, pair, rows, range(40), CostLedger()).to_bytes() == expected
+
 
 class TestBuildPairFeatures:
     def test_rows_major_concatenation(self):
@@ -609,6 +621,50 @@ class TestMseByQuadrant:
             mse_by_quadrant(holey, full_matrix(np.zeros((4, 4))), part)
 
 
+def mse_by_quadrant_one_mean(estimates, truth, part):
+    """Each quadrant's MSE as one np.mean over its whole float64 copy: the
+    oracle for the row-blocked `mse_by_quadrant`."""
+    out = {}
+    for quadrant in QUADRANTS:
+        rows, cols = quadrant_index_sets(part, quadrant)
+        if len(rows) == 0 or len(cols) == 0:
+            out[quadrant] = math.nan
+            continue
+        sq = estimates.take(rows, cols).astype(np.float64)
+        sq -= truth.take(rows, cols)
+        np.square(sq, out=sq)
+        out[quadrant] = float(np.mean(sq))
+    return out
+
+
+class TestRowBlockedMse:
+    @pytest.mark.parametrize("block_cells", [None, 1000, 7])
+    def test_within_a_few_ulps_of_one_mean(self, monkeypatch, block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(nncift.datasets, "ROW_BLOCK_CELLS", block_cells)
+        part = partition(embedding_pair(600, 300, 1), 0.3, seed=2)
+        estimates = baseline_estimates("random_uniform", (600, 300), seed=3)
+        truth = baseline_estimates("random_uniform", (600, 300), seed=4)
+        blocked = mse_by_quadrant(estimates, truth, part)
+        expected = mse_by_quadrant_one_mean(estimates, truth, part)
+        for quadrant in QUADRANTS:
+            np.testing.assert_array_max_ulp(blocked[quadrant], expected[quadrant], maxulp=4)
+
+    def test_one_block_is_bitwise_one_mean(self):
+        part = partition(embedding_pair(40, 30, 1), 0.2, seed=1)
+        estimates = baseline_estimates("random_uniform", (40, 30), seed=3)
+        truth = baseline_estimates("random_uniform", (40, 30), seed=4)
+        assert mse_by_quadrant(estimates, truth, part) == mse_by_quadrant_one_mean(
+            estimates, truth, part)
+
+    @pytest.mark.parametrize("value", [0.0, 0.375])
+    def test_a_constant_scores_as_its_matrix(self, value):
+        part = partition(embedding_pair(300, 200, 1), 0.1, seed=1)
+        truth = baseline_estimates("random_uniform", (300, 200), seed=4)
+        matrix = full_matrix(np.full((300, 200), value))
+        assert mse_by_quadrant(value, truth, part) == mse_by_quadrant(matrix, truth, part)
+
+
 class TestBaselines:
     def test_predict_zero(self):
         matrix = baseline_estimates("predict_zero", (3, 5))
@@ -618,6 +674,21 @@ class TestBaselines:
         a = baseline_estimates("random_uniform", (4, 4), seed=7)
         b = baseline_estimates("random_uniform", (4, 4), seed=7)
         assert a.to_bytes() == b.to_bytes()
+
+    @pytest.mark.parametrize("shape, block_cells", [
+        ((1000, 250), None),  # 131 rows a block: the last block is short
+        ((1000, 250), 500),   # 2 rows a block: every block whole
+        ((7, 3), 1),          # a row a block
+        ((5, 0), None),
+        ((0, 4), None),
+    ])
+    def test_random_uniform_is_one_draw_bitwise(self, monkeypatch, shape, block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(nncift.datasets, "ROW_BLOCK_CELLS", block_cells)
+        rng = np.random.Generator(np.random.PCG64(11))
+        expected = rng.random(shape).astype(np.float32)
+        values = baseline_estimates("random_uniform", shape, seed=11).values
+        assert values.shape == shape and values.tobytes() == expected.tobytes()
 
     def test_random_uniform_mean(self):
         matrix = baseline_estimates("random_uniform", (400, 250), seed=0)

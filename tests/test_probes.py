@@ -28,6 +28,7 @@ from nncift.probes import (
     ProbeRequest,
     SyntheticProvider,
     build_provider,
+    check_probe_spec,
     probe_batch,
 )
 
@@ -741,6 +742,17 @@ class TestBuildProvider:
         # http misspellings are covered end to end in test_cli
         with pytest.raises(ConfigError, match=r"probe\.sed"):
             build_provider({"provider": "synthetic", "sed": 5})
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"provider": "synthetic", "seed": "x"}, r"probe\.seed must be an integer >= 0, got 'x'"),
+        ({"provider": "synthetic", "seed": 1.5}, r"probe\.seed must be an integer >= 0, got 1\.5"),
+        ({"provider": "synthetic", "seed": -1}, r"probe\.seed must be an integer >= 0, got -1"),
+        ({"provider": "synthetic", "seed": False}, r"probe\.seed must be an integer >= 0, got False"),
+        ({"provider": "file", "records": 5}, r"probe\.records must be a path string, got 5"),
+    ], ids=["string_seed", "float_seed", "negative_seed", "bool_seed", "int_records"])
+    def test_seed_and_records_types_checked(self, spec, message):
+        with pytest.raises(ConfigError, match=message):
+            check_probe_spec(spec)
 
     def test_keys_of_other_kinds_allowed(self, tmp_path):
         # a scale's probe merged over the default synthetic probe keeps its seed

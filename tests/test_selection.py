@@ -59,6 +59,12 @@ class TestNormalizeKernel:
         assert float(out.values.min()) == 0.0
         assert float(out.values.max()) == 1.0
 
+    def test_in_place_scaling_is_bitwise_the_expression(self):
+        values = np.random.default_rng(2).uniform(-3, 5, (40, 30)).astype(np.float32)
+        wide = values.astype(np.float64)
+        expected = ((wide - wide.min()) / (wide.max() - wide.min())).astype(np.float32)
+        assert normalize_kernel(full(values)).block.tobytes() == expected.tobytes()
+
     def test_partial_mask_rejected(self):
         matrix = InfluenceMatrix(2, 2, [0, 1], [0], np.zeros((2, 1), dtype=np.float32))
         with pytest.raises(CoverageError):
