@@ -65,16 +65,19 @@ from .influence import (
     compute_pointwise,
     load_influence,
     save_influence,
+    save_influence_rows,
 )
 from .network import (
     QUADRANTS,
+    QuadrantErrors,
     TrainConfig,
-    baseline_estimates,
     estimate_pairwise,
     estimate_pointwise,
-    mse_by_quadrant,
+    estimate_row_blocks,
+    project_columns,
     save_params,
     train,
+    uniform_rows,
 )
 from .probes import CostLedger, Provider, build_provider, check_probe_spec
 from .reporting import REPORT_JSON, build_cost_report, emit_report, verify_ledger
@@ -474,6 +477,11 @@ def cmd_train_estimate(config: RunConfig) -> Path:
     the corner's paid-for truth overwrites its estimates unless
     pure_estimates is set. The truth evaluation reuses the same
     estimates, so its ledger meters the truth pass alone.
+
+    After training the step holds one float32 M x N matrix, the
+    normalised truth (none without evaluate_truth), and otherwise one row
+    block's scratch: the estimates are made a row block at a time, scored
+    against the truth and appended to full.nnk.
     """
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -498,49 +506,64 @@ def cmd_train_estimate(config: RunConfig) -> Path:
                 optimizer=train_config.optimizer_metadata())
     norm = result.norm
 
-    def normalized(matrix: InfluenceMatrix) -> InfluenceMatrix:
-        # one new float32 block, filled a row block at a time
-        block = np.empty_like(matrix.block)
-        for rows in row_blocks(*block.shape):
-            block[rows] = norm.normalize(matrix.block[rows])
-        return replace(matrix, block=block)
+    def normalized(values: np.ndarray) -> np.ndarray:
+        return norm.normalize(values).astype(np.float32)
 
-    # one network pass over every cell, the corner included, feeds both
-    # full.nnk and the truth evaluation
     rows, cols = np.arange(part.m), np.arange(part.n)
-    with ledger.time_phase("estimate"):
-        if pointwise:
-            estimates = estimate_pointwise(result.params, pair.fine_tune, rows, norm, ledger)
-            estimates = estimates.to_matrix()
-        else:
-            estimates = estimate_pairwise(result.params, pair, rows, cols, ledger)
-    full = estimates
-    if not config.pure_estimates:
-        # ground truth was already paid for; keep it on Q1, in full.nnk's space
-        full = full.overlay(q1 if pointwise else normalized(q1))
-    save_influence(full, out / FULL_FILE)
-    del full  # one M x N matrix fewer held through the truth pass
-
-    evaluation = None
+    corner = normalized(q1.block)
+    errors = truth = None
     if config.evaluate_truth:
         eval_ledger = CostLedger()
         with eval_ledger.time_phase("evaluate"):
-            truth = _valuate(config, rows, cols, eval_ledger)
-            truth = normalized(truth)
-            # the constant predictors are scored without a matrix
-            predictors = {
-                "trained": normalized(estimates) if pointwise else estimates,
-                "random_uniform": baseline_estimates("random_uniform", (q1.m, q1.n), config.seed),
-                "predict_zero": 0.0,
-                "corner_mean": float(np.mean(norm.normalize(q1.block))),
-            }
-            by_quadrant = {name: mse_by_quadrant(predictions, truth, part)
-                           for name, predictions in predictors.items()}
+            truth = _valuate(config, rows, cols, eval_ledger).block
+            for block in row_blocks(*truth.shape):
+                truth[block] = norm.normalize(truth[block])
+        noise = np.random.Generator(np.random.PCG64(config.seed))
+        corner_mean = float(np.mean(norm.normalize(q1.block)))
+        errors = QuadrantErrors(part, ("trained", "random_uniform", "predict_zero", "corner_mean"))
+    # ground truth was already paid for; keep it on Q1, in full.nnk's space
+    overlay = None if config.pure_estimates else (q1.block if pointwise else corner)
+    id_at = np.full(part.m, -1)
+    id_at[part.id_f] = np.arange(len(part.id_f))
+    columns = None if pointwise else project_columns(result.params, pair, part.m, cols)
+
+    def estimated_blocks():
+        # one network pass over every cell, the corner included, feeds both
+        # full.nnk and the truth evaluation; each block's chunks are those
+        # of a whole-matrix call, so its estimates are too
+        for block in estimate_row_blocks(part.m, part.n):
+            with ledger.time_phase("estimate"):
+                if pointwise:
+                    estimates = estimate_pointwise(result.params, pair.fine_tune, rows[block],
+                                                   norm, ledger).to_matrix().block
+                else:
+                    estimates = estimate_pairwise(result.params, pair, rows[block], cols,
+                                                  ledger, columns).block
+            if errors is not None:
+                with eval_ledger.time_phase("evaluate"):
+                    # the noise is drawn in the stream order of one (m, n) draw;
+                    # the constant predictors are scored without a matrix
+                    errors.add(block, truth[block], {
+                        "trained": normalized(estimates) if pointwise else estimates,
+                        "random_uniform": uniform_rows(noise, *estimates.shape),
+                        "predict_zero": 0.0,
+                        "corner_mean": corner_mean,
+                    })
+            if overlay is not None:
+                at = id_at[block]
+                on_id = np.flatnonzero(at >= 0)
+                estimates[np.ix_(on_id, part.id_t)] = overlay[at[on_id]]
+            yield estimates
+
+    save_influence_rows(out / FULL_FILE, part.m, part.n, rows, cols, estimated_blocks())
+
+    evaluation = None
+    if errors is not None:
         evaluation = eval_ledger.as_dict()
         # pointwise groups keep their id/ood names
         labels = {"id": "Q1", "ood": "Q3"} if pointwise else {q: q for q in QUADRANTS}
         mse_doc = {"space": "normalized"}
-        for name, mse in by_quadrant.items():
+        for name, mse in errors.means().items():
             mse_doc[name] = {label: None if math.isnan(mse[q]) else mse[q]
                              for label, q in labels.items()}
         _write_json(out / MSE_FILE, mse_doc)
@@ -664,9 +687,13 @@ def _run_sweep(config: RunConfig) -> Path:
 
 def cmd_pipeline(config: RunConfig) -> Path:
     """Steps 1-3 in order, then the cost report, or a (u, v) sweep."""
-    # every cell's u, before the first cell pays for its probes
+    # every cell's u and v, before the first cell pays for its probes
     if any(Fraction(str(u)) == 0 for u in config.u_sweep or [config.u]):
         raise ConfigError("pipeline runs need u > 0")
+    if METHOD_SELECTOR[config.method] == "facility_location" and any(
+            Fraction(str(v)) == 0 for v in config.v_sweep or [config.v]):
+        raise ConfigError(f"{config.method} pipeline runs need v > 0: facility location "
+                          "needs budget >= 1")
     if config.u_sweep or config.v_sweep:
         return _run_sweep(config)
     cmd_valuate(config)

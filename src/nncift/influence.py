@@ -140,8 +140,7 @@ class InfluenceMatrix:
 
     def _nnk_parts(self) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
         """Header, row indices, column indices and block, in file order."""
-        header = _NNK_HEADER.pack(NNK_MAGIC, self.m, self.n, len(self.rows), len(self.cols))
-        return (header, self.rows.astype("<u4"), self.cols.astype("<u4"),
+        return (*_nnk_head(self.m, self.n, self.rows, self.cols),
                 np.ascontiguousarray(self.block, dtype="<f4"))
 
     def to_bytes(self) -> bytes:
@@ -165,12 +164,44 @@ class InfluenceMatrix:
             raise kind(f"{origin}: {exc}") from exc
 
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        """sha256 of to_bytes(), fed part by part rather than joined."""
+        digest = hashlib.sha256()
+        for part in self._nnk_parts():
+            digest.update(part)
+        return digest.hexdigest()
+
+
+def _nnk_head(m: int, n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The header and the two index arrays, which precede the block in a .nnk file."""
+    return (_NNK_HEADER.pack(NNK_MAGIC, m, n, len(rows), len(cols)),
+            rows.astype("<u4"), cols.astype("<u4"))
 
 
 def save_influence(matrix: InfluenceMatrix, path: str | Path) -> None:
+    save_influence_rows(path, matrix.m, matrix.n, matrix.rows, matrix.cols, [matrix.block])
+
+
+def save_influence_rows(path: str | Path, m: int, n: int, rows, cols,
+                        blocks: Iterable[np.ndarray]) -> None:
+    """Write the .nnk file of the m x n matrix known on rows x cols, whose
+    block arrives as consecutive row blocks, without holding it: the bytes
+    save_influence writes for the assembled matrix. The blocks are checked
+    as InfluenceMatrix checks its block; a stream that fails part way
+    leaves a file load_influence rejects as short."""
+    rows, cols = _checked_index(rows, m, "row"), _checked_index(cols, n, "column")
+    written = 0
     with open(path, "wb") as handle:
-        handle.writelines(matrix._nnk_parts())
+        handle.writelines(_nnk_head(m, n, rows, cols))
+        for block in blocks:
+            block = np.ascontiguousarray(block, dtype="<f4")
+            if block.ndim != 2 or block.shape[1] != len(cols):
+                raise ValueError(f"row block shape {block.shape} does not have {len(cols)} columns")
+            if not all_finite(block):
+                raise DataValidationError("block contains non-finite values")
+            handle.write(block)
+            written += len(block)
+    if written != len(rows):
+        raise ValueError(f"row blocks hold {written} rows, expected {len(rows)}")
 
 
 def load_influence(path: str | Path) -> InfluenceMatrix:

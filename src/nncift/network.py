@@ -27,11 +27,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .datasets import (
+    ROW_BLOCK_CELLS,
     DatasetPair,
     EmbeddingMatrix,
     QuadrantPartition,
@@ -45,6 +46,7 @@ from .probes import CostLedger
 QUADRANTS = ("Q1", "Q2", "Q3", "Q4")
 _CHUNK_CELLS = 1024  # estimates per forward batch, bounding its cells x hidden activations
 _GATHER_ROWS = 128  # rows of A gathered and projected at once, rounded to whole chunks
+_ADAM_SLICE = 1 << 14  # parameters per Adam slice: its two scratch buffers are 128 KB each
 _WEIGHTS = ("w1", "b1", "w2", "b2")  # MlpParams.arrays() order, as stored in params.json
 _WEIGHT_DTYPE = "<f8"
 
@@ -242,9 +244,10 @@ def loss_and_gradients(params: MlpParams, x: np.ndarray, targets: np.ndarray):
 
 
 class _Adam:
-    """Adam over one flat parameter vector. The moments and two scratch
-    buffers are flat too, and a step is 14 in-place ufunc calls in the
-    per-array formula's operation order, so it rounds exactly as
+    """Adam over one flat parameter vector, with flat moments. A step
+    walks the vector in slices of _ADAM_SLICE, each 14 in-place ufunc
+    calls through two slice-sized scratch buffers in the per-array
+    formula's operation order, so it rounds exactly as
 
         m = beta1 m + (1 - beta1) g,   v = beta2 v + (1 - beta2) g**2
         p -= lr (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
@@ -252,27 +255,32 @@ class _Adam:
 
     def __init__(self, size: int, config: TrainConfig):
         self.config = config
-        self.m, self.v, self._s1, self._s2 = np.zeros((4, size))
+        self.m, self.v = np.zeros((2, size))
+        self._s1, self._s2 = np.empty((2, min(size, _ADAM_SLICE)))
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         c = self.config
         self.t += 1
-        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
-        m *= c.beta1
-        np.multiply(grad, 1.0 - c.beta1, out=s1)
-        m += s1
-        v *= c.beta2
-        np.square(grad, out=s1)
-        s1 *= 1.0 - c.beta2
-        v += s1
-        np.divide(m, 1.0 - c.beta1**self.t, out=s1)
-        s1 *= c.learning_rate
-        np.divide(v, 1.0 - c.beta2**self.t, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += c.eps
-        s1 /= s2
-        flat -= s1
+        bias1, bias2 = 1.0 - c.beta1**self.t, 1.0 - c.beta2**self.t
+        for start in range(0, len(flat), _ADAM_SLICE):
+            part = slice(start, start + _ADAM_SLICE)
+            m, v, g = self.m[part], self.v[part], grad[part]
+            s1, s2 = self._s1[:len(m)], self._s2[:len(m)]
+            m *= c.beta1
+            np.multiply(g, 1.0 - c.beta1, out=s1)
+            m += s1
+            v *= c.beta2
+            np.square(g, out=s1)
+            s1 *= 1.0 - c.beta2
+            v += s1
+            np.divide(m, bias1, out=s1)
+            s1 *= c.learning_rate
+            np.divide(v, bias2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += c.eps
+            s1 /= s2
+            flat[part] -= s1
 
 
 def _on_flat(like: MlpParams, flat: np.ndarray) -> MlpParams:
@@ -381,14 +389,17 @@ def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
     flat = np.concatenate([a.reshape(-1) for a in init.arrays()])
     grad = np.zeros_like(flat)
     params, grads = _on_flat(init, flat), _on_flat(init, grad)
+    del init  # its arrays live on in flat
     optimizer = _Adam(flat.size, config)
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 1))))
-    every_row, every_col = np.arange(len(left)), np.arange(len(right))
+    every_col = np.arange(len(right))
     corner = np.empty((len(left), len(right)))
-    # every step reuses one set of buffers: fresh ones of this size cost page
-    # faults each step once the allocator trims them back to the system
+    # every step and every epoch's corner pass reuse one set of buffers: fresh
+    # ones of this size cost page faults each time once the allocator trims
+    # them back to the system
     batch = min(config.batch_size, len(targets))
     scratch = (np.empty_like(left), np.empty_like(right), np.empty((batch, config.hidden)))
+    workspace = _workspace(len(left), len(right), config.hidden)
     losses = []
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(targets.shape[0])
@@ -397,7 +408,8 @@ def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
             rows, cols = np.divmod(cells, len(right))
             _factored_gradients(params, grads, left, right, rows, cols, t_norm[cells], scratch)
             optimizer.step(flat, grad)
-        for start, y in _estimate_chunks(params, left, every_row, right, every_col):
+        columns = _project(params, right, every_col, workspace)
+        for start, y in _estimate_chunks(params, left, None, columns):
             corner[start:start + len(y)] = y
         losses.append(float(np.mean((corner.reshape(-1) - t_norm) ** 2)))
     return TrainResult(params=params, epoch_losses=losses, norm=norm)
@@ -414,16 +426,66 @@ def build_pair_features(pair: DatasetPair, rows: Sequence[int], cols: Sequence[i
     return features.reshape(-1, features.shape[2])
 
 
-def _estimate_chunks(params: MlpParams, left: np.ndarray, rows: np.ndarray,
-                     right: np.ndarray, cols: np.ndarray):
+def _chunking(cols: int) -> tuple[int, int]:
+    """_estimate_chunks' rows per chunk (about _CHUNK_CELLS cells of whole
+    rows) and rows of A gathered and projected at once (whole chunks)."""
+    step = max(1, _CHUNK_CELLS // max(1, cols))
+    return step, step * max(1, _GATHER_ROWS // step)
+
+
+def _workspace(rows: int, cols: int, hidden: int) -> np.ndarray | None:
+    """The float64 hidden-activation workspace of _estimate_chunks for a
+    rows x cols block; None for one column, whose chunks need none."""
+    return None if cols == 1 else np.empty((min(_chunking(cols)[0], rows), cols, hidden))
+
+
+class ProjectedColumns(NamedTuple):
+    """The column side of an estimate pass, which its row blocks share:
+    the columns, their first-layer projection B = right[cols] W_rᵀ and the
+    float64 chunk workspace (`_workspace`), reused rather than allocated
+    per call, where fresh pages cost faults. It holds for the parameters
+    it was built from."""
+
+    params: MlpParams
+    cols: np.ndarray
+    b: np.ndarray
+    ws: np.ndarray | None
+
+
+def _project(params: MlpParams, right: np.ndarray, cols, ws: np.ndarray | None) -> ProjectedColumns:
+    cols = np.asarray(cols, dtype=np.int64)
+    w_right = params.w1[:, params.in_dim - right.shape[1]:]
+    return ProjectedColumns(params, cols, right[cols].astype(np.float64, copy=False) @ w_right.T, ws)
+
+
+def project_columns(params: MlpParams, pair: DatasetPair, rows: int,
+                    cols: Sequence[int]) -> ProjectedColumns:
+    """The target side of a pairwise pass over `rows` rows x cols, for
+    estimate_pairwise calls that each estimate some of those rows."""
+    return _project(params, pair.target.rows, cols, _workspace(rows, len(cols), params.hidden))
+
+
+def estimate_row_blocks(rows: int, cols: int) -> Iterator[slice]:
+    """row_blocks' slices rounded down to whole gathers of _estimate_chunks
+    (at least one), so the estimates of the rows in one slice are those of
+    a call over every row, chunk for chunk and bit for bit."""
+    gather = _chunking(cols)[1]
+    step = gather * max(1, ROW_BLOCK_CELLS // max(1, cols) // gather)
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
+def _estimate_chunks(params: MlpParams, left: np.ndarray, rows: np.ndarray | None,
+                     columns: ProjectedColumns):
     """The network's outputs for every (left[rows[a]], right[cols[b]])
     input, in the normalized [0,1] target space, as (start, outputs)
-    pairs: outputs is the block rows[start:start + len(outputs)] x cols.
+    pairs: outputs is the block rows[start:start + len(outputs)] x cols,
+    where `columns` holds cols and right's part (`_project`). `rows` None
+    means every row of left, in order, read without a gather.
 
     The first layer is factored: with W1 = [W_l | W_r], the hidden
     pre-activation of (a, b) is A[a] + B[b], where A = left W_lᵀ + b1 and
-    B = right W_rᵀ, each computed once. No concatenated input row is
-    built, and the block costs (M+N)·d·H + M·N·H multiply-adds instead of
+    B = right W_rᵀ (`_project`), each computed once. No concatenated input
+    row is built, and the block costs (M+N)·d·H + M·N·H multiply-adds instead of
     M·N·2d·H. A is gathered and projected in whole chunks, about
     _GATHER_ROWS rows at a time, or one chunk when a chunk holds more rows
     than that, so no rows x dim or rows x hidden array is held.
@@ -432,24 +494,24 @@ def _estimate_chunks(params: MlpParams, left: np.ndarray, rows: np.ndarray,
     rectified in place.
 
     Otherwise every chunk of whole rows (about _CHUNK_CELLS cells) forms
-    its hidden activations in one float64 workspace, allocated once per
-    call: max(_CHUNK_CELLS, len(cols)) x hidden, 0.8 MB at 1024 cells and
-    hidden 100. The chunk size moves an output by a few float64 ulps at
-    most, as BLAS sums a row by how many rows share the call: far below
-    the float32 precision the estimates are stored in.
+    its hidden activations in one float64 workspace, `columns.ws`:
+    max(_CHUNK_CELLS, len(cols)) x hidden, 0.8 MB at 1024 cells and
+    hidden 100. The chunk size moves an
+    output by a few float64 ulps at most, as BLAS sums a row by how many
+    rows share the call: far below the float32 precision the estimates
+    are stored in.
     """
     dim = left.shape[1]
-    b = right[cols].astype(np.float64, copy=False) @ params.w1[:, dim:].T
-    step = max(1, _CHUNK_CELLS // max(1, len(b)))
-    gather = step * max(1, _GATHER_ROWS // step)
-    # one column: each row of a is used once, so it is added to in place
-    ws = None if len(b) == 1 else np.empty((min(step, len(rows)), len(b), params.hidden))
-    for block in range(0, len(rows), gather):
-        a = left[rows[block:block + gather]].astype(np.float64, copy=False)
-        a = a @ params.w1[:, :dim].T
+    count = len(left) if rows is None else len(rows)
+    b, ws = columns.b, columns.ws
+    step, gather = _chunking(len(b))
+    for block in range(0, count, gather):
+        a = left[block:block + gather] if rows is None else left[rows[block:block + gather]]
+        a = a.astype(np.float64, copy=False) @ params.w1[:, :dim].T
         a += params.b1
         for start in range(0, len(a), step):
             h = a[start:start + step, None, :]
+            # one column: each row of a is used once, so it is added to in place
             h = np.add(h, b, out=h if ws is None else ws[:len(h)])
             np.maximum(h, 0.0, out=h)
             y = _logistic(h.reshape(-1, params.hidden) @ params.w2.T + params.b2)
@@ -462,9 +524,12 @@ def estimate_pairwise(
     rows: Sequence[int],
     cols: Sequence[int],
     ledger: CostLedger,
+    columns: ProjectedColumns | None = None,
 ) -> InfluenceMatrix:
     """Estimate the rows x cols block with the tiny network, its first
     layer applied once per row and once per column (`_estimate_chunks`).
+    A pass that estimates its rows a block per call passes each call the
+    same `columns` (`project_columns`), so the columns' side is built once.
 
     Charges estimator_forwards, one per cell, and never forward_calls:
     keeping the two meters separate is the whole point of the approach.
@@ -476,8 +541,12 @@ def estimate_pairwise(
             f"net expects in_dim {params.in_dim}, pair embeddings give {2 * dim}"
         )
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    if columns is None:
+        columns = project_columns(params, pair, len(rows), cols)
+    elif columns.params is not params or not np.array_equal(columns.cols, cols):
+        raise ValueError("columns were projected for other parameters or columns")
     block = np.empty((len(rows), len(cols)), dtype=np.float32)
-    for start, y in _estimate_chunks(params, pair.fine_tune.rows, rows, pair.target.rows, cols):
+    for start, y in _estimate_chunks(params, pair.fine_tune.rows, rows, columns):
         block[start:start + len(y)] = y
     ledger.add_estimator_forwards(len(rows) * len(cols))
     return InfluenceMatrix(pair.m, pair.n, rows, cols, block)
@@ -497,7 +566,8 @@ def estimate_pointwise(
         raise ValueError(f"net expects in_dim {params.in_dim}, embeddings give {embeddings.dim}")
     indices = np.array([int(i) for i in indices], dtype=np.int64)
     outputs = np.empty(len(indices))
-    for start, y in _estimate_chunks(params, embeddings.rows, indices, np.zeros((1, 0)), [0]):
+    columns = _project(params, np.zeros((1, 0)), [0], None)
+    for start, y in _estimate_chunks(params, embeddings.rows, indices, columns):
         outputs[start:start + len(y)] = y[:, 0]
     ledger.add_estimator_forwards(len(indices))
     return PointwiseScores(m=embeddings.count, indices=indices,
@@ -536,6 +606,56 @@ def mse_by_quadrant(
     return out
 
 
+class QuadrantErrors:
+    """Squared error per quadrant for several predictors, summed from row
+    blocks of the matrix: the streamed form of mse_by_quadrant, which it
+    matches to a few ulps (each row_blocks part of a block's quadrant is
+    summed as one array, then added to the quadrant's running sum).
+    """
+
+    def __init__(self, part: QuadrantPartition, names: Iterable[str]):
+        self._quadrants = []  # (quadrant, row mask over the m rows, columns, cells)
+        for quadrant in QUADRANTS:
+            rows, cols = quadrant_index_sets(part, quadrant)
+            mask = np.zeros(part.m, dtype=bool)
+            mask[rows] = True
+            self._quadrants.append((quadrant, mask, cols, len(rows) * len(cols)))
+        self._sums = {name: dict.fromkeys(QUADRANTS, 0.0) for name in names}
+
+    def add(self, rows: slice, truth: np.ndarray, predictions: dict) -> None:
+        """Add the errors on matrix rows `rows`, whose truth is `truth`;
+        `predictions` gives each predictor's block there, or one constant."""
+        masks = [(quadrant, mask[rows], cols) for quadrant, mask, cols, count in self._quadrants
+                 if count]
+        for part in row_blocks(*truth.shape):
+            cells = [(quadrant, np.ix_(np.flatnonzero(mask[part]), cols))
+                     for quadrant, mask, cols in masks]
+            for name, predicted in predictions.items():
+                if isinstance(predicted, np.ndarray):
+                    predicted = predicted[part]
+                sq = np.subtract(predicted, truth[part], dtype=np.float64)
+                np.square(sq, out=sq)
+                for quadrant, at in cells:
+                    self._sums[name][quadrant] += float(sq[at].sum())
+
+    def means(self) -> dict[str, dict[str, float]]:
+        """Each predictor's mean squared error per quadrant; NaN for an empty one."""
+        return {name: {quadrant: sums[quadrant] / count if count else math.nan
+                       for quadrant, _, _, count in self._quadrants}
+                for name, sums in self._sums.items()}
+
+
+def uniform_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """The next rows x cols uniform draws of rng as float32, drawn a row
+    block at a time in the stream order of one rng.random((rows, cols))
+    call, so its values are that call's and no float64 copy is held."""
+    values = np.empty((rows, cols), dtype=np.float32)
+    for block in row_blocks(rows, cols):
+        part = values[block]
+        part[...] = rng.random(part.shape)
+    return values
+
+
 def baseline_estimates(kind: str, shape: tuple[int, int], seed: int = 0) -> InfluenceMatrix:
     """The two reference predictors: seeded uniform noise and constant 0.
     The noise is drawn a row block at a time, in the stream order of one
@@ -546,11 +666,7 @@ def baseline_estimates(kind: str, shape: tuple[int, int], seed: int = 0) -> Infl
     if kind == "predict_zero":
         values = np.zeros((m, n), dtype=np.float32)
     elif kind == "random_uniform":
-        rng = np.random.Generator(np.random.PCG64(seed))
-        values = np.empty((m, n), dtype=np.float32)
-        for block in row_blocks(m, n):
-            rows = values[block]
-            rows[...] = rng.random(rows.shape)
+        values = uniform_rows(np.random.Generator(np.random.PCG64(seed)), m, n)
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
     return InfluenceMatrix.full(values)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import row_blocks
 from .errors import CoverageError
 from .influence import InfluenceMatrix, PointwiseScores
 
@@ -45,31 +46,41 @@ def normalize_kernel(matrix: InfluenceMatrix) -> InfluenceMatrix:
     A constant matrix maps to all zeros (the declared degenerate rule).
     Facility location needs a nonnegative kernel; influence values may
     be negative.
+
+    The float32 kernel is filled a row block at a time, each block widened
+    to float64, scaled and narrowed back, so it holds no float64 copy of
+    the matrix.
     """
     if not matrix.fully_valid:
         raise CoverageError("kernel normalization requires a fully valid matrix")
-    values = matrix.block.astype(np.float64)
-    lo, hi = (values.min(), values.max()) if values.size else (0.0, 0.0)
-    if hi > lo:
+    block = matrix.block
+    # float32 extremes widen exactly: they are the float64 copy's extremes
+    lo, hi = (float(block.min()), float(block.max())) if block.size else (0.0, 0.0)
+    if not hi > lo:
+        return InfluenceMatrix.full(np.zeros_like(block))
+    kernel = np.empty_like(block)
+    for rows in row_blocks(*block.shape):
+        values = block[rows].astype(np.float64)
         values -= lo
         values /= hi - lo
-    else:
-        values.fill(0.0)
-    return InfluenceMatrix.full(values.astype(np.float32))
+        kernel[rows] = values
+    return InfluenceMatrix.full(kernel)
 
 
 def _gain(kernel: np.ndarray, row: int, covered: np.ndarray) -> float:
     """Marginal facility-location gain of adding `row` given the current
-    per-column best coverage."""
+    per-column best coverage; a float32 row is widened by the float64
+    subtraction, so the gain is the float64 kernel's."""
     return float(np.maximum(kernel[row] - covered, 0.0).sum())
 
 
 def _checked_kernel(matrix: InfluenceMatrix, budget: int) -> np.ndarray:
+    """The float32 kernel block, read in place: the greedy widens a row at a time."""
     if budget < 1:
         raise ValueError("facility location needs budget >= 1")
     if not matrix.fully_valid:
         raise CoverageError("facility location requires a fully valid kernel")
-    kernel = matrix.block.astype(np.float64)
+    kernel = matrix.block
     if kernel.size and (kernel.min() < 0.0 or kernel.max() > 1.0):
         raise ValueError("facility location expects a kernel in [0, 1]; normalize first")
     return kernel
@@ -81,12 +92,20 @@ def facility_location_greedy(matrix: InfluenceMatrix, budget: int) -> SelectionR
     Ties break toward the smallest row index. Returns min(budget, m)
     picks; the objective trace is non-decreasing.
     """
-    kernel = _checked_kernel(matrix, budget)
+    return _lazy_greedy(_checked_kernel(matrix, budget), budget)
+
+
+def _lazy_greedy(kernel: np.ndarray, budget: int) -> SelectionResult:
+    """facility_location_greedy on a float32 or float64 kernel array,
+    picking alike on both when the float64 one is the float32 one widened."""
     m = kernel.shape[0]
     covered = np.zeros(kernel.shape[1], dtype=np.float64)
     # heap of (-gain, row); stamps mark the iteration a gain was computed in.
-    # With nothing covered a row's gain is its sum, bitwise as _gain gives it.
-    first_gains = kernel.sum(axis=1).tolist()
+    # With nothing covered a row's gain is its float64 sum, bitwise as _gain
+    # gives it; the sums are taken a row block at a time.
+    first_gains = []
+    for rows in row_blocks(*kernel.shape):
+        first_gains += kernel[rows].astype(np.float64).sum(axis=1).tolist()
     heap: list[tuple[float, int]] = [(-gain, i) for i, gain in enumerate(first_gains)]
     heapq.heapify(heap)
     last_eval = [1] * m
@@ -154,7 +173,7 @@ def topk_rowmax(matrix: InfluenceMatrix, k: int) -> SelectionResult:
     m = matrix.m
     if not 0 <= k <= m:
         raise ValueError(f"k must lie in [0, {m}], got {k}")
-    scores = matrix.block.astype(np.float64).max(axis=1)
+    scores = matrix.block.max(axis=1).astype(np.float64)  # max is exact in float32
     order = np.lexsort((np.arange(m), -scores))
     indices = [int(i) for i in order[:k]]
     running = np.cumsum(scores[order[:k]])

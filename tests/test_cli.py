@@ -6,19 +6,30 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nncift.cli
+import nncift.network
 from nncift.cli import main, resolve_config
 from nncift.datasets import (
     DatasetPair, EmbeddingMatrix, load_embeddings, partition, save_embeddings, save_texts,
 )
 from nncift.errors import FileFormatError
-from nncift.influence import InfluenceMatrix, compute_influence, load_influence
-from nncift.network import load_params, mse_by_quadrant
+from nncift.influence import InfluenceMatrix, compute_influence, load_influence, save_influence
+from nncift.network import (
+    QUADRANTS,
+    QuadrantErrors,
+    baseline_estimates,
+    estimate_pairwise,
+    estimate_pointwise,
+    load_params,
+    mse_by_quadrant,
+)
+from nncift.probes import CostLedger
 
 
 def unit_rows(count, dim, seed):
@@ -106,9 +117,30 @@ class TestExitCodes:
         assert main(["valuate", "--config", str(config), "--out", out]) == 0
         assert main(["train-estimate", "--config", str(config), "--out", out]) == 3
 
+    @pytest.mark.parametrize("method", ["delift", "delift_se"])
+    @pytest.mark.parametrize("overrides", [{"v": 0}, {"v_sweep": [0.3, 0]}], ids=["v", "v_sweep"])
+    def test_facility_location_pipeline_rejects_v_zero(self, tmp_path, method, overrides):
+        # before any probe or artifact: the greedy could pick nothing
+        config = write_config(tmp_path, method=method, m=40, n=10, **overrides)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_row_ranking_pipeline_takes_v_zero(self, tmp_path):
+        config = write_config(tmp_path, method="less", v=0,
+                              fine_tune_gradients=str(tmp_path / "fine.emb"),
+                              target_gradients=str(tmp_path / "target.emb"))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+        assert read_json(out / "selection.json")["indices"] == []
+
     def test_facility_location_budget_zero_exits_4(self, tmp_path):
+        # the select step alone still meets the empty budget as a selection error
         config = write_config(tmp_path, v=0)
-        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 4
+        out = str(tmp_path / "run")
+        assert main(["valuate", "--config", str(config), "--out", out]) == 0
+        assert main(["train-estimate", "--config", str(config), "--out", out]) == 0
+        assert main(["select", "--config", str(config), "--out", out]) == 4
 
     def test_train_estimate_without_valuate_exits_2(self, tmp_path):
         config = write_config(tmp_path)
@@ -462,6 +494,108 @@ class TestTrainEstimate:
         for quadrant in ("Q2", "Q3", "Q4"):
             assert recomputed[quadrant] == trained[quadrant], quadrant
 
+    @pytest.mark.parametrize("pure", [False, True], ids=["merged", "pure"])
+    @pytest.mark.parametrize("method, m, blocks", [
+        ("delift", 43, "small"), ("delift_se", 43, "small"), ("less", 43, "small"),
+        ("selectit", 43, "small"), ("delift_se", 48, "small"), ("selectit", 48, "small"),
+        ("delift_se", 300, "default"),
+    ])
+    def test_streamed_pass_equals_the_whole_matrix_oracle(self, tmp_path, monkeypatch,
+                                                          method, m, blocks, pure):
+        # small blocks: 4-row blocks pairwise and 12-row blocks pointwise, which
+        # leave a short last block at m = 43 and divide m = 48; default: 125 rows
+        if blocks == "small":
+            monkeypatch.setattr(nncift.network, "_CHUNK_CELLS", 2)
+            monkeypatch.setattr(nncift.network, "_GATHER_ROWS", 4)
+            monkeypatch.setattr(nncift.network, "ROW_BLOCK_CELLS", 12)
+        n = 200 if blocks == "default" else 40
+        noise_blocks = []
+
+        class Recording(QuadrantErrors):
+            def add(self, rows, truth, predictions):
+                noise_blocks.append((rows, predictions["random_uniform"].copy()))
+                super().add(rows, truth, predictions)
+
+        monkeypatch.setattr(nncift.cli, "QuadrantErrors", Recording)
+        extra = {"pure_estimates": pure}
+        if method == "selectit":
+            extra["target_embeddings"] = ...
+        if method == "less":
+            extra.update(fine_tune_gradients=str(tmp_path / "fine.emb"),
+                         target_gradients=str(tmp_path / "target.emb"))
+        config = write_config(tmp_path, method=method, m=m, n=n, **extra)
+        out = tmp_path / "run"
+        assert main(["valuate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["train-estimate", "--config", str(config), "--out", str(out)]) == 0
+
+        # the parent form: whole-matrix estimates, one overlay, one write
+        run = resolve_config(read_json(config), out_override=out)
+        part, pair = run.part, run.pair
+        params, norm, _ = load_params(out / "params.json")
+        q1 = load_influence(out / "q1.nnk")
+        ledger = CostLedger()
+        if method == "selectit":
+            estimates = estimate_pointwise(params, pair.fine_tune, range(m), norm, ledger).to_matrix()
+            trained, corner = InfluenceMatrix.full(norm.normalize(estimates.block)), q1
+        else:
+            estimates = estimate_pairwise(params, pair, range(m), range(n), ledger)
+            trained, corner = estimates, replace(q1, block=norm.normalize(q1.block))
+        save_influence(estimates if pure else estimates.overlay(corner), tmp_path / "oracle.nnk")
+        assert (out / "full.nnk").read_bytes() == (tmp_path / "oracle.nnk").read_bytes()
+
+        # the noise is one draw over the matrix, whatever the blocks
+        assert [rows.start for rows, _ in noise_blocks] == sorted({r.start for r, _ in noise_blocks})
+        noise = np.concatenate([block for _, block in noise_blocks])
+        shape = (part.m, part.n)
+        assert noise.tobytes() == baseline_estimates("random_uniform", shape, run.seed).block.tobytes()
+
+        truth = nncift.cli._valuate(run, np.arange(part.m), np.arange(part.n), CostLedger())
+        truth = InfluenceMatrix.full(norm.normalize(truth.block))
+        expected = {
+            "trained": mse_by_quadrant(trained, truth, part),
+            "random_uniform": mse_by_quadrant(baseline_estimates("random_uniform", shape, run.seed),
+                                              truth, part),
+            "predict_zero": mse_by_quadrant(0.0, truth, part),
+            "corner_mean": mse_by_quadrant(float(np.mean(norm.normalize(q1.block))), truth, part),
+        }
+        labels = {"id": "Q1", "ood": "Q3"} if method == "selectit" else {q: q for q in QUADRANTS}
+        mse = read_json(out / "mse.json")
+        for name, by_quadrant in expected.items():
+            for label, quadrant in labels.items():
+                got, want = mse[name][label], by_quadrant[quadrant]
+                if math.isnan(want):
+                    assert got is None, (name, label)
+                else:
+                    np.testing.assert_array_max_ulp(np.float64(got), np.float64(want), maxulp=4)
+
+    def test_train_estimate_holds_one_matrix_after_training(self, tmp_path, monkeypatch):
+        m, n = 1000, 400
+        config = write_config(tmp_path, m=m, n=n, dim=16, u=0.05)
+        out = tmp_path / "run"
+        assert main(["valuate", "--config", str(config), "--out", str(out)]) == 0
+        held = []
+        original = nncift.cli.train
+
+        def metered(*args):
+            result = original(*args)
+            # meter from the end of training: what follows is the estimate pass
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return result
+
+        monkeypatch.setattr(nncift.cli, "train", metered)
+        tracemalloc.start()
+        try:
+            assert main(["train-estimate", "--config", str(config), "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the float32 M x N normalised truth; besides it the pass holds the
+        # columns' projection and chunk workspace (1 MB) and one row block's
+        # scratch (at n = 400 a block is 128 rows: 0.2 MB as float32)
+        matrix = m * n * np.dtype(np.float32).itemsize
+        assert len(held) == 1 and peak - held[0] <= matrix + 5 * 2**19
+
     def test_training_losses_reach_the_ledger_and_the_report(self, tmp_path, monkeypatch):
         results = []
         original = nncift.cli.train
@@ -515,6 +649,24 @@ class TestSelect:
         assert len(set(doc["indices"])) == 12
         # facility location objective is monotone in the picks
         assert doc["objective_values"] == sorted(doc["objective_values"])
+
+    def test_facility_location_holds_the_file_and_one_kernel(self, tmp_path):
+        m, n = 1000, 400
+        config = write_config(tmp_path, m=m, n=n, dim=16, u=0.05)
+        out = tmp_path / "run"
+        for step in ("valuate", "train-estimate"):
+            assert main([step, "--config", str(config), "--out", str(out)]) == 0
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(["select", "--config", str(config), "--out", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # full.nnk's bytes, read in place, and the float32 kernel; every other
+        # buffer is one row block's or one row's
+        matrix = m * n * np.dtype(np.float32).itemsize
+        assert peak - start <= 2 * matrix + 2**20
 
     def test_less_dispatches_to_row_ranking(self, tmp_path):
         grads_f = tmp_path / "grads_f.emb"

@@ -30,6 +30,7 @@ from nncift.influence import (
     distance_from_logprobs,
     load_influence,
     save_influence,
+    save_influence_rows,
 )
 from nncift.errors import ProbeError
 from nncift.probes import CostLedger, FileProvider, HttpProvider, SyntheticProvider
@@ -781,6 +782,36 @@ class TestInfluenceMatrixFormat:
         assert matrix.content_hash() == matrix.content_hash()
         assert len(matrix.content_hash()) == 64
         assert matrix.content_hash() == hashlib.sha256(matrix.to_bytes()).hexdigest()
+
+
+    def test_content_hash_of_a_partial_block_is_the_file_hash(self):
+        block = np.random.default_rng(3).standard_normal((3, 2)).astype(np.float32)
+        matrix = InfluenceMatrix(9, 4, [7, 0, 3], [2, 1], block)
+        assert matrix.content_hash() == hashlib.sha256(matrix.to_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("sizes", [[5], [2, 3], [1, 1, 1, 1, 1], [0, 4, 0, 1]])
+    def test_streamed_rows_are_the_assembled_file(self, tmp_path, sizes):
+        rng = np.random.default_rng(4)
+        block = rng.standard_normal((5, 3)).astype(np.float32)
+        matrix = InfluenceMatrix(8, 6, [6, 1, 0, 7, 3], [5, 0, 2], block)
+        save_influence(matrix, tmp_path / "whole.nnk")
+        ends = np.cumsum(sizes)
+        save_influence_rows(tmp_path / "rows.nnk", 8, 6, matrix.rows, matrix.cols,
+                            (block[end - size:end] for size, end in zip(sizes, ends)))
+        assert (tmp_path / "rows.nnk").read_bytes() == (tmp_path / "whole.nnk").read_bytes()
+
+    @pytest.mark.parametrize("blocks, error", [
+        ([np.zeros((2, 3)), np.zeros((2, 3))], ValueError),  # 4 rows of 5
+        ([np.zeros((5, 2))], ValueError),  # a column short
+        ([np.zeros((3, 3)), np.full((2, 3), np.nan)], DataValidationError),
+    ])
+    def test_streamed_rows_are_checked(self, tmp_path, blocks, error):
+        with pytest.raises(error):
+            save_influence_rows(tmp_path / "bad.nnk", 8, 6, [6, 1, 0, 7, 3], [5, 0, 2], blocks)
+        if (tmp_path / "bad.nnk").exists():
+            # what was written is not a matrix: the file reads as short
+            with pytest.raises((PayloadLengthError, DataValidationError)):
+                load_influence(tmp_path / "bad.nnk")
 
 
 class TestPointwiseScores:

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from nncift.network import (
     QUADRANTS,
     MlpParams,
     NormStats,
+    QuadrantErrors,
     TrainConfig,
     baseline_estimates,
     build_pair_features,
     estimate_pairwise,
     estimate_pointwise,
+    estimate_row_blocks,
     forward,
     init_params,
     load_params,
@@ -277,6 +280,27 @@ class TestFlatAdam:
         assert flat_adam.m.tobytes() == np.concatenate([m.reshape(-1) for m in per_array.m]).tobytes()
 
 
+    @pytest.mark.parametrize("slice_size", [1, 7, 84, 85])
+    def test_slices_are_bitwise_the_per_array_step(self, monkeypatch, slice_size):
+        # 85 parameters: slices of 7 leave a short last slice, 85 is one slice
+        monkeypatch.setattr(nncift.network, "_ADAM_SLICE", slice_size)
+        config = TrainConfig(learning_rate=1e-3)
+        init = init_params(seed=4, in_dim=10, hidden=7)
+        flat = flatten_params(init)
+        reference = set_flat(init, flat.copy())
+        flat_adam = nncift.network._Adam(flat.size, config)
+        per_array = PerArrayAdam(reference, config)
+        rng = np.random.default_rng(1)
+        for _ in range(30):
+            grad = rng.choice([-1.0, 1.0], flat.size) * 10.0 ** rng.uniform(-8, 2, flat.size)
+            flat_adam.step(flat, grad.copy())
+            per_array.step(reference, set_flat(init, grad))
+        assert flat.tobytes() == flatten_params(reference).tobytes()
+        assert flat_adam.v.tobytes() == np.concatenate([v.reshape(-1) for v in per_array.v]).tobytes()
+        # no scratch the size of the parameters
+        assert flat_adam._s1.size == flat_adam._s2.size == min(slice_size, flat.size)
+
+
 def factored_gradients(params, left, right, rows, cols, targets):
     grads = MlpParams(*(np.zeros_like(a) for a in params.arrays()))
     scratch = (np.empty_like(left), np.empty_like(right), np.empty((len(rows), params.hidden)))
@@ -367,6 +391,22 @@ class TestFactoredTraining:
         for a, b in zip(result.params.arrays(), expected.arrays()):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.epoch_losses, losses, rtol=0, atol=1e-12)
+
+    def test_training_holds_four_parameter_vectors_and_fixed_scratch(self):
+        # in_dim 1024, hidden 100: 102,601 parameters, 0.8 MB a vector
+        rng = np.random.default_rng(0)
+        left, right = rng.standard_normal((30, 512)), rng.standard_normal((20, 512))
+        config = TrainConfig(epochs=3, hidden=100)
+        tracemalloc.start()
+        try:
+            train(left, right, rng.random(600), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the parameters, their gradient and Adam's two moments; besides them
+        # the slice scratch, the step buffers and the corner pass's workspace
+        vector = (1024 * 100 + 100 + 100 + 1) * np.dtype(np.float64).itemsize
+        assert peak <= 4 * vector + 2**21
 
     def test_misaligned_targets_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
@@ -541,6 +581,63 @@ class TestEstimatePairwise:
         assert estimate_pairwise(params, pair, rows, range(40), CostLedger()).to_bytes() == expected
 
 
+class TestEstimateRowBlocks:
+    @pytest.mark.parametrize("m, n", [(300, 300), (1000, 40), (5, 4000), (40000, 1), (0, 3)])
+    def test_blocks_are_whole_gathers_covering_the_rows(self, m, n):
+        gather = nncift.network._chunking(n)[1]
+        blocks = list(estimate_row_blocks(m, n))
+        assert [b.start for b in blocks] == list(range(0, m, blocks[0].stop if blocks else 1))
+        assert all((b.stop - b.start) % gather == 0 for b in blocks)
+        assert sum(len(range(m)[b]) for b in blocks) == m
+
+    @pytest.mark.parametrize("small", [False, True])
+    def test_block_estimates_are_bitwise_the_whole_call(self, monkeypatch, small):
+        if small:
+            monkeypatch.setattr(nncift.network, "_CHUNK_CELLS", 5)
+            monkeypatch.setattr(nncift.network, "_GATHER_ROWS", 3)
+            monkeypatch.setattr(nncift.network, "ROW_BLOCK_CELLS", 40)
+        else:
+            # 126-row blocks pairwise; 2048-row blocks pointwise
+            monkeypatch.setattr(nncift.network, "ROW_BLOCK_CELLS", 2048)
+        pair = embedding_pair(5000, 300, 16, seed=8)
+        params = init_params(seed=9, in_dim=32, hidden=100)
+        point_params = init_params(seed=10, in_dim=16, hidden=100)
+        norm = NormStats(-1.0, 2.0)
+        rows, point_rows = np.arange(301), np.arange(4999)
+        whole = estimate_pairwise(params, pair, rows, range(300), CostLedger()).block
+        blocks = list(estimate_row_blocks(len(rows), 300))
+        assert len(blocks) > 2 and len(rows) % (blocks[0].stop - blocks[0].start)
+        streamed = np.concatenate([estimate_pairwise(params, pair, rows[b], range(300),
+                                                     CostLedger()).block for b in blocks])
+        assert streamed.tobytes() == whole.tobytes()
+        whole = estimate_pointwise(point_params, pair.fine_tune, point_rows, norm, CostLedger())
+        blocks = list(estimate_row_blocks(len(point_rows), 1))
+        assert len(blocks) > 2 and len(point_rows) % (blocks[0].stop - blocks[0].start)
+        streamed = np.concatenate([estimate_pointwise(point_params, pair.fine_tune, point_rows[b],
+                                                      norm, CostLedger()).values for b in blocks])
+        assert streamed.tobytes() == whole.values.tobytes()
+
+    @pytest.mark.parametrize("cols", [1, 13, 2000])
+    def test_every_row_read_in_place_is_the_gathered_pass(self, cols):
+        # train's corner pass: rows None and one workspace kept across calls
+        left = np.random.default_rng(1).standard_normal((150, 6))
+        right = np.random.default_rng(2).standard_normal((cols, 6 if cols > 1 else 0))
+        params = init_params(seed=3, in_dim=left.shape[1] + right.shape[1], hidden=20)
+        every_col = np.arange(cols)
+        ws = nncift.network._workspace(150, cols, 20)
+
+        def run(rows, ws):
+            columns = nncift.network._project(params, right, every_col, ws)
+            out = np.empty((150, cols))
+            for start, y in nncift.network._estimate_chunks(params, left, rows, columns):
+                out[start:start + len(y)] = y
+            return out
+
+        expected = run(np.arange(150), nncift.network._workspace(150, cols, 20))
+        for _ in range(2):
+            assert run(None, ws).tobytes() == expected.tobytes()
+
+
 class TestBuildPairFeatures:
     def test_rows_major_concatenation(self):
         pair = embedding_pair(4, 3, 2)
@@ -663,6 +760,47 @@ class TestRowBlockedMse:
         truth = baseline_estimates("random_uniform", (300, 200), seed=4)
         matrix = full_matrix(np.full((300, 200), value))
         assert mse_by_quadrant(value, truth, part) == mse_by_quadrant(matrix, truth, part)
+
+
+class TestQuadrantErrors:
+    @pytest.mark.parametrize("step", [7, 100, 600])  # 600 rows: 7 does not divide, 100 does
+    def test_within_a_few_ulps_of_one_mean(self, step):
+        part = partition(embedding_pair(600, 300, 1), 0.3, seed=2)
+        estimates = baseline_estimates("random_uniform", (600, 300), seed=3)
+        truth = baseline_estimates("random_uniform", (600, 300), seed=4)
+        errors = QuadrantErrors(part, ("trained", "zero"))
+        for start in range(0, 600, step):
+            rows = slice(start, start + step)
+            errors.add(rows, truth.block[rows], {"trained": estimates.block[rows], "zero": 0.0})
+        expected = {"trained": mse_by_quadrant_one_mean(estimates, truth, part),
+                    "zero": mse_by_quadrant_one_mean(full_matrix(np.zeros((600, 300))), truth, part)}
+        means = errors.means()
+        for name in expected:
+            for quadrant in QUADRANTS:
+                np.testing.assert_array_max_ulp(means[name][quadrant], expected[name][quadrant],
+                                                maxulp=4)
+
+    def test_one_block_is_bitwise_mse_by_quadrant(self):
+        part = partition(embedding_pair(40, 30, 1), 0.2, seed=1)
+        estimates = baseline_estimates("random_uniform", (40, 30), seed=3)
+        truth = baseline_estimates("random_uniform", (40, 30), seed=4)
+        errors = QuadrantErrors(part, ("trained", "half"))
+        errors.add(slice(0, 40), truth.block, {"trained": estimates.block, "half": 0.5})
+        assert errors.means() == {"trained": mse_by_quadrant(estimates, truth, part),
+                                  "half": mse_by_quadrant(0.5, truth, part)}
+
+    def test_the_m_by_1_case_leaves_the_empty_quadrants_nan(self):
+        part = partition(embedding_pair(50, 1, 1), 0.2, seed=1)
+        part = replace(part, id_t=np.array([0]), ood_t=np.array([], dtype=np.int64))
+        estimates = baseline_estimates("random_uniform", (50, 1), seed=3)
+        truth = baseline_estimates("random_uniform", (50, 1), seed=4)
+        errors = QuadrantErrors(part, ("trained",))
+        for rows in (slice(0, 20), slice(20, 50)):
+            errors.add(rows, truth.block[rows], {"trained": estimates.block[rows]})
+        means, expected = errors.means()["trained"], mse_by_quadrant(estimates, truth, part)
+        assert math.isnan(means["Q2"]) and math.isnan(means["Q4"])
+        for quadrant in ("Q1", "Q3"):
+            np.testing.assert_array_max_ulp(means[quadrant], expected[quadrant], maxulp=4)
 
 
 class TestBaselines:

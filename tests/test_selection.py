@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import nncift.datasets
 from nncift.datasets import exact_ceil
 from nncift.errors import CoverageError
 from nncift.influence import InfluenceMatrix, PointwiseScores
 from nncift.selection import (
     SelectionResult,
+    _lazy_greedy,
     facility_location_greedy,
     facility_location_naive,
     facility_location_value,
@@ -70,6 +72,16 @@ class TestNormalizeKernel:
         with pytest.raises(CoverageError):
             normalize_kernel(matrix)
 
+    @pytest.mark.parametrize("block_cells", [1, 29, 300])
+    def test_row_blocks_are_bitwise_the_whole_expression(self, monkeypatch, block_cells):
+        # one row, then about one row and ten rows of 30 a block; 40 rows
+        monkeypatch.setattr(nncift.datasets, "ROW_BLOCK_CELLS", block_cells)
+        values = np.random.default_rng(5).uniform(-3, 5, (40, 30)).astype(np.float32)
+        wide = values.astype(np.float64)
+        expected = ((wide - wide.min()) / (wide.max() - wide.min())).astype(np.float32)
+        kernel = normalize_kernel(full(values))
+        assert kernel.block.dtype == np.float32 and kernel.block.tobytes() == expected.tobytes()
+
 
 class TestFacilityLocationGreedy:
     def test_budget_one_is_rowsum_argmax(self):
@@ -107,6 +119,21 @@ class TestFacilityLocationGreedy:
                 naive = facility_location_naive(kernel, 12)
                 assert lazy.indices == naive.indices, f"width {n}"
                 assert lazy.objective_values == naive.objective_values, f"width {n}"
+
+    @pytest.mark.parametrize("block_cells", [None, 50])
+    def test_float32_kernel_picks_as_the_float64_path_and_naive(self, monkeypatch, block_cells):
+        # the float64 path is the same greedy on the kernel widened whole
+        if block_cells is not None:
+            monkeypatch.setattr(nncift.datasets, "ROW_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(44)
+        for m, n, discrete in ((60, 1, False), (60, 17, False), (60, 17, True), (33, 250, False)):
+            kernel = normalize_kernel(full(rng.standard_normal((m, n))) if not discrete
+                                      else random_kernel(rng, m, n, discrete=True))
+            wide = _lazy_greedy(kernel.block.astype(np.float64), 15)
+            lazy = facility_location_greedy(kernel, 15)
+            naive = facility_location_naive(kernel, 15)
+            assert lazy.indices == wide.indices == naive.indices, (m, n)
+            assert lazy.objective_values == wide.objective_values == naive.objective_values, (m, n)
 
     def test_greedy_guarantee_against_brute_force(self):
         rng = np.random.default_rng(7)

@@ -58,6 +58,8 @@ def test_traced_pipeline_accounts_for_its_time(tmp_path):
     assert layers["datasets.load_calls"] == 1
     # one synthetic provider serves the corner and the truth pass
     assert layers["probes.builds"] == 1
+    # every streamed row block passes through the traced estimate_pairwise
+    assert layers["network.estimator_forwards"] == 20 * 10
 
 
 def test_traced_pointwise_pipeline_accounts_for_its_time(tmp_path):
