@@ -364,6 +364,9 @@ def resolve_config(
             raise ConfigError(f"{name} must be a non-empty list")
         for value in sweep:
             _check_fraction(name, value)
+        # 0.2 and "0.20" name one cell: it would run twice, or into one directory twice
+        if len({Fraction(str(value)) for value in sweep}) < len(sweep):
+            raise ConfigError(f"{name} repeats a value: {sweep!r}")
 
     cfg["out_dir"] = Path(out_override or doc.get("out_dir") or "nncift-run")
     config = RunConfig(**cfg)
@@ -581,6 +584,9 @@ def cmd_select(config: RunConfig) -> Path:
     if not full_path.exists():
         raise ConfigError(f"{full_path} not found; run train-estimate first")
     full = load_influence(full_path)
+    if not full.fully_valid:
+        raise ConfigError(f"{full_path} holds {full.valid_count()} of the {full.m}x{full.n} "
+                          "cells, not the whole matrix; stale artifact?")
     budget = exact_ceil(config.v, full.m)
     selector = METHOD_SELECTOR[config.method]
     try:
@@ -678,6 +684,10 @@ def _run_sweep(config: RunConfig) -> Path:
                     "savings_ratio": report["cost"]["savings_ratio"],
                     "ledger_passed": report["ledger_check"]["passed"],
                     "selected": len(report["selection"]["indices"]),
+                    # the cell's point on the cost-quality curve
+                    "quadrant_mse": report["quadrant_mse"],
+                    "measured_forwards": report["cost"]["measured_forwards"],
+                    "train_ms": report["cost"]["wall_ms"]["train"],
                 }
             )
     _write_json(config.out_dir / SWEEP_FILE, {"config_hash": config.config_hash, "cells": cells})

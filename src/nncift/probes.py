@@ -613,11 +613,11 @@ class HttpProvider(_Provider):
             raise ProtocolError(f"{url}: response is not a JSON object")
         values = payload.get(field_name)
         if not isinstance(values, list) or not values:
-            raise ProtocolError(f"{self.base_url}: missing or empty {field_name!r}")
+            raise ProtocolError(f"{url}: missing or empty {field_name!r}")
         if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
-            raise ProtocolError(f"{self.base_url}: {field_name!r} must be finite numbers")
+            raise ProtocolError(f"{url}: {field_name!r} must be finite numbers")
         values = [float(v) for v in values]
-        _check_range(kind, values, self.base_url)
+        _check_range(kind, values, url)
         return values
 
     def _lane(self, batch: _Batch, conn: _Connection) -> None:

@@ -201,6 +201,23 @@ class TestExitCodes:
         assert "ConfigError" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sweep", [
+        {"u_sweep": [0.2, 0.2]},
+        {"u_sweep": [0.2, "0.20"]},
+        {"v_sweep": ["0.3", 0.3, 0.5]},
+    ], ids=["u-twice", "u-two-spellings", "v-two-spellings"])
+    def test_repeated_sweep_value_exits_2_before_any_probe(
+            self, tmp_path, capsys, probe_server, sweep):
+        # one decimal twice is one cell paid twice, into one directory or two
+        config = write_config(tmp_path, method="delift", m=30, n=20,
+                              probe={"provider": "http", "base_url": probe_server.url},
+                              **write_texts(tmp_path, m=30, n=20), **sweep)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert "repeats a value" in capsys.readouterr().err
+        assert probe_server.requests == []
+        assert not out.exists()
+
     def test_negative_seed_override_exits_2_before_any_probe(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -667,6 +684,22 @@ class TestSelect:
         # buffer is one row block's or one row's
         matrix = m * n * np.dtype(np.float32).itemsize
         assert peak - start <= 2 * matrix + 2**20
+
+    @pytest.mark.parametrize("method", ["delift_se", "less", "selectit"])
+    def test_select_refuses_a_full_matrix_that_is_not_whole(self, tmp_path, capsys, method):
+        # the corner's 6 of 30 rows must not pass for the matrix to select from
+        overrides = {
+            "less": {"fine_tune_gradients": str(tmp_path / "fine.emb"),
+                     "target_gradients": str(tmp_path / "target.emb")},
+            "selectit": {"target_embeddings": ...},
+        }.get(method, {})
+        config = write_config(tmp_path, method=method, m=30, n=20, u=0.2, **overrides)
+        out = tmp_path / "run"
+        assert main(["valuate", "--config", str(config), "--out", str(out)]) == 0
+        (out / "full.nnk").write_bytes((out / "q1.nnk").read_bytes())
+        assert main(["select", "--config", str(config), "--out", str(out)]) == 2
+        assert "stale artifact?" in capsys.readouterr().err
+        assert not (out / "selection.json").exists()
 
     def test_less_dispatches_to_row_ranking(self, tmp_path):
         grads_f = tmp_path / "grads_f.emb"

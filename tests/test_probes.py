@@ -257,6 +257,17 @@ class TestHttpProvider:
         with pytest.raises(ProtocolError):
             provider.token_max_probs("c", "t", CostLedger())
 
+    @pytest.mark.parametrize("payload, error", [
+        ({}, ProtocolError),
+        ({"token_logprobs": ["x"]}, ProtocolError),
+        ({"token_logprobs": [0.5]}, DataValidationError),
+    ], ids=["missing", "not-numbers", "out-of-range"])
+    def test_unreadable_values_name_the_endpoint(self, probe_server, payload, error):
+        probe_server.script = [(200, payload)]
+        provider = HttpProvider(probe_server.url, backoff=0.01)
+        with pytest.raises(error, match=f"^{probe_server.url}/v1/logprobs: "):
+            provider.target_logprobs("c", "t", CostLedger())
+
     @pytest.mark.parametrize("payload", [[1], "x"])
     def test_reply_that_is_not_an_object_is_protocol_error(self, probe_server, payload):
         probe_server.script = [(200, payload)]
