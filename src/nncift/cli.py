@@ -43,6 +43,7 @@ from .datasets import (
     load_embeddings,
     load_texts,
     partition,
+    read_json,
     row_blocks,
 )
 from .errors import (
@@ -239,23 +240,15 @@ def _probe_kinds(cfg: dict) -> set[str]:
 def read_config_file(path: str | Path) -> dict:
     path = Path(path)
     try:
-        raw = path.read_text()
+        doc = read_json(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
 
 
-def resolve_config(
-    doc: dict,
-    out_override: str | Path | None = None,
-    seed_override: int | None = None,
-) -> RunConfig:
+def resolve_config(doc: dict, out_override: str | Path | None = None) -> RunConfig:
     """Validate a flat config document and fill every default.
 
     Pure: touches no files, so an invalid method fails before any work.
@@ -276,7 +269,7 @@ def resolve_config(
     _check_fraction("u", cfg["u"])
     _check_fraction("v", cfg["v"])
 
-    seed = cfg["seed"] = seed_override if seed_override is not None else doc.get("seed", 0)
+    seed = cfg["seed"] = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     for key in _PATH_KEYS:
@@ -424,10 +417,7 @@ def _write_ledger(out: Path, config: RunConfig, ledger: CostLedger, evaluation: 
 def _read_run_json(path: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"{path} not found; run the earlier pipeline step first")
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
+    return read_json(path)
 
 
 def _load_ledger(out: Path, config: RunConfig) -> tuple[dict, CostLedger]:
@@ -750,7 +740,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="path to the flat JSON run config")
         sub.add_argument("--out", default=None, help="run directory (overrides config out_dir)")
-        sub.add_argument("--seed", type=int, default=None, help="seed override")
     return parser
 
 
@@ -758,7 +747,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         doc = read_config_file(args.config)
-        config = resolve_config(doc, out_override=args.out, seed_override=args.seed)
+        config = resolve_config(doc, out_override=args.out)
         _COMMANDS[args.command](config)
     except NnciftError as exc:
         print(f"error [{type(exc).__name__}] {exc}", file=sys.stderr)

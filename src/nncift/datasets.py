@@ -237,27 +237,47 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def read_json(path: Path, error: type[Exception] = FileFormatError):
+    """The JSON document in a UTF-8 file. Bytes that are not UTF-8, or not
+    JSON, raise `error` naming the file; an OSError passes through."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def jsonl_records(path: Path) -> Iterator[tuple[str, object]]:
+    """Each non-blank line of a UTF-8 JSON-lines file, parsed, with its
+    "path:line"; FileFormatError naming the file for bytes that are not
+    UTF-8 and naming the line for one that is not JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                yield f"{path}:{lineno}", record
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not UTF-8: {exc}") from exc
+
+
 def _load_jsonl(path: Path) -> EmbeddingMatrix:
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(f"{path}:{lineno + 1}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or "idx" not in record or "vec" not in record:
-                raise FileFormatError(f"{path}:{lineno + 1}: expected object with idx and vec")
-            if record["idx"] != len(rows):
-                raise FileFormatError(
-                    f"{path}:{lineno + 1}: idx {record['idx']} out of order (expected {len(rows)})"
-                )
-            vec = record["vec"]
-            if not (isinstance(vec, list) and vec and all(_is_number(v) for v in vec)):
-                raise FileFormatError(f"{path}:{lineno + 1}: vec must be a non-empty list of numbers")
-            rows.append(vec)
+    for where, record in jsonl_records(path):
+        if not isinstance(record, dict) or "idx" not in record or "vec" not in record:
+            raise FileFormatError(f"{where}: expected object with idx and vec")
+        if record["idx"] != len(rows):
+            raise FileFormatError(f"{where}: idx {record['idx']} out of order (expected {len(rows)})")
+        vec = record["vec"]
+        if not (isinstance(vec, list) and vec and all(_is_number(v) for v in vec)):
+            raise FileFormatError(f"{where}: vec must be a non-empty list of numbers")
+        rows.append(vec)
     if not rows:
         raise FileFormatError(f"{path}: no rows; empty matrices need the EMB1 format")
     widths = {len(r) for r in rows}
@@ -287,27 +307,18 @@ def save_texts(records: dict[int, tuple[str, str]], path: str | Path) -> None:
 
 def load_texts(path: str | Path) -> dict[int, tuple[str, str]]:
     """Load indexed (prompt, response) records from a JSON-lines file."""
-    path = Path(path)
     records: dict[int, tuple[str, str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FileFormatError(f"{path}:{lineno + 1}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or not {"idx", "prompt", "response"} <= obj.keys():
-                raise FileFormatError(f"{path}:{lineno + 1}: expected idx/prompt/response object")
-            idx, prompt, response = obj["idx"], obj["prompt"], obj["response"]
-            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-                raise FileFormatError(f"{path}:{lineno + 1}: idx must be a nonnegative integer")
-            if not (isinstance(prompt, str) and isinstance(response, str)):
-                raise FileFormatError(f"{path}:{lineno + 1}: prompt and response must be strings")
-            if not response:  # no probe can score an empty target
-                raise FileFormatError(f"{path}:{lineno + 1}: response must be non-empty")
-            if idx in records:
-                raise FileFormatError(f"{path}:{lineno + 1}: duplicate idx {idx}")
-            records[idx] = (prompt, response)
+    for where, obj in jsonl_records(Path(path)):
+        if not isinstance(obj, dict) or not {"idx", "prompt", "response"} <= obj.keys():
+            raise FileFormatError(f"{where}: expected idx/prompt/response object")
+        idx, prompt, response = obj["idx"], obj["prompt"], obj["response"]
+        if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
+            raise FileFormatError(f"{where}: idx must be a nonnegative integer")
+        if not (isinstance(prompt, str) and isinstance(response, str)):
+            raise FileFormatError(f"{where}: prompt and response must be strings")
+        if not response:  # no probe can score an empty target
+            raise FileFormatError(f"{where}: response must be non-empty")
+        if idx in records:
+            raise FileFormatError(f"{where}: duplicate idx {idx}")
+        records[idx] = (prompt, response)
     return records

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -127,16 +127,6 @@ class InfluenceMatrix:
         """The rows x cols values, row-major in the order given."""
         return self.block.take(_locate(rows, self.rows, self.m), 0).take(
             _locate(cols, self.cols, self.n), 1)
-
-    def overlay(self, other: "InfluenceMatrix") -> "InfluenceMatrix":
-        """This matrix with other's block written on top; other's cells
-        must lie inside this block."""
-        if (other.m, other.n) != (self.m, self.n):
-            raise ValueError("shape mismatch in overlay")
-        block = self.block.copy()
-        block[np.ix_(_locate(other.rows, self.rows, self.m),
-                     _locate(other.cols, self.cols, self.n))] = other.block
-        return replace(self, block=block)
 
     def _nnk_parts(self) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
         """Header, row indices, column indices and block, in file order."""
@@ -265,52 +255,8 @@ def distance_from_logprobs(logprobs: Sequence[float]) -> float:
     return 1.0 - math.exp(math.fsum(logprobs) / len(logprobs))
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, exact at the poles: equal vectors give 1.0,
-    negated give -1.0 (sqrt(x*x) == x in IEEE-754 double)."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"vector lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    na = float(a @ a)
-    nb = float(b @ b)
-    if na == 0.0 or nb == 0.0:
-        raise DataValidationError("cosine undefined for zero-norm vectors")
-    return float(a @ b) / math.sqrt(na * nb)
-
-
 def _delift_context(i_prompt: str, i_response: str, j_prompt: str) -> str:
     return f"{i_prompt}\n{i_response}\n\n{j_prompt}"
-
-
-def delift_pair(
-    i: int,
-    j: int,
-    pair: DatasetPair,
-    probe: Provider,
-    ledger: CostLedger,
-    noctx_cache: dict[int, float] | None = None,
-) -> float:
-    """How much sample i, used as an in-context example, shrinks the
-    distance between the model's prediction and target j's response.
-
-    Positive means the example helps. The context-free term depends only
-    on j; passing a cache dict across calls avoids re-probing it. This is
-    the per-cell reference for `compute_influence`'s batched delift block.
-    """
-    i_prompt, i_response = pair.text("fine_tune", i)
-    j_prompt, j_response = pair.text("target", j)
-    if noctx_cache is not None and j in noctx_cache:
-        d_noctx = noctx_cache[j]
-    else:
-        lp = probe.target_logprobs(j_prompt, j_response, ledger, key=str(j))
-        d_noctx = distance_from_logprobs(lp)
-        if noctx_cache is not None:
-            noctx_cache[j] = d_noctx
-    ctx = _delift_context(i_prompt, i_response, j_prompt)
-    lp_ctx = probe.target_logprobs(ctx, j_response, ledger, key=f"{i}:{j}")
-    d_ctx = distance_from_logprobs(lp_ctx)
-    return d_noctx - d_ctx
 
 
 def _cosine_block(
@@ -318,7 +264,8 @@ def _cosine_block(
 ) -> np.ndarray:
     """Cosine similarity of every (left[i], right[j]) for i in rows, j in
     cols, as one float32 array filled a row block at a time: each block is
-    one normalised float64 Gram product. `cosine` is its per-cell oracle.
+    one normalised float64 Gram product. `cosine` in tests/oracles.py is
+    its per-cell oracle.
 
     A zero-norm vector raises, naming the first cell it leaves undefined
     in row-major order.

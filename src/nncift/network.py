@@ -37,6 +37,7 @@ from .datasets import (
     EmbeddingMatrix,
     QuadrantPartition,
     quadrant_index_sets,
+    read_json,
     row_blocks,
 )
 from .errors import DataValidationError, FileFormatError, TrainingError
@@ -49,6 +50,7 @@ _GATHER_ROWS = 128  # rows of A gathered and projected at once, rounded to whole
 _ADAM_SLICE = 1 << 14  # parameters per Adam slice: its two scratch buffers are 128 KB each
 _WEIGHTS = ("w1", "b1", "w2", "b2")  # MlpParams.arrays() order, as stored in params.json
 _WEIGHT_DTYPE = "<f8"
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's constants, recorded in params.json's optimizer block
 
 
 @dataclass
@@ -133,9 +135,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 256
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     hidden: int = 100
 
     def __post_init__(self):
@@ -143,10 +142,9 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "beta1", "beta2", "eps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise TypeError(f"{name} must be a finite number, got {value!r}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not math.isfinite(lr):
+            raise TypeError(f"learning_rate must be a finite number, got {lr!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.learning_rate <= 0:
@@ -155,16 +153,14 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1) or self.eps <= 0:
-            raise ValueError("adam needs beta1 and beta2 in [0, 1) and eps > 0")
 
     def optimizer_metadata(self) -> dict:
         return {
             "name": "adam",
             "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
+            "beta1": _BETA1,
+            "beta2": _BETA2,
+            "eps": _EPS,
             "epochs": self.epochs,
             "batch_size": self.batch_size,
         }
@@ -199,50 +195,6 @@ def _logistic(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _forward_batch(params: MlpParams, x: np.ndarray):
-    z1 = x @ params.w1.T + params.b1
-    h = np.maximum(z1, 0.0)
-    z2 = h @ params.w2.T + params.b2
-    y = _logistic(z2)
-    return y, z1, h
-
-
-def forward(params: MlpParams, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != params.in_dim:
-        raise ValueError(f"input has {x.shape[0]} features, net expects {params.in_dim}")
-    if not np.all(np.isfinite(x)):
-        raise DataValidationError("input contains non-finite values")
-    y, _, _ = _forward_batch(params, x.reshape(1, -1))
-    return float(y[0, 0])
-
-
-def loss_and_gradients(params: MlpParams, x: np.ndarray, targets: np.ndarray):
-    """Batch MSE and its exact analytic gradients.
-
-    Returns (mse, grads) with grads shaped like the parameters.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("batch must be a non-empty 2-D array")
-    if x.shape[0] != targets.shape[0]:
-        raise ValueError("batch and targets misaligned")
-    batch = x.shape[0]
-    y, z1, h = _forward_batch(params, x)
-    diff = y - targets
-    mse = float(np.mean(diff**2))
-    # d mse / d z2, through the logistic
-    dz2 = (2.0 / batch) * diff * y * (1.0 - y)
-    dw2 = dz2.T @ h
-    db2 = dz2.sum(axis=0)
-    dh = dz2 @ params.w2
-    dz1 = dh * (z1 > 0.0)
-    dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
-    return mse, MlpParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
-
-
 class _Adam:
     """Adam over one flat parameter vector, with flat moments. A step
     walks the vector in slices of _ADAM_SLICE, each 14 in-place ufunc
@@ -260,25 +212,24 @@ class _Adam:
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        c = self.config
         self.t += 1
-        bias1, bias2 = 1.0 - c.beta1**self.t, 1.0 - c.beta2**self.t
+        bias1, bias2 = 1.0 - _BETA1**self.t, 1.0 - _BETA2**self.t
         for start in range(0, len(flat), _ADAM_SLICE):
             part = slice(start, start + _ADAM_SLICE)
             m, v, g = self.m[part], self.v[part], grad[part]
             s1, s2 = self._s1[:len(m)], self._s2[:len(m)]
-            m *= c.beta1
-            np.multiply(g, 1.0 - c.beta1, out=s1)
+            m *= _BETA1
+            np.multiply(g, 1.0 - _BETA1, out=s1)
             m += s1
-            v *= c.beta2
+            v *= _BETA2
             np.square(g, out=s1)
-            s1 *= 1.0 - c.beta2
+            s1 *= 1.0 - _BETA2
             v += s1
             np.divide(m, bias1, out=s1)
-            s1 *= c.learning_rate
+            s1 *= self.config.learning_rate
             np.divide(v, bias2, out=s2)
             np.sqrt(s2, out=s2)
-            s2 += c.eps
+            s2 += _EPS
             s1 /= s2
             flat[part] -= s1
 
@@ -323,13 +274,14 @@ def _group_sum(values: np.ndarray, inverse, groups: int) -> np.ndarray:
 def _factored_gradients(params: MlpParams, grads: MlpParams, left: np.ndarray,
                         right: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                         targets: np.ndarray, scratch: tuple[np.ndarray, ...]) -> None:
-    """Write into grads what loss_and_gradients gives for the cells
-    (left[rows[k]] | right[cols[k]]), without building those rows.
+    """Write into grads the exact gradients of the batch MSE over the cells
+    (left[rows[k]] | right[cols[k]]), without building those rows; the
+    reference on concatenated rows is loss_and_gradients in tests/oracles.py.
 
     With W1 = [W_f | W_t], each distinct row ur and column uc is
     projected once and z1 = (left[ur] W_fᵀ + b1)[r] + (right[uc] W_tᵀ)[c].
     Backward, dW_f = S_fᵀ left[ur], where S_f sums dz1 over the cells of
-    each distinct row; dW_t alike. The rest is loss_and_gradients' own.
+    each distinct row; dW_t alike. The rest is plain backpropagation.
 
     The gathered rows, and the batch's z1, h and then dz1 in turn, are
     written into `scratch` (see train), so the largest arrays of a step
@@ -720,10 +672,7 @@ def _decode_weight(path: Path, name: str, entry, shape: tuple[int, ...]) -> np.n
 
 def load_params(path: str | Path) -> tuple[MlpParams, NormStats | None, dict]:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or not {"in_dim", "hidden", *_WEIGHTS} <= doc.keys():
         raise FileFormatError(f"{path}: missing required parameter fields")
     in_dim, hidden = doc["in_dim"], doc["hidden"]

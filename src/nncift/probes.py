@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 from urllib.parse import SplitResult, urlsplit
 
+from .datasets import jsonl_records
 from .errors import (
     ConfigError,
     DataValidationError,
@@ -62,19 +63,12 @@ PROBE_KINDS = (KIND_LOGPROBS, KIND_MAX_PROBS)
 TOKEN_ENV_VAR = "NNCIFT_HTTP_TOKEN"
 
 
-@dataclass(frozen=True)
-class ProbeRequest:
-    """One probe: what signal, conditioned on what context, about what target."""
-
-    kind: str
-    context: str = ""
-    target: str = ""
-
-    def __post_init__(self):
-        if self.kind not in PROBE_KINDS:
-            raise ValueError(f"unknown probe kind {self.kind!r}")
-        if not self.target:
-            raise ValueError(f"{self.kind} requires a non-empty target")
+def _check_probe(kind: str, target: str) -> None:
+    """ValueError for a probe no provider answers: an unknown kind or an empty target."""
+    if kind not in PROBE_KINDS:
+        raise ValueError(f"unknown probe kind {kind!r}")
+    if not target:
+        raise ValueError(f"{kind} requires a non-empty target")
 
 
 def _check_range(kind: str, values: list[float], where: str) -> None:
@@ -180,7 +174,7 @@ class SyntheticProvider(_Provider):
         return int.from_bytes(digest[:8], "big") / 2.0**64
 
     def _probe(self, kind: str, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        ProbeRequest(kind, context, target)
+        _check_probe(kind, target)
         ledger.add_forward(1)
         probs = [0.02 + 0.96 * self._unit(kind, context, target, pos)
                  for pos in range(max(1, len(target.split())))]
@@ -201,35 +195,26 @@ class FileProvider(_Provider):
         self._load()
 
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{self.path}:{lineno + 1}"
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FileFormatError(f"{where}: invalid JSON: {exc}") from exc
-                if not isinstance(obj, dict) or not {"key", "kind", "values"} <= obj.keys():
-                    raise FileFormatError(f"{where}: expected key/kind/values object")
-                kind, key = obj["kind"], obj["key"]
-                if kind not in PROBE_KINDS:
-                    raise FileFormatError(f"{where}: unknown kind {kind!r}")
-                if not isinstance(key, str) or not key:
-                    raise FileFormatError(f"{where}: key must be a non-empty string")
-                values = obj["values"]
-                if not isinstance(values, list) or not values:
-                    raise FileFormatError(f"{where}: values must be a non-empty list")
-                if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
-                    raise DataValidationError(f"{where}: values must be finite numbers")
-                if (kind, key) in self._records:
-                    raise FileFormatError(f"{where}: duplicate record ({kind!r}, {key!r})")
-                _check_range(kind, values, where)
-                self._records[(kind, key)] = [float(v) for v in values]
+        for where, obj in jsonl_records(self.path):
+            if not isinstance(obj, dict) or not {"key", "kind", "values"} <= obj.keys():
+                raise FileFormatError(f"{where}: expected key/kind/values object")
+            kind, key = obj["kind"], obj["key"]
+            if kind not in PROBE_KINDS:
+                raise FileFormatError(f"{where}: unknown kind {kind!r}")
+            if not isinstance(key, str) or not key:
+                raise FileFormatError(f"{where}: key must be a non-empty string")
+            values = obj["values"]
+            if not isinstance(values, list) or not values:
+                raise FileFormatError(f"{where}: values must be a non-empty list")
+            if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
+                raise DataValidationError(f"{where}: values must be finite numbers")
+            if (kind, key) in self._records:
+                raise FileFormatError(f"{where}: duplicate record ({kind!r}, {key!r})")
+            _check_range(kind, values, where)
+            self._records[(kind, key)] = [float(v) for v in values]
 
     def _probe(self, kind: str, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        ProbeRequest(kind, context, target)
+        _check_probe(kind, target)
         if key is None:
             raise ValueError("file provider lookups require a record key")
         if (kind, key) not in self._records:
@@ -586,7 +571,7 @@ class HttpProvider(_Provider):
 
     def _request(self, kind: str, context: str, target: str) -> bytes:
         """The whole HTTP request for one probe."""
-        ProbeRequest(kind, context, target)
+        _check_probe(kind, target)
         raw = json.dumps({"context": context, "target": target}).encode("utf-8")
         return (f"POST {self._path}{_HTTP_ENDPOINTS[kind][0]} HTTP/1.1\r\n{self._headers}"
                 f"Content-Length: {len(raw)}\r\n\r\n").encode("ascii") + raw

@@ -6,7 +6,8 @@ sample. It is monotone submodular, so greedy selection carries the
 (1 - 1/e) approximation guarantee. The greedy here is lazy: stale
 marginal gains sit in a max-heap and are only recomputed when they
 surface, which is equivalent to the naive rescan because gains only
-shrink as the selection grows.
+shrink as the selection grows (facility_location_naive in tests/oracles.py
+is that rescan).
 
 Ranking selectors (top-k by row maximum, top-k by pointwise score)
 cover the methods that order samples instead of covering targets.
@@ -124,36 +125,6 @@ def _lazy_greedy(kernel: np.ndarray, budget: int) -> SelectionResult:
         indices.append(row)
         objective_values.append(objective)
         covered = np.maximum(covered, kernel[row])
-    return SelectionResult(indices=indices, objective_values=objective_values, budget=budget)
-
-
-def facility_location_naive(matrix: InfluenceMatrix, budget: int) -> SelectionResult:
-    """Reference greedy that rescans every candidate's gain each step.
-
-    Exists to pin the lazy implementation: both compute gains as _gain
-    does (the lazy heap starts from row sums, the same bits while nothing
-    is covered), so the index sequences must match exactly.
-    """
-    kernel = _checked_kernel(matrix, budget)
-    m = kernel.shape[0]
-    covered = np.zeros(kernel.shape[1], dtype=np.float64)
-    chosen: set[int] = set()
-    indices: list[int] = []
-    objective_values: list[float] = []
-    objective = 0.0
-    for _ in range(min(budget, m)):
-        best_row, best_gain = -1, -1.0
-        for row in range(m):
-            if row in chosen:
-                continue
-            gain = _gain(kernel, row, covered)
-            if gain > best_gain:
-                best_row, best_gain = row, gain
-        chosen.add(best_row)
-        indices.append(best_row)
-        objective += best_gain
-        objective_values.append(objective)
-        covered = np.maximum(covered, kernel[best_row])
     return SelectionResult(indices=indices, objective_values=objective_values, budget=budget)
 
 

@@ -30,25 +30,19 @@ from nncift.influence import (
     ScaleEntry,
     compute_influence,
     compute_pointwise,
-    cosine,
-    delift_pair,
     distance_from_logprobs,
 )
 from nncift.network import (
     TrainConfig,
     estimate_pairwise,
     init_params,
-    loss_and_gradients,
     save_params,
     train,
 )
 from nncift.probes import CostLedger, FileProvider, SyntheticProvider
 from nncift.reporting import build_cost_report, verify_ledger
-from nncift.selection import (
-    facility_location_greedy,
-    facility_location_naive,
-    facility_location_value,
-)
+from nncift.selection import facility_location_greedy, facility_location_value
+from oracles import cosine, delift_pair, facility_location_naive, loss_and_gradients
 
 
 def announce(capsys, number, name, passed, detail):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,9 +17,10 @@ import nncift.cli
 import nncift.network
 from nncift.cli import main, resolve_config
 from nncift.datasets import (
-    DatasetPair, EmbeddingMatrix, load_embeddings, partition, save_embeddings, save_texts,
+    DatasetPair, EmbeddingMatrix, load_embeddings, load_texts, partition, save_embeddings,
+    save_texts,
 )
-from nncift.errors import FileFormatError
+from nncift.errors import ConfigError, FileFormatError
 from nncift.influence import InfluenceMatrix, compute_influence, load_influence, save_influence
 from nncift.network import (
     QUADRANTS,
@@ -29,7 +31,8 @@ from nncift.network import (
     load_params,
     mse_by_quadrant,
 )
-from nncift.probes import CostLedger
+from nncift.probes import CostLedger, FileProvider
+from oracles import overlay
 
 
 def unit_rows(count, dim, seed):
@@ -218,11 +221,44 @@ class TestExitCodes:
         assert probe_server.requests == []
         assert not out.exists()
 
-    def test_negative_seed_override_exits_2_before_any_probe(self, tmp_path):
+    @pytest.mark.parametrize("field", ["beta1", "beta2", "eps"])
+    def test_adam_constant_in_train_exits_2_before_any_probe(
+            self, tmp_path, capsys, probe_server, field):
+        # Adam's constants are fixed; params.json's optimizer block records them
+        config = write_config(tmp_path, method="delift", m=20, n=10,
+                              probe={"provider": "http", "base_url": probe_server.url},
+                              train={field: 0.8}, **write_texts(tmp_path))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert f"unknown train fields: {field}" in capsys.readouterr().err
+        assert probe_server.requests == []
+        assert not out.exists()
+
+    def test_seed_flag_exits_2(self, tmp_path, capsys):
+        # the config's seed is the one place a run's seed is set
         config = write_config(tmp_path)
         out = tmp_path / "run"
-        assert main(["pipeline", "--config", str(config), "--out", str(out), "--seed", "-1"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pipeline", "--config", str(config), "--out", str(out), "--seed", "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("read, error", [
+        (nncift.cli.read_config_file, ConfigError),
+        (nncift.cli._read_run_json, FileFormatError),
+        (load_params, FileFormatError),
+        (load_embeddings, FileFormatError),
+        (load_texts, FileFormatError),
+        (FileProvider, FileFormatError),
+    ], ids=["config", "run_json", "params", "embeddings_jsonl", "texts", "probe_records"])
+    def test_input_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path, read, error):
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(b'{"idx": 0, "prompt": "caf\xe9", "response": "\xff"}\n')
+        with pytest.raises(error, match="not UTF-8") as exc_info:
+            read(path)
+        assert str(path) in str(exc_info.value)
+        assert nncift.cli.exit_code_for(exc_info.value) == 2
 
     @pytest.mark.parametrize("ledger", [[], {"forward_calls": "x"}, {"forward_calls": -1},
                                         {"wall_ms": [1.0]}],
@@ -343,7 +379,8 @@ class TestExitCodes:
         config = write_config(tmp_path)
         out = str(tmp_path / "run")
         assert main(["valuate", "--config", str(config), "--out", out]) == 0
-        assert main(["train-estimate", "--config", str(config), "--out", out, "--seed", "11"]) == 2
+        other = write_config(tmp_path, name="other.json", seed=11)
+        assert main(["train-estimate", "--config", str(other), "--out", out]) == 2
 
 
 class TestValuate:
@@ -557,7 +594,7 @@ class TestTrainEstimate:
         else:
             estimates = estimate_pairwise(params, pair, range(m), range(n), ledger)
             trained, corner = estimates, replace(q1, block=norm.normalize(q1.block))
-        save_influence(estimates if pure else estimates.overlay(corner), tmp_path / "oracle.nnk")
+        save_influence(estimates if pure else overlay(estimates, corner), tmp_path / "oracle.nnk")
         assert (out / "full.nnk").read_bytes() == (tmp_path / "oracle.nnk").read_bytes()
 
         # the noise is one draw over the matrix, whatever the blocks
@@ -770,7 +807,8 @@ class TestPipeline:
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         main(["pipeline", "--config", str(config), "--out", str(out_a)])
-        main(["pipeline", "--config", str(config), "--out", str(out_b), "--seed", "8"])
+        main(["pipeline", "--config", str(write_config(tmp_path, name="other.json", seed=8)),
+              "--out", str(out_b)])
         assert (out_a / "q1.nnk").read_bytes() != (out_b / "q1.nnk").read_bytes()
         assert read_json(out_a / "ledger.json")["config_hash"] != read_json(out_b / "ledger.json")["config_hash"]
 
@@ -930,3 +968,18 @@ class TestConfigResolution:
             scales=[{"label": "bad", "parameter_count": 0}],
         )
         assert main(["valuate", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+
+
+def test_readme_cli_synopsis_flags_are_accepted(capsys):
+    """Every flag README's CLI synopsis shows is one its command takes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    synopsis = re.findall(r"^nncift (\S+)(.*)$", block, flags=re.MULTILINE)
+    assert synopsis
+    for command, usage in synopsis:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        for flag in re.findall(r"--[a-z][a-z-]*", usage):
+            assert flag in accepted, f"README shows `nncift {command} {flag}`"

@@ -25,8 +25,6 @@ from nncift.influence import (
     ScaleEntry,
     compute_influence,
     compute_pointwise,
-    cosine,
-    delift_pair,
     distance_from_logprobs,
     load_influence,
     save_influence,
@@ -34,6 +32,7 @@ from nncift.influence import (
 )
 from nncift.errors import ProbeError
 from nncift.probes import CostLedger, FileProvider, HttpProvider, SyntheticProvider
+from oracles import cosine, delift_pair, overlay
 
 
 def matrix_of(rows, dim=3, seed=0):
@@ -766,7 +765,7 @@ class TestInfluenceMatrixFormat:
     def test_overlay(self):
         base = InfluenceMatrix.full(np.full((2, 2), 0.5, dtype=np.float32))
         top = InfluenceMatrix(2, 2, [0], [0], np.array([[0.9]], dtype=np.float32))
-        merged = base.overlay(top)
+        merged = overlay(base, top)
         assert merged.fully_valid
         assert merged.values[0, 0] == np.float32(0.9)
         assert merged.values[1, 1] == np.float32(0.5)
@@ -775,7 +774,7 @@ class TestInfluenceMatrixFormat:
         base = InfluenceMatrix(3, 3, [0, 2], [1], np.zeros((2, 1), dtype=np.float32))
         top = InfluenceMatrix(3, 3, [1], [1], np.ones((1, 1), dtype=np.float32))
         with pytest.raises(CoverageError):
-            base.overlay(top)
+            overlay(base, top)
 
     def test_content_hash_stable(self):
         matrix = InfluenceMatrix.full(np.ones((2, 3), dtype=np.float32))

@@ -27,15 +27,14 @@ from nncift.network import (
     estimate_pairwise,
     estimate_pointwise,
     estimate_row_blocks,
-    forward,
     init_params,
     load_params,
-    loss_and_gradients,
     mse_by_quadrant,
     save_params,
     train,
 )
 from nncift.probes import CostLedger
+from oracles import forward, forward_batch, loss_and_gradients
 
 
 def flatten_params(params):
@@ -229,11 +228,6 @@ class TestTrain:
         with pytest.raises(TypeError, match=field):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("field, value", [("beta1", 1.0), ("beta2", -0.1), ("eps", 0.0)])
-    def test_adam_constants_out_of_range_rejected(self, field, value):
-        with pytest.raises(ValueError):
-            TrainConfig(**{field: value})
-
     def test_norm_stats_recorded(self):
         features, _ = toy_training_set(count=50)
         targets = np.linspace(-0.8, 0.9, 50)
@@ -243,10 +237,11 @@ class TestTrain:
 
 
 class PerArrayAdam:
-    """Adam per parameter array, each operation allocating: the flat step's reference."""
+    """Adam per parameter array, each operation allocating: the flat step's
+    reference, with the constants params.json records for the run."""
 
     def __init__(self, params, config):
-        self.config = config
+        self.config = config.optimizer_metadata()
         self.m = [np.zeros_like(a) for a in params.arrays()]
         self.v = [np.zeros_like(a) for a in params.arrays()]
         self.t = 0
@@ -255,11 +250,11 @@ class PerArrayAdam:
         c = self.config
         self.t += 1
         for k, (arr, g) in enumerate(zip(params.arrays(), grads.arrays())):
-            self.m[k] = c.beta1 * self.m[k] + (1.0 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1.0 - c.beta2) * g**2
-            m_hat = self.m[k] / (1.0 - c.beta1**self.t)
-            v_hat = self.v[k] / (1.0 - c.beta2**self.t)
-            arr -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.eps)
+            self.m[k] = c["beta1"] * self.m[k] + (1.0 - c["beta1"]) * g
+            self.v[k] = c["beta2"] * self.v[k] + (1.0 - c["beta2"]) * g**2
+            m_hat = self.m[k] / (1.0 - c["beta1"]**self.t)
+            v_hat = self.v[k] / (1.0 - c["beta2"]**self.t)
+            arr -= c["learning_rate"] * m_hat / (np.sqrt(v_hat) + c["eps"])
 
 
 class TestFlatAdam:
@@ -326,7 +321,7 @@ def dense_train(x, targets, config):
             batch = order[start:start + config.batch_size]
             _, grads = loss_and_gradients(params, x[batch], t_norm[batch])
             optimizer.step(flat, flatten_params(grads))
-        y, _, _ = nncift.network._forward_batch(params, x)
+        y, _, _ = forward_batch(params, x)
         losses.append(float(np.mean((y.reshape(-1) - t_norm) ** 2)))
     return params, losses
 
@@ -531,7 +526,7 @@ class TestEstimatePairwise:
         rows = order.permutation(50)[:37]
         cols = order.permutation(40)[:29]
         matrix = estimate_pairwise(params, pair, rows, cols, CostLedger())
-        y, _, _ = nncift.network._forward_batch(params, build_pair_features(pair, rows, cols))
+        y, _, _ = forward_batch(params, build_pair_features(pair, rows, cols))
         expected = y.reshape(len(rows), len(cols)).astype(np.float32)
         np.testing.assert_array_max_ulp(matrix.values[np.ix_(rows, cols)], expected, maxulp=1)
 

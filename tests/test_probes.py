@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nncift.probes
 from conftest import raw_reply
 from nncift.cli import main
 from nncift.datasets import EmbeddingMatrix, save_embeddings, save_texts
@@ -25,7 +26,6 @@ from nncift.probes import (
     CostLedger,
     FileProvider,
     HttpProvider,
-    ProbeRequest,
     SyntheticProvider,
     build_provider,
     check_probe_spec,
@@ -34,13 +34,18 @@ from nncift.probes import (
 
 
 class TestProbeRequest:
-    def test_logprobs_needs_target(self):
-        with pytest.raises(ValueError):
-            ProbeRequest("target_logprobs", "ctx", "")
+    def test_logprobs_needs_target(self, tmp_path):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"key": "0", "kind": "target_logprobs", "values": [-1.0]}\n')
+        for provider in (SyntheticProvider(), FileProvider(records)):
+            ledger = CostLedger()
+            with pytest.raises(ValueError, match="non-empty target"):
+                provider.target_logprobs("ctx", "", ledger, key="0")
+            assert ledger.forward_calls == 0
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ProbeRequest("perplexity", "", "x")
+        with pytest.raises(ValueError, match="unknown probe kind"):
+            nncift.probes._check_probe("perplexity", "x")
 
 
 class TestCostLedger:

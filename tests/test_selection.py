@@ -12,12 +12,12 @@ from nncift.selection import (
     SelectionResult,
     _lazy_greedy,
     facility_location_greedy,
-    facility_location_naive,
     facility_location_value,
     normalize_kernel,
     topk_pointwise,
     topk_rowmax,
 )
+from oracles import facility_location_naive
 
 
 def full(values):
