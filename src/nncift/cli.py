@@ -29,7 +29,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -40,6 +39,7 @@ from .datasets import (
     EmbeddingMatrix,
     QuadrantPartition,
     exact_ceil,
+    exact_decimal,
     load_embeddings,
     load_texts,
     partition,
@@ -60,7 +60,6 @@ from .influence import (
     PAIRWISE_METHODS,
     POINTWISE_METHODS,
     InfluenceMatrix,
-    PointwiseScores,
     ScaleEntry,
     compute_influence,
     compute_pointwise,
@@ -69,6 +68,7 @@ from .influence import (
     save_influence_rows,
 )
 from .network import (
+    PREDICTORS,
     QUADRANTS,
     QuadrantErrors,
     TrainConfig,
@@ -82,12 +82,7 @@ from .network import (
 )
 from .probes import CostLedger, Provider, build_provider, check_probe_spec
 from .reporting import REPORT_JSON, build_cost_report, emit_report, verify_ledger
-from .selection import (
-    facility_location_greedy,
-    normalize_kernel,
-    topk_pointwise,
-    topk_rowmax,
-)
+from .selection import SELECTORS, select
 
 Q1_FILE = "q1.nnk"
 FULL_FILE = "full.nnk"
@@ -96,13 +91,6 @@ MSE_FILE = "mse.json"
 SELECTION_FILE = "selection.json"
 LEDGER_FILE = "ledger.json"
 SWEEP_FILE = "sweep.json"
-
-METHOD_SELECTOR = {
-    "delift": "facility_location",
-    "delift_se": "facility_location",
-    "less": "topk_rowmax",
-    "selectit": "topk_pointwise",
-}
 
 _TRAIN_KEYS = frozenset(f.name for f in fields(TrainConfig)) - {"seed"}
 _SCALE_KEYS = frozenset({"label", "parameter_count", "probe"})
@@ -199,7 +187,7 @@ def _check_fraction(name: str, value) -> None:
     try:
         # float() too: the report and the sweep's directory names read the value as a decimal
         float(value)
-        parsed = Fraction(str(value))
+        parsed = exact_decimal(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}") from exc
     if not 0 <= parsed <= 1:
@@ -358,7 +346,7 @@ def resolve_config(doc: dict, out_override: str | Path | None = None) -> RunConf
         for value in sweep:
             _check_fraction(name, value)
         # 0.2 and "0.20" name one cell: it would run twice, or into one directory twice
-        if len({Fraction(str(value)) for value in sweep}) < len(sweep):
+        if len({exact_decimal(value) for value in sweep}) < len(sweep):
             raise ConfigError(f"{name} repeats a value: {sweep!r}")
 
     cfg["out_dir"] = Path(out_override or doc.get("out_dir") or "nncift-run")
@@ -513,7 +501,7 @@ def cmd_train_estimate(config: RunConfig) -> Path:
                 truth[block] = norm.normalize(truth[block])
         noise = np.random.Generator(np.random.PCG64(config.seed))
         corner_mean = float(np.mean(norm.normalize(q1.block)))
-        errors = QuadrantErrors(part, ("trained", "random_uniform", "predict_zero", "corner_mean"))
+        errors = QuadrantErrors(part, PREDICTORS)
     # ground truth was already paid for; keep it on Q1, in full.nnk's space
     overlay = None if config.pure_estimates else (q1.block if pointwise else corner)
     id_at = np.full(part.m, -1)
@@ -578,20 +566,13 @@ def cmd_select(config: RunConfig) -> Path:
         raise ConfigError(f"{full_path} holds {full.valid_count()} of the {full.m}x{full.n} "
                           "cells, not the whole matrix; stale artifact?")
     budget = exact_ceil(config.v, full.m)
-    selector = METHOD_SELECTOR[config.method]
     try:
-        kernel = normalize_kernel(full) if selector == "facility_location" else full
-        if selector == "facility_location":
-            result = facility_location_greedy(kernel, budget)
-        elif selector == "topk_rowmax":
-            result = topk_rowmax(full, budget)
-        else:
-            result = topk_pointwise(PointwiseScores.from_matrix(full), budget)
+        result, kernel = select(config.method, full, budget)
     except ValueError as exc:
         raise SelectionError(str(exc)) from exc
     doc = {
         "method": config.method,
-        "selector": selector,
+        "selector": SELECTORS[config.method],
         "budget": result.budget,
         "v": config.resolved["v"],
         "indices": list(result.indices),
@@ -634,10 +615,7 @@ def _emit_final_report(config: RunConfig) -> Path:
             "fine_tune_embeddings": config.fine_tune_embeddings,
             "target_embeddings": config.target_embeddings,
         },
-        "quadrant_mse": None if mse_doc is None else {
-            k: mse_doc[k] for k in ("trained", "random_uniform", "predict_zero", "corner_mean")
-            if k in mse_doc
-        },
+        "quadrant_mse": None if mse_doc is None else {k: mse_doc[k] for k in PREDICTORS if k in mse_doc},
         "cost": cost,
         "ledger_check": check,
         "selection": _read_run_json(out / SELECTION_FILE),
@@ -688,10 +666,10 @@ def _run_sweep(config: RunConfig) -> Path:
 def cmd_pipeline(config: RunConfig) -> Path:
     """Steps 1-3 in order, then the cost report, or a (u, v) sweep."""
     # every cell's u and v, before the first cell pays for its probes
-    if any(Fraction(str(u)) == 0 for u in config.u_sweep or [config.u]):
+    if any(exact_decimal(u) == 0 for u in config.u_sweep or [config.u]):
         raise ConfigError("pipeline runs need u > 0")
-    if METHOD_SELECTOR[config.method] == "facility_location" and any(
-            Fraction(str(v)) == 0 for v in config.v_sweep or [config.v]):
+    if SELECTORS[config.method] == "facility_location" and any(
+            exact_decimal(v) == 0 for v in config.v_sweep or [config.v]):
         raise ConfigError(f"{config.method} pipeline runs need v > 0: facility location "
                           "needs budget >= 1")
     if config.u_sweep or config.v_sweep:

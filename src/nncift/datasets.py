@@ -48,16 +48,22 @@ def all_finite(values: np.ndarray) -> bool:
     return values.size == 0 or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
+def exact_decimal(value: float | int | str) -> Fraction:
+    """The number the caller wrote, read exactly from its decimal text: 0.07
+    is 7/100, not the binary float nearest it, and 0.2 equals "0.20"."""
+    return Fraction(str(value))
+
+
 def exact_ceil(fraction: float | int | str, count: int) -> int:
     """Ceiling of ``fraction * count`` computed on the decimal the caller wrote.
 
     Binary float products overshoot for inputs like 0.07 * 100
     (7.000000000000001), which would bump the ceiling by one; routing
-    through Fraction(str(...)) keeps ceil(0.07 * 100) == 7.
+    through exact_decimal keeps ceil(0.07 * 100) == 7.
     """
     if isinstance(fraction, int):
         return fraction * count
-    return math.ceil(Fraction(str(fraction)) * count)
+    return math.ceil(exact_decimal(fraction) * count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +183,7 @@ def _split_side(count: int, u: float | str, seed: int, side: int) -> tuple[np.nd
 def partition(pair: DatasetPair, u: float | str, seed: int) -> QuadrantPartition:
     """Split both sides into ID/OOD index sets, ID taking the first
     ceil(u * count) positions of a seeded Fisher-Yates shuffle."""
-    if not 0.0 <= float(Fraction(str(u))) <= 1.0:
+    if not 0.0 <= float(exact_decimal(u)) <= 1.0:
         raise ValueError(f"u must lie in [0, 1], got {u!r}")
     id_f, ood_f = _split_side(pair.m, u, seed, side=0)
     id_t, ood_t = _split_side(pair.n, u, seed, side=1)

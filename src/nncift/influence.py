@@ -221,13 +221,6 @@ class PointwiseScores:
         runs reuse the pairwise artifact format."""
         return InfluenceMatrix(self.m, 1, self.indices, [0], self.values[:, None])
 
-    @classmethod
-    def from_matrix(cls, matrix: InfluenceMatrix) -> "PointwiseScores":
-        if matrix.n != 1:
-            raise ValueError("pointwise matrices must have a single column")
-        indices = matrix.rows if matrix.block.size else matrix.rows[:0]
-        return cls(m=matrix.m, indices=indices, values=matrix.block.reshape(-1))
-
 
 @dataclass(frozen=True)
 class ScaleEntry:

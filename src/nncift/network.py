@@ -558,6 +558,10 @@ def mse_by_quadrant(
     return out
 
 
+# the predictors the truth evaluation scores, in the reports' column order
+PREDICTORS = ("trained", "random_uniform", "predict_zero", "corner_mean")
+
+
 class QuadrantErrors:
     """Squared error per quadrant for several predictors, summed from row
     blocks of the matrix: the streamed form of mse_by_quadrant, which it

@@ -552,8 +552,8 @@ class HttpProvider(_Provider):
         backoff: float = 0.25,
         max_in_flight: int = 8,
     ):
-        if retries < 1 or max_in_flight < 1:
-            raise ValueError("retries and max_in_flight must be >= 1")
+        _check_http_options({"timeout": timeout, "retries": retries, "backoff": backoff,
+                             "max_in_flight": max_in_flight}, ValueError, prefix="")
         self.base_url = base_url.rstrip("/")
         self.token = token if token is not None else os.environ.get(TOKEN_ENV_VAR)
         self.retries = retries
@@ -724,9 +724,10 @@ _HTTP_OPTIONS = ("timeout", "retries", "backoff", "max_in_flight")
 _PROBE_KEYS = frozenset({"provider", "seed", "records", "base_url", "token", *_HTTP_OPTIONS})
 
 
-def _check_http_options(options: dict) -> None:
-    """Reject HTTP options the client cannot honour; a zero in-flight cap
-    would block the first probe forever."""
+def _check_http_options(options: dict, error=ConfigError, prefix: str = "probe.") -> None:
+    """Reject HTTP options the client cannot honour: a zero in-flight cap
+    would block the first probe forever, and a zero timeout would fail
+    every attempt unsent."""
     for name, value in options.items():
         if name in ("retries", "max_in_flight"):
             ok = not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
@@ -736,7 +737,7 @@ def _check_http_options(options: dict) -> None:
                   and math.isfinite(value) and (value > 0 if name == "timeout" else value >= 0))
             rule = "a finite number " + ("> 0" if name == "timeout" else ">= 0")
         if not ok:
-            raise ConfigError(f"probe.{name} must be {rule}, got {value!r}")
+            raise error(f"{prefix}{name} must be {rule}, got {value!r}")
 
 
 def check_probe_spec(spec) -> None:

@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .datasets import exact_ceil
 from .influence import PAIRWISE_METHODS, POINTWISE_METHODS
+from .network import PREDICTORS
 
 REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
@@ -167,12 +168,7 @@ def render_text_report(doc: dict) -> str:
         groups = groups or sorted(mse["trained"])
         lines.append("MSE                   trained   random     zero   corner")
         for group in groups:
-            row = [
-                _format_mse_cell(mse["trained"].get(group)),
-                _format_mse_cell(mse["random_uniform"].get(group)),
-                _format_mse_cell(mse["predict_zero"].get(group)),
-                _format_mse_cell(mse.get("corner_mean", {}).get(group)),
-            ]
+            row = [_format_mse_cell(mse.get(name, {}).get(group)) for name in PREDICTORS]
             lines.append(f"  {group:<4}              " + "  ".join(row))
     else:
         lines.append("quadrant MSE: not evaluated (no full ground truth)")

@@ -10,7 +10,10 @@ shrink as the selection grows (facility_location_naive in tests/oracles.py
 is that rescan).
 
 Ranking selectors (top-k by row maximum, top-k by pointwise score)
-cover the methods that order samples instead of covering targets.
+cover the methods that order samples instead of covering targets; a
+pointwise score set is the M x 1 case of the row maximum.
+
+`select` is the one place that maps a method to its selector.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ import numpy as np
 
 from .datasets import row_blocks
 from .errors import CoverageError
-from .influence import InfluenceMatrix, PointwiseScores
+from .influence import InfluenceMatrix
+
+
+# each method's selector, by the label selection.json records
+SELECTORS = {"delift": "facility_location", "delift_se": "facility_location",
+             "less": "topk_rowmax", "selectit": "topk_pointwise"}
 
 
 @dataclass(frozen=True)
@@ -151,15 +159,20 @@ def topk_rowmax(matrix: InfluenceMatrix, k: int) -> SelectionResult:
     return SelectionResult(indices=indices, objective_values=[float(v) for v in running], budget=k)
 
 
-def topk_pointwise(scores: PointwiseScores, k: int) -> SelectionResult:
-    """Top k scores among the scored indices; ties toward the smaller
-    dataset index."""
-    count = len(scores.indices)
-    if not 0 <= k <= count:
-        raise ValueError(f"k must lie in [0, {count}], got {k}")
-    order = np.lexsort((scores.indices, -scores.values))
-    picked = order[:k]
-    indices = [int(scores.indices[i]) for i in picked]
-    running = np.cumsum(scores.values[picked])
-    return SelectionResult(indices=indices, objective_values=[float(v) for v in running], budget=k)
+def topk_pointwise(matrix: InfluenceMatrix, k: int) -> SelectionResult:
+    """Top k of the M x 1 matrix's scores; ties toward the smaller index."""
+    if matrix.n != 1:
+        raise ValueError(f"pointwise scores are an M x 1 matrix, got {matrix.n} columns")
+    return topk_rowmax(matrix, k)
 
+
+def select(method: str, matrix: InfluenceMatrix, budget: int) -> tuple[SelectionResult, InfluenceMatrix]:
+    """`method`'s selector run on `matrix` at `budget`, and the kernel it
+    ran on: facility location normalises the matrix first, the rankings
+    take it as it is."""
+    selector = SELECTORS[method]
+    if selector == "facility_location":
+        kernel = normalize_kernel(matrix)
+        return facility_location_greedy(kernel, budget), kernel
+    rank = topk_rowmax if selector == "topk_rowmax" else topk_pointwise
+    return rank(matrix, budget), matrix

@@ -814,11 +814,12 @@ class TestInfluenceMatrixFormat:
 
 
 class TestPointwiseScores:
-    def test_matrix_round_trip(self):
-        scores = PointwiseScores(m=5, indices=[0, 2, 4], values=[0.1, 0.2, 0.3])
-        back = PointwiseScores.from_matrix(scores.to_matrix())
-        np.testing.assert_array_equal(back.indices, scores.indices)
-        np.testing.assert_allclose(back.values, scores.values, rtol=1e-6)
+    def test_to_matrix_is_a_block_of_the_m_by_1_matrix(self):
+        matrix = PointwiseScores(m=5, indices=[4, 0, 2], values=[0.1, 0.2, 0.3]).to_matrix()
+        assert (matrix.m, matrix.n) == (5, 1)
+        np.testing.assert_array_equal(matrix.rows, [4, 0, 2])
+        np.testing.assert_array_equal(matrix.cols, [0])
+        np.testing.assert_array_equal(matrix.block, np.float32([[0.1], [0.2], [0.3]]))
 
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError):
@@ -827,7 +828,3 @@ class TestPointwiseScores:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             PointwiseScores(m=3, indices=[3], values=[0.1])
-
-    def test_from_matrix_requires_single_column(self):
-        with pytest.raises(ValueError):
-            PointwiseScores.from_matrix(InfluenceMatrix.full(np.ones((2, 2), dtype=np.float32)))

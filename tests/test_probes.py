@@ -221,11 +221,20 @@ class TestHttpProvider:
         assert values == [-0.5, -0.25]
         assert ledger.forward_calls == 1
 
-    @pytest.mark.parametrize("option", [{"retries": 0}, {"max_in_flight": 0}])
+    @pytest.mark.parametrize("option", [
+        {"retries": 0}, {"max_in_flight": 0}, {"timeout": 0}, {"timeout": -1},
+        {"timeout": float("nan")}, {"timeout": float("inf")}, {"backoff": -1},
+        {"backoff": float("nan")}, {"retries": True},
+    ])
     def test_unusable_limits_rejected(self, option):
-        # a zero in-flight cap would block the first probe forever
-        with pytest.raises(ValueError):
+        # a zero in-flight cap would block the first probe forever, and a
+        # zero timeout would charge every attempt and fail it unsent; the
+        # rules are those of probe.* in a config
+        (name, value), = option.items()
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             HttpProvider("http://127.0.0.1:9", **option)
+        with pytest.raises(ConfigError, match=f"^probe.{name} must be"):
+            check_probe_spec({"provider": "http", "base_url": "http://127.0.0.1:9", name: value})
 
     def test_500_thrice_exhausts_retries(self, probe_server):
         probe_server.script = [(500, {}), (500, {}), (500, {})]

@@ -7,13 +7,14 @@ import pytest
 import nncift.datasets
 from nncift.datasets import exact_ceil
 from nncift.errors import CoverageError
-from nncift.influence import InfluenceMatrix, PointwiseScores
+from nncift.influence import InfluenceMatrix
 from nncift.selection import (
     SelectionResult,
     _lazy_greedy,
     facility_location_greedy,
     facility_location_value,
     normalize_kernel,
+    select,
     topk_pointwise,
     topk_rowmax,
 )
@@ -237,27 +238,57 @@ class TestTopkRowmax:
         assert base.indices == mapped.indices
 
 
+def column(values):
+    return full(np.asarray(values)[:, None])
+
+
 class TestTopkPointwise:
     def test_tie_break_example(self):
-        scores = PointwiseScores(m=3, indices=[0, 1, 2], values=[0.2, 0.9, 0.9])
-        assert topk_pointwise(scores, 2).indices == [1, 2]
+        assert topk_pointwise(column([0.2, 0.9, 0.9]), 2).indices == [1, 2]
 
     def test_all_equal_takes_smallest(self):
-        scores = PointwiseScores(m=3, indices=[0, 1, 2], values=[0.5, 0.5, 0.5])
-        assert topk_pointwise(scores, 1).indices == [0]
+        assert topk_pointwise(column([0.5, 0.5, 0.5]), 1).indices == [0]
 
     def test_k_zero(self):
-        scores = PointwiseScores(m=2, indices=[0, 1], values=[0.1, 0.2])
-        assert topk_pointwise(scores, 0).indices == []
+        assert topk_pointwise(column([0.1, 0.2]), 0).indices == []
 
     def test_k_exceeds_count(self):
-        scores = PointwiseScores(m=2, indices=[0, 1], values=[0.1, 0.2])
         with pytest.raises(ValueError):
-            topk_pointwise(scores, 3)
+            topk_pointwise(column([0.1, 0.2]), 3)
 
-    def test_subset_indices_respected(self):
-        scores = PointwiseScores(m=10, indices=[3, 7, 9], values=[0.5, 0.9, 0.1])
-        assert topk_pointwise(scores, 2).indices == [7, 3]
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_is_topk_rowmax_on_m_by_1(self, discrete):
+        rng = np.random.default_rng(11)
+        for m in (1, 7, 40):
+            matrix = random_kernel(rng, m, 1, discrete=discrete)
+            for k in sorted({0, 1, m // 2, m}):
+                assert topk_pointwise(matrix, k) == topk_rowmax(matrix, k)
+
+    def test_refuses_more_than_one_column(self):
+        with pytest.raises(ValueError, match="M x 1"):
+            topk_pointwise(full([[0.1, 0.2], [0.3, 0.4]]), 1)
+
+
+class TestSelect:
+    @pytest.mark.parametrize("method", ["delift", "delift_se"])
+    def test_facility_location_runs_on_the_normalised_kernel(self, method):
+        matrix = full(np.random.default_rng(3).uniform(-2, 2, (12, 5)))
+        result, kernel = select(method, matrix, 4)
+        expected = normalize_kernel(matrix)
+        assert kernel.content_hash() == expected.content_hash()
+        assert result == facility_location_greedy(expected, 4)
+
+    def test_less_ranks_the_matrix_itself(self):
+        matrix = full(np.random.default_rng(4).uniform(-2, 2, (12, 5)))
+        result, kernel = select("less", matrix, 4)
+        assert kernel is matrix
+        assert result == topk_rowmax(matrix, 4)
+
+    def test_selectit_ranks_its_m_by_1_matrix(self):
+        matrix = column(np.random.default_rng(5).uniform(-2, 2, 12))
+        result, kernel = select("selectit", matrix, 4)
+        assert kernel is matrix
+        assert result == topk_pointwise(matrix, 4)
 
 
 class TestBudget:
