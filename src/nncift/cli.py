@@ -386,8 +386,13 @@ def _load_inputs(config: RunConfig) -> DatasetPair:
     sides = {"delift": ("fine_tune", "target"), "selectit": ("fine_tune",)}.get(config.method, ())
     for side, count in zip(sides, (fine.count, target.count)):
         key = f"{side}_texts"
-        kwargs[key] = (_read_input(config, key, load_texts) if getattr(config, key)
-                       else _generated_texts(count, side))
+        kwargs[key] = texts = (_read_input(config, key, load_texts) if getattr(config, key)
+                               else _generated_texts(count, side))
+        # every row may be probed: a missing text must not surface mid-run
+        missing = next((i for i in range(count) if i not in texts), None)
+        if missing is not None:
+            raise FileFormatError(f"{getattr(config, key)}: no record for {side} idx {missing} "
+                                  f"of its {count} rows")
     return DatasetPair(fine_tune=fine, target=target, **kwargs)
 
 

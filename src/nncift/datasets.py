@@ -239,7 +239,8 @@ def _load_emb1(fh, header: bytes, path: Path) -> EmbeddingMatrix:
         raise DataValidationError(f"{path}: payload contains non-finite values") from exc
 
 
-def _is_number(value) -> bool:
+def is_number(value) -> bool:
+    """Whether a JSON value is a number: an int or float, not a boolean."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
@@ -281,7 +282,7 @@ def _load_jsonl(path: Path) -> EmbeddingMatrix:
         if record["idx"] != len(rows):
             raise FileFormatError(f"{where}: idx {record['idx']} out of order (expected {len(rows)})")
         vec = record["vec"]
-        if not (isinstance(vec, list) and vec and all(_is_number(v) for v in vec)):
+        if not (isinstance(vec, list) and vec and all(is_number(v) for v in vec)):
             raise FileFormatError(f"{where}: vec must be a non-empty list of numbers")
         rows.append(vec)
     if not rows:

@@ -32,7 +32,6 @@ import numpy as np
 
 from .datasets import DatasetPair, all_finite, row_blocks
 from .errors import (
-    CoverageError,
     DataValidationError,
     FileFormatError,
     PayloadLengthError,
@@ -55,16 +54,6 @@ def _checked_index(index, size: int, axis: str) -> np.ndarray:
     if (np.diff(np.sort(index)) == 0).any():  # np.unique imports numpy.ma on first use
         raise ValueError(f"duplicate {axis} index")
     return index
-
-
-def _locate(index, own: np.ndarray, size: int) -> np.ndarray:
-    """Position of each of `index` within `own`; CoverageError if one is absent."""
-    at = np.full(size, -1, dtype=np.int64)
-    at[own] = np.arange(len(own))
-    found = at[np.asarray(index, dtype=np.int64)]
-    if (found < 0).any():
-        raise CoverageError(f"index {np.asarray(index)[found < 0][0]} lies outside the block")
-    return found
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +111,6 @@ class InfluenceMatrix:
 
     def valid_count(self) -> int:
         return int(self.block.size)
-
-    def take(self, rows, cols) -> np.ndarray:
-        """The rows x cols values, row-major in the order given."""
-        return self.block.take(_locate(rows, self.rows, self.m), 0).take(
-            _locate(cols, self.cols, self.n), 1)
 
     def _nnk_parts(self) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
         """Header, row indices, column indices and block, in file order."""

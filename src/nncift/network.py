@@ -40,7 +40,7 @@ from .datasets import (
     read_json,
     row_blocks,
 )
-from .errors import DataValidationError, FileFormatError, TrainingError
+from .errors import CoverageError, DataValidationError, FileFormatError, TrainingError
 from .influence import InfluenceMatrix, PointwiseScores
 from .probes import CostLedger
 
@@ -533,29 +533,20 @@ def mse_by_quadrant(
 ) -> dict[str, float]:
     """Mean squared difference per quadrant; empty quadrants yield NaN.
 
-    `estimates` is a matrix or one constant given to every cell. Each
-    quadrant's squared error is summed a row block at a time, so no
-    quadrant-sized copy is made; the sum may differ from one np.mean over
-    the whole quadrant in its last bits.
+    `estimates` is a matrix or one constant given to every cell; the
+    whole matrix is one QuadrantErrors pass.
     """
     constant = not isinstance(estimates, InfluenceMatrix)
     if not constant and (estimates.m, estimates.n) != (truth.m, truth.n):
         raise ValueError("estimate and truth shapes differ")
-    out: dict[str, float] = {}
-    for quadrant in QUADRANTS:
-        rows, cols = quadrant_index_sets(part, quadrant)
-        if len(rows) == 0 or len(cols) == 0:
-            out[quadrant] = math.nan
-            continue
-        total = 0.0
-        # `take` copies whole rows before it picks columns: size blocks by the full width
-        for block in row_blocks(len(rows), truth.n):
-            predicted = estimates if constant else estimates.take(rows[block], cols)
-            sq = np.subtract(predicted, truth.take(rows[block], cols), dtype=np.float64)
-            np.square(sq, out=sq)
-            total += float(sq.sum())
-        out[quadrant] = total / (len(rows) * len(cols))
-    return out
+    if any(matrix.valid_count() != matrix.m * matrix.n
+           for matrix in ([truth] if constant else [truth, estimates])):
+        raise CoverageError("mse_by_quadrant needs every cell of each matrix")
+    # .values orders a whole matrix stored out of index order
+    errors = QuadrantErrors(part, ("estimates",))
+    errors.add(slice(0, truth.m), truth.values,
+               {"estimates": estimates if constant else estimates.values})
+    return errors.means()["estimates"]
 
 
 # the predictors the truth evaluation scores, in the reports' column order
@@ -564,9 +555,9 @@ PREDICTORS = ("trained", "random_uniform", "predict_zero", "corner_mean")
 
 class QuadrantErrors:
     """Squared error per quadrant for several predictors, summed from row
-    blocks of the matrix: the streamed form of mse_by_quadrant, which it
-    matches to a few ulps (each row_blocks part of a block's quadrant is
-    summed as one array, then added to the quadrant's running sum).
+    blocks of the matrix (each row_blocks part of a block's quadrant is
+    summed as one array, then added to the quadrant's running sum), so it
+    matches one mean over each whole quadrant to a few ulps.
     """
 
     def __init__(self, part: QuadrantPartition, names: Iterable[str]):
@@ -613,19 +604,14 @@ def uniform_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def baseline_estimates(kind: str, shape: tuple[int, int], seed: int = 0) -> InfluenceMatrix:
-    """The two reference predictors: seeded uniform noise and constant 0.
-    The noise is drawn a row block at a time, in the stream order of one
-    rng.random((m, n)) call, so its values are that call's, as float32."""
+    """The "random_uniform" predictor: seeded float32 uniform noise, the
+    values of one rng.random((m, n)) call. "predict_zero" is the constant 0.0."""
+    if kind != "random_uniform":
+        raise ValueError(f"unknown baseline kind {kind!r}")
     m, n = shape
     if m < 0 or n < 0:
         raise ValueError("shape must be nonnegative")
-    if kind == "predict_zero":
-        values = np.zeros((m, n), dtype=np.float32)
-    elif kind == "random_uniform":
-        values = uniform_rows(np.random.Generator(np.random.PCG64(seed)), m, n)
-    else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    return InfluenceMatrix.full(values)
+    return InfluenceMatrix.full(uniform_rows(np.random.Generator(np.random.PCG64(seed)), m, n))
 
 
 def save_params(

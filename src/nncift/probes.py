@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 from urllib.parse import SplitResult, urlsplit
 
-from .datasets import jsonl_records
+from .datasets import is_number, jsonl_records
 from .errors import (
     ConfigError,
     DataValidationError,
@@ -144,7 +144,7 @@ class CostLedger:
         for name, value in counters.items():
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in wall_ms.values()):
+        if not all(is_number(v) for v in wall_ms.values()):
             raise ValueError("wall_ms values must be numbers")
         return cls(**counters, wall_ms={str(k): float(v) for k, v in wall_ms.items()})
 
@@ -206,7 +206,7 @@ class FileProvider(_Provider):
             values = obj["values"]
             if not isinstance(values, list) or not values:
                 raise FileFormatError(f"{where}: values must be a non-empty list")
-            if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
+            if not all(is_number(v) and math.isfinite(v) for v in values):
                 raise DataValidationError(f"{where}: values must be finite numbers")
             if (kind, key) in self._records:
                 raise FileFormatError(f"{where}: duplicate record ({kind!r}, {key!r})")
@@ -488,8 +488,9 @@ class _Batch:
             return
         self.ledger.add_failed_forward(1)
         if attempt + 1 < self.provider.retries:
-            backoff = self.provider.backoff * 2.0**attempt
-            self.queue(time.monotonic() + backoff, index, attempt + 1)
+            # 2.0**1024 raises OverflowError; a product past the largest float is inf
+            delay = min(self.provider.backoff * 2.0**min(attempt, 1023), threading.TIMEOUT_MAX)
+            self.queue(time.monotonic() + delay, index, attempt + 1)
         else:
             self.fail(index, outcome)
 
@@ -599,7 +600,7 @@ class HttpProvider(_Provider):
         values = payload.get(field_name)
         if not isinstance(values, list) or not values:
             raise ProtocolError(f"{url}: missing or empty {field_name!r}")
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in values):
+        if not all(is_number(v) and math.isfinite(v) for v in values):
             raise ProtocolError(f"{url}: {field_name!r} must be finite numbers")
         values = [float(v) for v in values]
         _check_range(kind, values, url)
@@ -726,16 +727,18 @@ _PROBE_KEYS = frozenset({"provider", "seed", "records", "base_url", "token", *_H
 
 def _check_http_options(options: dict, error=ConfigError, prefix: str = "probe.") -> None:
     """Reject HTTP options the client cannot honour: a zero in-flight cap
-    would block the first probe forever, and a zero timeout would fail
-    every attempt unsent."""
+    would block the first probe forever, a zero timeout would fail every
+    attempt unsent, and a socket refuses a timeout above
+    threading.TIMEOUT_MAX."""
     for name, value in options.items():
         if name in ("retries", "max_in_flight"):
             ok = not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
             rule = "an integer >= 1"
         else:
-            ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
-                  and math.isfinite(value) and (value > 0 if name == "timeout" else value >= 0))
-            rule = "a finite number " + ("> 0" if name == "timeout" else ">= 0")
+            timeout = name == "timeout"
+            ok = (not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+                  and (0 < value <= threading.TIMEOUT_MAX if timeout else value >= 0))
+            rule = f"a number > 0 and <= {threading.TIMEOUT_MAX}" if timeout else "a finite number >= 0"
         if not ok:
             raise error(f"{prefix}{name} must be {rule}, got {value!r}")
 

@@ -2,8 +2,9 @@
 
 Each is the slow, direct form of work the package does in blocks: the
 network on concatenated pair rows, one cosine or one delift cell at a
-time, the greedy that rescans every candidate, and the corner overlay
-on a whole matrix. No pipeline step calls them.
+time, the greedy that rescans every candidate, the corner overlay on a
+whole matrix and each quadrant's MSE as one mean. No pipeline step calls
+them.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from nncift.datasets import DatasetPair
-from nncift.errors import DataValidationError
-from nncift.influence import InfluenceMatrix, _delift_context, _locate, distance_from_logprobs
-from nncift.network import MlpParams, _logistic
+from nncift.datasets import DatasetPair, quadrant_index_sets
+from nncift.errors import CoverageError, DataValidationError
+from nncift.influence import InfluenceMatrix, _delift_context, distance_from_logprobs
+from nncift.network import QUADRANTS, MlpParams, _logistic
 from nncift.probes import CostLedger, Provider
 from nncift.selection import SelectionResult, _checked_kernel, _gain
 
@@ -148,6 +149,41 @@ def overlay(base: InfluenceMatrix, top: InfluenceMatrix) -> InfluenceMatrix:
     if (top.m, top.n) != (base.m, base.n):
         raise ValueError("shape mismatch in overlay")
     block = base.block.copy()
-    block[np.ix_(_locate(top.rows, base.rows, base.m),
-                 _locate(top.cols, base.cols, base.n))] = top.block
+    block[np.ix_(locate(top.rows, base.rows, base.m),
+                 locate(top.cols, base.cols, base.n))] = top.block
     return replace(base, block=block)
+
+
+def locate(index, own: np.ndarray, size: int) -> np.ndarray:
+    """Position of each of `index` within `own`; CoverageError if one is absent."""
+    at = np.full(size, -1, dtype=np.int64)
+    at[own] = np.arange(len(own))
+    found = at[np.asarray(index, dtype=np.int64)]
+    if (found < 0).any():
+        raise CoverageError(f"index {np.asarray(index)[found < 0][0]} lies outside the block")
+    return found
+
+
+def take(matrix: InfluenceMatrix, rows, cols) -> np.ndarray:
+    """The matrix's rows x cols values, row-major in the order given."""
+    return matrix.block.take(locate(rows, matrix.rows, matrix.m), 0).take(
+        locate(cols, matrix.cols, matrix.n), 1)
+
+
+def mse_by_quadrant_one_mean(estimates, truth, part):
+    """Each quadrant's MSE as one np.mean over its whole float64 copy; NaN
+    for an empty quadrant. `estimates` is a matrix or one constant given
+    to every cell. The oracle for `mse_by_quadrant`, `QuadrantErrors` and
+    mse.json."""
+    constant = not isinstance(estimates, InfluenceMatrix)
+    out = {}
+    for quadrant in QUADRANTS:
+        rows, cols = quadrant_index_sets(part, quadrant)
+        if len(rows) == 0 or len(cols) == 0:
+            out[quadrant] = math.nan
+            continue
+        predicted = estimates if constant else take(estimates, rows, cols)
+        sq = np.subtract(predicted, take(truth, rows, cols), dtype=np.float64)
+        np.square(sq, out=sq)
+        out[quadrant] = float(np.mean(sq))
+    return out

@@ -29,10 +29,9 @@ from nncift.network import (
     estimate_pairwise,
     estimate_pointwise,
     load_params,
-    mse_by_quadrant,
 )
 from nncift.probes import CostLedger, FileProvider
-from oracles import overlay
+from oracles import mse_by_quadrant_one_mean, overlay
 
 
 def unit_rows(count, dim, seed):
@@ -285,6 +284,7 @@ class TestExitCodes:
         {"retries": "3"},
         {"timeout": "x"},
         {"timeout": 0},
+        {"timeout": 1e10},  # above threading.TIMEOUT_MAX: used to exit 1 mid-corner
         {"backoff": -0.5},
         {"backoff": "x"},
         {"retires": 0},
@@ -327,6 +327,29 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
         assert f"{key}: cannot read {missing}" in capsys.readouterr().err
         assert not (out / "q1.nnk").exists()
+
+    @pytest.mark.parametrize("method, side", [
+        ("delift", "fine_tune"), ("delift", "target"), ("selectit", "fine_tune"),
+    ])
+    def test_text_file_missing_a_row_exits_2_before_any_probe(self, tmp_path, capsys, probe_server,
+                                                              method, side):
+        # a missing text used to stop the run with exit 5 once it was probed,
+        # after the corner or even training had been paid for
+        overrides = write_texts(tmp_path)
+        path, count = Path(overrides[f"{side}_texts"]), 20 if side == "fine_tune" else 10
+        # records past the count are accepted; the one missing row is not
+        save_texts({i: (f"prompt {i}", f"response {i}") for i in range(count + 3) if i != count - 2},
+                   path)
+        if method == "selectit":
+            overrides = {"fine_tune_texts": str(path), "target_embeddings": ...,
+                         "scales": [{"label": "1b", "parameter_count": 1}]}
+        config = write_config(tmp_path, method=method, m=20, n=10,
+                              probe={"provider": "http", "base_url": probe_server.url}, **overrides)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert f"{path}: no record for {side} idx {count - 2}" in capsys.readouterr().err
+        assert probe_server.requests == []
+        assert not (out / "q1.nnk").exists() and not (out / "ledger.json").exists()
 
     @pytest.mark.parametrize("bad", ["vec", "prompt"])
     def test_malformed_input_rows_exit_2_before_any_probe(self, tmp_path, capsys, bad):
@@ -442,7 +465,8 @@ class TestTrainEstimate:
         corner = norm.normalize(load_influence(out / "q1.nnk").block)
         truth = compute_influence("delift_se", range(pair.m), range(pair.n), pair)
         truth = InfluenceMatrix.full(norm.normalize(truth.values))
-        expected = mse_by_quadrant(float(np.mean(corner)), truth, partition(pair, run.u, run.seed))
+        expected = mse_by_quadrant_one_mean(float(np.mean(corner)), truth,
+                                            partition(pair, run.u, run.seed))
         assert read_json(out / "mse.json")["corner_mean"] == expected
         assert read_json(out / "report.json")["quadrant_mse"]["corner_mean"] == expected
 
@@ -542,8 +566,8 @@ class TestTrainEstimate:
         truth = compute_influence("delift_se", range(pair.m), range(pair.n), pair)
         _, norm, _ = load_params(out / "params.json")
         truth = InfluenceMatrix.full(norm.normalize(truth.values))
-        recomputed = mse_by_quadrant(load_influence(out / "full.nnk"), truth,
-                                     partition(pair, run.u, run.seed))
+        recomputed = mse_by_quadrant_one_mean(load_influence(out / "full.nnk"), truth,
+                                              partition(pair, run.u, run.seed))
         trained = read_json(out / "mse.json")["trained"]
         for quadrant in ("Q2", "Q3", "Q4"):
             assert recomputed[quadrant] == trained[quadrant], quadrant
@@ -605,12 +629,13 @@ class TestTrainEstimate:
 
         truth = nncift.cli._valuate(run, np.arange(part.m), np.arange(part.n), CostLedger())
         truth = InfluenceMatrix.full(norm.normalize(truth.block))
+        corner_mean = float(np.mean(norm.normalize(q1.block)))
         expected = {
-            "trained": mse_by_quadrant(trained, truth, part),
-            "random_uniform": mse_by_quadrant(baseline_estimates("random_uniform", shape, run.seed),
-                                              truth, part),
-            "predict_zero": mse_by_quadrant(0.0, truth, part),
-            "corner_mean": mse_by_quadrant(float(np.mean(norm.normalize(q1.block))), truth, part),
+            "trained": mse_by_quadrant_one_mean(trained, truth, part),
+            "random_uniform": mse_by_quadrant_one_mean(
+                baseline_estimates("random_uniform", shape, run.seed), truth, part),
+            "predict_zero": mse_by_quadrant_one_mean(0.0, truth, part),
+            "corner_mean": mse_by_quadrant_one_mean(corner_mean, truth, part),
         }
         labels = {"id": "Q1", "ood": "Q3"} if method == "selectit" else {q: q for q in QUADRANTS}
         mse = read_json(out / "mse.json")

@@ -34,7 +34,7 @@ from nncift.network import (
     train,
 )
 from nncift.probes import CostLedger
-from oracles import forward, forward_batch, loss_and_gradients
+from oracles import forward, forward_batch, loss_and_gradients, mse_by_quadrant_one_mean
 
 
 def flatten_params(params):
@@ -685,9 +685,8 @@ class TestMseByQuadrant:
 
     def test_predict_zero_vs_half(self):
         part = self.make_partition()
-        estimates = baseline_estimates("predict_zero", (4, 4))
         truth = full_matrix(np.full((4, 4), 0.5))
-        out = mse_by_quadrant(estimates, truth, part)
+        out = mse_by_quadrant(0.0, truth, part)
         assert all(v == 0.25 for v in out.values())
 
     def test_uniform_vs_uniform_sixth(self):
@@ -712,21 +711,25 @@ class TestMseByQuadrant:
         with pytest.raises(CoverageError):
             mse_by_quadrant(holey, full_matrix(np.zeros((4, 4))), part)
 
+    def test_truth_missing_a_cell_rejected(self):
+        part = self.make_partition()
+        holey = InfluenceMatrix(4, 4, [0, 1, 2, 3], [0, 1, 3], np.zeros((4, 3), dtype=np.float32))
+        for estimates in (full_matrix(np.zeros((4, 4))), 0.0):
+            with pytest.raises(CoverageError):
+                mse_by_quadrant(estimates, holey, part)
 
-def mse_by_quadrant_one_mean(estimates, truth, part):
-    """Each quadrant's MSE as one np.mean over its whole float64 copy: the
-    oracle for the row-blocked `mse_by_quadrant`."""
-    out = {}
-    for quadrant in QUADRANTS:
-        rows, cols = quadrant_index_sets(part, quadrant)
-        if len(rows) == 0 or len(cols) == 0:
-            out[quadrant] = math.nan
-            continue
-        sq = estimates.take(rows, cols).astype(np.float64)
-        sq -= truth.take(rows, cols)
-        np.square(sq, out=sq)
-        out[quadrant] = float(np.mean(sq))
-    return out
+    def test_a_whole_matrix_out_of_index_order_scores_as_in_order(self):
+        part = partition(embedding_pair(30, 20, 1), 0.3, seed=2)
+        estimates = baseline_estimates("random_uniform", (30, 20), seed=3)
+        truth = baseline_estimates("random_uniform", (30, 20), seed=4)
+        rng = np.random.default_rng(5)
+        rows, cols = rng.permutation(30), rng.permutation(20)
+        shuffled = [InfluenceMatrix(30, 20, rows, cols, matrix.block[np.ix_(rows, cols)])
+                    for matrix in (estimates, truth)]
+        expected = mse_by_quadrant(estimates, truth, part)
+        assert mse_by_quadrant(shuffled[0], truth, part) == expected
+        assert mse_by_quadrant(estimates, shuffled[1], part) == expected
+        assert mse_by_quadrant(*shuffled, part) == expected
 
 
 class TestRowBlockedMse:
@@ -768,7 +771,7 @@ class TestQuadrantErrors:
             rows = slice(start, start + step)
             errors.add(rows, truth.block[rows], {"trained": estimates.block[rows], "zero": 0.0})
         expected = {"trained": mse_by_quadrant_one_mean(estimates, truth, part),
-                    "zero": mse_by_quadrant_one_mean(full_matrix(np.zeros((600, 300))), truth, part)}
+                    "zero": mse_by_quadrant_one_mean(0.0, truth, part)}
         means = errors.means()
         for name in expected:
             for quadrant in QUADRANTS:
@@ -781,8 +784,8 @@ class TestQuadrantErrors:
         truth = baseline_estimates("random_uniform", (40, 30), seed=4)
         errors = QuadrantErrors(part, ("trained", "half"))
         errors.add(slice(0, 40), truth.block, {"trained": estimates.block, "half": 0.5})
-        assert errors.means() == {"trained": mse_by_quadrant(estimates, truth, part),
-                                  "half": mse_by_quadrant(0.5, truth, part)}
+        assert errors.means() == {"trained": mse_by_quadrant_one_mean(estimates, truth, part),
+                                  "half": mse_by_quadrant_one_mean(0.5, truth, part)}
 
     def test_the_m_by_1_case_leaves_the_empty_quadrants_nan(self):
         part = partition(embedding_pair(50, 1, 1), 0.2, seed=1)
@@ -792,17 +795,14 @@ class TestQuadrantErrors:
         errors = QuadrantErrors(part, ("trained",))
         for rows in (slice(0, 20), slice(20, 50)):
             errors.add(rows, truth.block[rows], {"trained": estimates.block[rows]})
-        means, expected = errors.means()["trained"], mse_by_quadrant(estimates, truth, part)
+        means = errors.means()["trained"]
+        expected = mse_by_quadrant_one_mean(estimates, truth, part)
         assert math.isnan(means["Q2"]) and math.isnan(means["Q4"])
         for quadrant in ("Q1", "Q3"):
             np.testing.assert_array_max_ulp(means[quadrant], expected[quadrant], maxulp=4)
 
 
 class TestBaselines:
-    def test_predict_zero(self):
-        matrix = baseline_estimates("predict_zero", (3, 5))
-        np.testing.assert_array_equal(matrix.values, np.zeros((3, 5), dtype=np.float32))
-
     def test_random_uniform_deterministic(self):
         a = baseline_estimates("random_uniform", (4, 4), seed=7)
         b = baseline_estimates("random_uniform", (4, 4), seed=7)
@@ -828,8 +828,10 @@ class TestBaselines:
         assert 0.49 <= float(matrix.values.mean()) <= 0.51
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            baseline_estimates("oracle", (2, 2))
+        # predict_zero is the constant 0.0, scored without a matrix
+        for kind in ("oracle", "predict_zero"):
+            with pytest.raises(ValueError, match="unknown baseline kind"):
+                baseline_estimates(kind, (2, 2))
 
 
 class TestParamsFile:

@@ -212,6 +212,17 @@ class TestFileProvider:
         with pytest.raises(FileFormatError):
             FileProvider(path)
 
+    @pytest.mark.parametrize("kind, values", [
+        ("token_max_probs", [True, 0.5]), ("target_logprobs", [False, -0.5]),
+    ])
+    def test_boolean_value_rejected(self, tmp_path, kind, values):
+        # JSON true and false used to be answered as 1.0 and 0.0
+        path = tmp_path / "records.jsonl"
+        write_records(path, [{"key": "0", "kind": kind, "values": values[1:]},
+                             {"key": "1", "kind": kind, "values": values}])
+        with pytest.raises(DataValidationError, match=r"records.jsonl:2: values must be finite numbers"):
+            FileProvider(path)
+
 
 class TestHttpProvider:
     def test_success_counts_one_forward(self, probe_server):
@@ -224,12 +235,13 @@ class TestHttpProvider:
     @pytest.mark.parametrize("option", [
         {"retries": 0}, {"max_in_flight": 0}, {"timeout": 0}, {"timeout": -1},
         {"timeout": float("nan")}, {"timeout": float("inf")}, {"backoff": -1},
-        {"backoff": float("nan")}, {"retries": True},
+        {"backoff": float("nan")}, {"retries": True}, {"timeout": 1e10},
     ])
     def test_unusable_limits_rejected(self, option):
-        # a zero in-flight cap would block the first probe forever, and a
-        # zero timeout would charge every attempt and fail it unsent; the
-        # rules are those of probe.* in a config
+        # a zero in-flight cap would block the first probe forever, a zero
+        # timeout would charge every attempt and fail it unsent, and a socket
+        # refuses a timeout above threading.TIMEOUT_MAX; the rules are those
+        # of probe.* in a config
         (name, value), = option.items()
         with pytest.raises(ValueError, match=f"^{name} must be"):
             HttpProvider("http://127.0.0.1:9", **option)
@@ -243,6 +255,16 @@ class TestHttpProvider:
         with pytest.raises(ProbeError):
             provider.target_logprobs("c", "t", ledger)
         assert ledger.forward_calls == 3
+
+    def test_retries_past_attempt_1024_end_in_the_last_attempts_error(self, probe_server):
+        # backoff * 2.0**attempt used to raise OverflowError at attempt 1024
+        retries = 1030
+        probe_server.script = [(503, {})] * retries
+        provider = HttpProvider(probe_server.url, retries=retries, backoff=0)
+        ledger = CostLedger()
+        with pytest.raises(ProbeError, match=f"attempt {retries} got status 503$"):
+            provider.target_logprobs("c", "t", ledger)
+        assert ledger.forward_calls == ledger.failed_forwards == len(probe_server.requests) == retries
 
     def test_recovers_after_one_500(self, probe_server):
         probe_server.script = [(500, {})]
@@ -275,7 +297,8 @@ class TestHttpProvider:
         ({}, ProtocolError),
         ({"token_logprobs": ["x"]}, ProtocolError),
         ({"token_logprobs": [0.5]}, DataValidationError),
-    ], ids=["missing", "not-numbers", "out-of-range"])
+        ({"token_logprobs": [False, -0.5]}, ProtocolError),
+    ], ids=["missing", "not-numbers", "out-of-range", "boolean"])
     def test_unreadable_values_name_the_endpoint(self, probe_server, payload, error):
         probe_server.script = [(200, payload)]
         provider = HttpProvider(probe_server.url, backoff=0.01)
