@@ -393,7 +393,12 @@ def _load_inputs(config: RunConfig) -> DatasetPair:
         if missing is not None:
             raise FileFormatError(f"{getattr(config, key)}: no record for {side} idx {missing} "
                                   f"of its {count} rows")
-    return DatasetPair(fine_tune=fine, target=target, **kwargs)
+    try:
+        return DatasetPair(fine_tune=fine, target=target, **kwargs)
+    except ValueError as exc:  # the matrices' shapes do not match across files
+        keys = ["fine_tune_embeddings", "target_embeddings", *(k for k in kwargs if k.endswith("_gradients"))]
+        files = ", ".join(str(getattr(config, key)) for key in keys if getattr(config, key))
+        raise DataValidationError(f"{files}: {exc}") from exc
 
 
 def _write_json(path: Path, doc) -> None:
@@ -481,6 +486,12 @@ def cmd_train_estimate(config: RunConfig) -> Path:
             np.array_equal(q1.rows, part.id_f) and np.array_equal(q1.cols, part.id_t)):
         raise ConfigError(f"{q1_path} ({q1.m}x{q1.n}) is not the ID corner of this "
                           f"{part.m}x{part.n} run; stale artifact?")
+    # a rerun replaces what this step wrote: its counter, its phases and any
+    # earlier run's scores, which must not reach this run's report
+    ledger.estimator_forwards = 0
+    ledger.wall_ms.pop("train", None)
+    ledger.wall_ms.pop("estimate", None)
+    (out / MSE_FILE).unlink(missing_ok=True)
 
     pointwise = config.method in POINTWISE_METHODS
     right = np.zeros((1, 0)) if pointwise else pair.target.rows[part.id_t]

@@ -31,7 +31,6 @@ import json
 import math
 import numbers
 import os
-import queue
 import re
 import select
 import socket
@@ -390,10 +389,9 @@ def _close_all(connections: list[_Connection]) -> None:
 
 
 class _ConnectionPool:
-    """`size` keep-alive connections to one origin, lent out last in,
-    first out. A borrower holds its connection until it gives it back, so
-    no more than `size` connections are ever open at once across the
-    threads that share the pool."""
+    """`size` keep-alive connections to one origin and the lock a batch
+    holds while its lanes use them, so the pool serves one batch at a time
+    and never has more than `size` connections open."""
 
     def __init__(self, parts: SplitResult, size: int, timeout: float):
         tls = None
@@ -402,29 +400,18 @@ class _ConnectionPool:
 
             tls = ssl.create_default_context()
         address = (parts.hostname, parts.port or (443 if tls else 80))
-        self._connections = [_Connection(address, timeout, tls) for _ in range(size)]
-        self._idle = queue.LifoQueue()
-        for conn in self._connections:
-            self._idle.put(conn)
+        self.connections = [_Connection(address, timeout, tls) for _ in range(size)]
+        self.lock = threading.Lock()
         # callers drop providers unclosed: close the sockets when the pool is collected
-        weakref.finalize(self, _close_all, self._connections)
-
-    def acquire(self, block: bool = True) -> _Connection | None:
-        """A free connection, waiting for one if `block`; None if none is free."""
-        try:
-            return self._idle.get(block)
-        except queue.Empty:
-            return None
-
-    def release(self, conn: _Connection) -> None:
-        self._idle.put(conn)
+        weakref.finalize(self, _close_all, self.connections)
 
     def close(self) -> None:
-        _close_all(self._connections)
+        _close_all(self.connections)
 
 
 class _Batch:
-    """One batch of HTTP probes, shared by the lanes that answer it.
+    """One batch of HTTP probes of one kind, each request already built,
+    shared by the lanes that answer it.
 
     New requests are handed out in index order. A retry, or a request to
     send again, waits in a heap of due times, so a lane whose request is
@@ -432,18 +419,18 @@ class _Batch:
     good, no new request, and no retry or resend of a later one, is sent.
     """
 
-    def __init__(self, provider: "HttpProvider", probes: Sequence[tuple[str, str, str]], ledger: CostLedger):
+    def __init__(self, provider: "HttpProvider", kind: str, requests: list[bytes], ledger: CostLedger):
         self.provider = provider
-        self.probes = probes  # (kind, context, target)
+        self.kind = kind
+        self.requests = requests
         self.ledger = ledger
-        self.requests: list[bytes | None] = [None] * len(probes)
-        self.answers: list[list[float] | None] = [None] * len(probes)
-        self.failure: tuple[int, Exception] | None = None  # the lowest-index request failed for good
+        self.answers: list[list[float] | None] = [None] * len(requests)
+        self.failure: tuple[int, NnciftError] | None = None  # the lowest-index request failed for good
         self.fault: BaseException | None = None  # an error of no request's, which ends the batch
         self._next = 0
-        self._limit = len(probes)  # no request from this index on is sent, anew or again
+        self._limit = len(requests)  # no request from this index on is sent, anew or again
         self._due: list[tuple[float, int, int]] = []  # heap of (due time, index, attempt)
-        self._cond = threading.Condition()  # over an RLock: fail() is called from take()
+        self._cond = threading.Condition()
 
     def take(self, wait: bool) -> tuple[int, int] | None:
         """The (index, attempt) to send next: a due retry or resend first,
@@ -456,14 +443,8 @@ class _Batch:
                     _, index, attempt = heapq.heappop(self._due)
                     return index, attempt
                 if self._next < self._limit:
-                    index = self._next
                     self._next += 1
-                    try:
-                        self.requests[index] = self.provider._request(*self.probes[index])
-                    except ValueError as exc:  # a probe no server could answer
-                        self.fail(index, exc)
-                        continue
-                    return index, 0
+                    return self._next - 1, 0
                 if not (wait and self._due):
                     return None
                 self._cond.wait(self._due[0][0] - now)
@@ -479,7 +460,7 @@ class _Batch:
         """Record one charged attempt's reply, or the OSError that took its place."""
         index, attempt = item
         try:
-            outcome = self.provider._outcome(self.probes[index][0], attempt, reply)
+            outcome = self.provider._outcome(self.kind, attempt, reply)
         except NnciftError as exc:
             self.fail(index, exc)
             return
@@ -500,7 +481,7 @@ class _Batch:
         heapq.heapify(self._due)
         self._cond.notify_all()
 
-    def fail(self, index: int, error: Exception) -> None:
+    def fail(self, index: int, error: NnciftError) -> None:
         with self._cond:
             if self.failure is None or index < self.failure[0]:
                 self.failure = (index, error)
@@ -527,10 +508,13 @@ class HttpProvider(_Provider):
     cannot read (a malformed status line or header, a head over 64 KiB, a
     connection closed mid-reply) is a transport error.
 
-    Requests go out over lanes, each holding one of a pool of
-    max_in_flight keep-alive connections (default 8), which caps the
-    requests being served, and the connections, across threads that share
-    the provider. A single probe is a batch of one on one lane;
+    The provider answers one batch at a time, over lanes that each hold
+    one of a pool of max_in_flight keep-alive connections (default 8),
+    which caps the requests being served and the connections; a batch
+    from another thread waits for the one being answered. Every request of
+    a batch is built before any is sent, so a batch holding a probe no
+    server could answer (an empty target) raises its ValueError with
+    nothing sent or charged. A single probe is a batch of one on one lane;
     `probe_batch` answers a batch over max_in_flight lanes. A
     lane whose connection has kept a reply open writes the next request
     behind the one being served (HTTP/1.1 pipelining), so at most one more
@@ -554,7 +538,7 @@ class HttpProvider(_Provider):
         max_in_flight: int = 8,
     ):
         _check_http_options({"timeout": timeout, "retries": retries, "backoff": backoff,
-                             "max_in_flight": max_in_flight}, ValueError, prefix="")
+                             "max_in_flight": max_in_flight})
         self.base_url = base_url.rstrip("/")
         self.token = token if token is not None else os.environ.get(TOKEN_ENV_VAR)
         self.retries = retries
@@ -607,8 +591,7 @@ class HttpProvider(_Provider):
         return values
 
     def _lane(self, batch: _Batch, conn: _Connection) -> None:
-        """Answer batch requests on one borrowed connection until none is
-        left, then give the connection back."""
+        """Answer batch requests on one connection until none is left."""
         pending: deque[tuple[int, int]] = deque()  # (index, attempt) written on conn, oldest first
         try:
             while True:
@@ -645,32 +628,36 @@ class HttpProvider(_Provider):
         except BaseException as exc:
             conn.close()  # requests may be left unanswered on it
             batch.stop(exc)
-        finally:
-            self._session.release(conn)
 
-    def _answer(self, probes: Sequence[tuple[str, str, str]], ledger: CostLedger,
-                lanes: int) -> tuple[list, tuple[int, Exception] | None]:
-        """Answer (kind, context, target) probes over up to `lanes` pooled
-        connections. Returns the answers in request order and the
-        (index, error) of the lowest-index request that failed, if any."""
-        batch = _Batch(self, probes, ledger)
-        # lane 0 waits for a connection; the others take what is free now
-        conns = [self._session.acquire()]
-        while len(conns) < min(lanes, len(probes)) and (conn := self._session.acquire(block=False)):
-            conns.append(conn)
-        threads = [threading.Thread(target=self._lane, args=(batch, conn), daemon=True)
-                   for conn in conns[1:]]
-        for thread in threads:
-            thread.start()
-        self._lane(batch, conns[0])  # lane 0 runs on the calling thread
-        for thread in threads:
-            thread.join()
+    def _answer(self, kind: str, probes: Sequence[tuple[str, str]], ledger: CostLedger,
+                lanes: int) -> tuple[list, tuple[int, NnciftError] | None]:
+        """Answer (context, target) probes of one kind over the first
+        min(lanes, len(probes)) pooled connections, holding the pool's lock
+        until every lane that started has returned. Returns the answers in
+        request order and the (index, error) of the lowest-index request
+        that failed, if any."""
+        batch = _Batch(self, kind, [self._request(kind, context, target) for context, target in probes],
+                       ledger)
+        with self._session.lock:
+            first, *others = self._session.connections[:max(1, min(lanes, len(probes)))]
+            threads = []
+            try:
+                for conn in others:
+                    thread = threading.Thread(target=self._lane, args=(batch, conn), daemon=True)
+                    thread.start()
+                    threads.append(thread)
+            except BaseException as exc:  # the lanes already started stop and are joined
+                batch.stop(exc)
+            else:
+                self._lane(batch, first)  # lane 0 runs on the calling thread
+            for thread in threads:
+                thread.join()
         if batch.fault is not None:
             raise batch.fault
         return batch.answers, batch.failure
 
     def _probe(self, kind: str, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        answers, failure = self._answer([(kind, context, target)], ledger, 1)
+        answers, failure = self._answer(kind, [(context, target)], ledger, 1)
         if failure is not None:
             raise failure[1]
         return answers[0]
@@ -685,14 +672,15 @@ def probe_batch(
     """Answer `(where, context, target, key)` requests of one probe kind, in
     request order.
 
-    An HttpProvider answers them over max_in_flight lanes, one pooled
-    connection each. Lane 0 runs on the calling thread, so a cap of 1
-    starts no thread. Once a reply has kept its connection open, a lane
-    keeps the next request written behind the one being served, so the
-    server finds it waiting; a request is charged when it becomes the
-    oldest unanswered one on its connection. A retry waits out its backoff
-    in a queue while its lane serves other requests. Every other provider
-    answers the requests one after another through its `kind` method.
+    An HttpProvider builds every request first, then answers them over
+    max_in_flight lanes, one pooled connection each, one batch at a time.
+    Lane 0 runs on the calling thread, so a cap of 1 starts no thread.
+    Once a reply has kept its connection open, a lane keeps the next
+    request written behind the one being served, so the server finds it
+    waiting; a request is charged when it becomes the oldest unanswered
+    one on its connection. A retry waits out its backoff in a queue while
+    its lane serves other requests. Every other provider answers the
+    requests one after another through its `kind` method.
 
     Either way, a failure raises the error of the lowest-index failing
     request, the one a sequential loop would stop at, and an NnciftError
@@ -700,8 +688,8 @@ def probe_batch(
     sent nor charged; those in flight finish and are charged.
     """
     if isinstance(probe, HttpProvider):
-        probes = [(kind, context, target) for _, context, target, _ in requests]
-        answers, failure = probe._answer(probes, ledger, probe.max_in_flight)
+        probes = [(context, target) for _, context, target, _ in requests]
+        answers, failure = probe._answer(kind, probes, ledger, probe.max_in_flight)
     else:
         answer = getattr(probe, kind)
         answers, failure = [], None
@@ -725,10 +713,10 @@ _HTTP_OPTIONS = ("timeout", "retries", "backoff", "max_in_flight")
 _PROBE_KEYS = frozenset({"provider", "seed", "records", "base_url", "token", *_HTTP_OPTIONS})
 
 
-def _check_http_options(options: dict, error=ConfigError, prefix: str = "probe.") -> None:
-    """Reject HTTP options the client cannot honour: a zero in-flight cap
-    would block the first probe forever, a zero timeout would fail every
-    attempt unsent, and a socket refuses a timeout above
+def _check_http_options(options: dict) -> None:
+    """ValueError for HTTP options the client cannot honour: a zero
+    in-flight cap would block the first probe forever, a zero timeout
+    would fail every attempt unsent, and a socket refuses a timeout above
     threading.TIMEOUT_MAX."""
     for name, value in options.items():
         if name in ("retries", "max_in_flight"):
@@ -740,7 +728,7 @@ def _check_http_options(options: dict, error=ConfigError, prefix: str = "probe."
                   and (0 < value <= threading.TIMEOUT_MAX if timeout else value >= 0))
             rule = f"a number > 0 and <= {threading.TIMEOUT_MAX}" if timeout else "a finite number >= 0"
         if not ok:
-            raise error(f"{prefix}{name} must be {rule}, got {value!r}")
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def check_probe_spec(spec) -> None:
@@ -766,13 +754,13 @@ def check_probe_spec(spec) -> None:
     if kind == "http":
         if "base_url" not in spec:
             raise ConfigError("http provider requires a 'base_url'")
+        token = spec.get("token")
         try:
             _split_base_url(spec["base_url"])
+            _check_header_values(spec["base_url"], os.environ.get(TOKEN_ENV_VAR) if token is None else token)
+            _check_http_options({name: spec[name] for name in _HTTP_OPTIONS if name in spec})
         except ValueError as exc:
             raise ConfigError(f"probe.{exc}") from None
-        token = spec.get("token")
-        _check_header_values(spec["base_url"], os.environ.get(TOKEN_ENV_VAR) if token is None else token)
-        _check_http_options({name: spec[name] for name in _HTTP_OPTIONS if name in spec})
 
 
 def build_provider(spec: dict) -> Provider:

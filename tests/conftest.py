@@ -259,7 +259,9 @@ class SlowKeyedServer(ProbeServer):
 
 
 def serve(server):
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the loop's next poll: at the default 0.5 s every
+    # test's teardown would wait up to that long
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield server

@@ -351,6 +351,29 @@ class TestExitCodes:
         assert probe_server.requests == []
         assert not (out / "q1.nnk").exists() and not (out / "ledger.json").exists()
 
+    @pytest.mark.parametrize("method, bad, message", [
+        ("delift_se", "target.emb", "embedding dims differ: 8 vs 5"),
+        # selectit reads no target rows, but a target file it is given must fit
+        ("selectit", "target.emb", "embedding dims differ: 8 vs 5"),
+        ("less", "grads_f.emb", "fine_tune gradient count does not match fine_tune rows"),
+    ], ids=["delift_se", "selectit", "less"])
+    def test_mismatched_input_shapes_exit_2_before_any_probe(self, tmp_path, capsys, method, bad,
+                                                            message):
+        gradients = {}
+        if method == "less":
+            gradients = {"fine_tune_gradients": str(tmp_path / "grads_f.emb"),
+                         "target_gradients": str(tmp_path / "grads_t.emb")}
+            write_embeddings(tmp_path / "grads_f.emb", 59, dim=6, seed=3)
+            write_embeddings(tmp_path / "grads_t.emb", 20, dim=6, seed=4)
+        config = write_config(tmp_path, method=method, m=60, n=20, **gradients)
+        if method != "less":
+            write_embeddings(tmp_path / "target.emb", 20, dim=5, seed=2)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "DataValidationError" in err and message in err and str(tmp_path / bad) in err
+        assert not (out / "q1.nnk").exists() and not (out / "ledger.json").exists()
+
     @pytest.mark.parametrize("bad", ["vec", "prompt"])
     def test_malformed_input_rows_exit_2_before_any_probe(self, tmp_path, capsys, bad):
         # a text that is not a string used to be probed as its str(), e.g. "None"
@@ -503,6 +526,38 @@ class TestTrainEstimate:
         main(["train-estimate", "--config", str(config), "--out", str(out)])
         assert not (out / "mse.json").exists()
         assert read_json(out / "ledger.json")["evaluation"] is None
+
+    def test_train_estimate_without_evaluation_removes_an_earlier_runs_mse(self, tmp_path):
+        out = tmp_path / "run"
+        evaluating = write_config(tmp_path, m=60, n=20, evaluate_truth=True)
+        assert main(["pipeline", "--config", str(evaluating), "--out", str(out)]) == 0
+        assert read_json(out / "report.json")["quadrant_mse"] is not None
+        plain = write_config(tmp_path, m=60, n=20, name="plain.json", evaluate_truth=False)
+        assert main(["pipeline", "--config", str(plain), "--out", str(out)]) == 0
+        # the first run's scores must not fill quadrant_mse beside evaluation: null
+        assert not (out / "mse.json").exists()
+        report = read_json(out / "report.json")
+        assert report["quadrant_mse"] is None and report["evaluation"] is None
+
+    def test_rerun_replaces_the_estimator_count_and_phase_times(self, tmp_path):
+        config = write_config(tmp_path, method="delift", m=60, n=20, evaluate_truth=False)
+        out = tmp_path / "run"
+        assert main(["valuate", "--config", str(config), "--out", str(out)]) == 0
+        valuated = read_json(out / "ledger.json")
+        assert main(["train-estimate", "--config", str(config), "--out", str(out)]) == 0
+        # phase times far above a real run's: a rerun that added to them would keep them
+        doc = read_json(out / "ledger.json")
+        doc["wall_ms"].update(train=1e9, estimate=1e9)
+        (out / "ledger.json").write_text(json.dumps(doc))
+        assert main(["train-estimate", "--config", str(config), "--out", str(out)]) == 0
+        ledger = read_json(out / "ledger.json")
+        assert ledger["estimator_forwards"] == 60 * 20
+        assert ledger["wall_ms"]["train"] < 1e9 and ledger["wall_ms"]["estimate"] < 1e9
+        # the probe counters and valuate's time stay as valuate wrote them
+        probe_counters = ("forward_calls", "backward_calls", "failed_forwards")
+        assert [ledger[k] for k in probe_counters] == [valuated[k] for k in probe_counters]
+        assert ledger["forward_calls"] > 0
+        assert ledger["wall_ms"]["valuate"] == valuated["wall_ms"]["valuate"]
 
     def test_evaluation_cost_kept_off_the_run_ledger(self, tmp_path):
         config = write_config(tmp_path, method="delift", m=20, n=10)

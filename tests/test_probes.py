@@ -437,8 +437,78 @@ class TestTargetLogprobsBatch:
         requests = batch_requests(6)
         requests[2] = ("r2", "context 2", "", "2")
         provider = HttpProvider(slow_server.url, max_in_flight=cap)
+        ledger = CostLedger()
         with pytest.raises(ValueError, match=r"^target_logprobs requires a non-empty target$"):
-            probe_batch(provider, "target_logprobs", requests, CostLedger())
+            probe_batch(provider, "target_logprobs", requests, ledger)
+        # every request is built before any is sent: the requests before it were not
+        assert slow_server.requests == []
+        assert ledger.forward_calls == 0
+
+    def test_a_second_threads_batch_waits_for_the_first_batchs_last_reply(self, slow_server):
+        slow_server.delays = {"a 3": 0.3}  # one lane of the first batch ends well after the other
+        events = []
+        answer = slow_server.answer
+
+        def logged(path, body):
+            events.append(("start", body["target"]))
+            try:
+                return answer(path, body)
+            finally:
+                events.append(("end", body["target"]))
+
+        slow_server.answer = logged
+        provider = HttpProvider(slow_server.url, max_in_flight=2)
+        ledger = CostLedger()
+        first = [(f"a{k}", f"context {k}", f"a {k}", str(k)) for k in range(4)]
+        second = [(f"b{k}", f"context {k}", f"b {k}", str(k)) for k in range(4)]
+        answers = {}
+        thread = threading.Thread(
+            target=lambda: answers.update(a=probe_batch(provider, "target_logprobs", first, ledger)))
+        thread.start()
+        deadline = time.monotonic() + 5
+        while not events and time.monotonic() < deadline:
+            time.sleep(0.001)
+        answers["b"] = probe_batch(provider, "target_logprobs", second, ledger)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert answers["a"] == [slow_server.logprobs(c, t) for _, c, t, _ in first]
+        assert answers["b"] == [slow_server.logprobs(c, t) for _, c, t, _ in second]
+        last_a_reply = max(k for k, (what, target) in enumerate(events) if what == "end" and target[0] == "a")
+        first_b_request = min(k for k, (_, target) in enumerate(events) if target[0] == "b")
+        assert first_b_request > last_a_reply
+        assert ledger.forward_calls == len(slow_server.requests) == 8
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["first-extra-lane", "second-extra-lane"])
+    def test_a_lane_that_cannot_start_ends_the_batch_and_frees_the_pool(self, slow_server, monkeypatch,
+                                                                        failing):
+        caller, start, starts = threading.current_thread(), threading.Thread.start, []
+
+        def flaky_start(thread):
+            # only the lanes: the server starts its handler threads from its own thread
+            if threading.current_thread() is caller:
+                starts.append(thread)
+                if len(starts) == failing:
+                    raise RuntimeError("can't start new thread")
+            start(thread)
+
+        provider = HttpProvider(slow_server.url, backoff=0, max_in_flight=3)
+        ledger = CostLedger()
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", flaky_start)
+            with pytest.raises(RuntimeError, match="^can't start new thread$"):
+                probe_batch(provider, "target_logprobs", batch_requests(24), ledger)
+        sent = len(slow_server.requests)
+        time.sleep(0.1)
+        # every lane that started had returned: nothing more reaches the server
+        assert len(slow_server.requests) == sent
+        assert ledger.forward_calls == sent
+        done = []
+        thread = threading.Thread(target=lambda: done.append(
+            probe_batch(provider, "target_logprobs", batch_requests(6), ledger)), daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert len(done) == 1, "the next batch never got the pool's connections"
+        assert ledger.forward_calls == len(slow_server.requests) == sent + 6
 
     def test_providers_without_concurrency_answer_in_a_loop(self, tmp_path):
         path = tmp_path / "records.jsonl"
