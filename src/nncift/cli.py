@@ -81,7 +81,7 @@ from .network import (
     uniform_rows,
 )
 from .probes import CostLedger, Provider, build_provider, check_probe_spec
-from .reporting import REPORT_JSON, build_cost_report, emit_report, verify_ledger
+from .reporting import REPORT_JSON, REPORT_TEXT, build_cost_report, emit_report, verify_ledger
 from .selection import SELECTORS, select
 
 Q1_FILE = "q1.nnk"
@@ -412,16 +412,17 @@ def _write_ledger(out: Path, config: RunConfig, ledger: CostLedger, evaluation: 
     _write_json(out / LEDGER_FILE, doc)
 
 
-def _read_run_json(path: Path) -> dict:
+def _run_file(path: Path, step: str = "the earlier pipeline step") -> Path:
+    """`path`, which `step` writes; ConfigError if it does not exist."""
     if not path.exists():
-        raise ConfigError(f"{path} not found; run the earlier pipeline step first")
-    return read_json(path)
+        raise ConfigError(f"{path} not found; run {step} first")
+    return path
 
 
 def _load_ledger(out: Path, config: RunConfig) -> tuple[dict, CostLedger]:
     """ledger.json's document and the ledger it holds, which `config`'s run must have written."""
     path = out / LEDGER_FILE
-    doc = _read_run_json(path)
+    doc = read_json(_run_file(path))
     try:
         ledger = CostLedger.from_dict(doc)
     except ValueError as exc:
@@ -442,10 +443,20 @@ def _valuate(
     return compute_influence(config.method, rows, cols, config.pair, probe=provider, ledger=ledger)
 
 
+def _run_dir(out: Path) -> Path:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as the run directory: {exc.strerror}") from exc
+    return out
+
+
 def cmd_valuate(config: RunConfig) -> Path:
-    """Step 1: ground-truth influence on the ID corner only."""
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    """Step 1: ground-truth influence on the ID corner only. What later
+    steps wrote for an earlier run goes first, so none of them reads it."""
+    out = _run_dir(config.out_dir)
+    for name in (PARAMS_FILE, FULL_FILE, MSE_FILE, SELECTION_FILE, REPORT_JSON, REPORT_TEXT):
+        (out / name).unlink(missing_ok=True)
     part = config.part
     ledger = CostLedger()
     with ledger.time_phase("valuate"):
@@ -474,12 +485,9 @@ def cmd_train_estimate(config: RunConfig) -> Path:
     block's scratch: the estimates are made a row block at a time, scored
     against the truth and appended to full.nnk.
     """
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = _run_dir(config.out_dir)
     pair, part = config.pair, config.part
-    q1_path = out / Q1_FILE
-    if not q1_path.exists():
-        raise ConfigError(f"{q1_path} not found; run valuate first")
+    q1_path = _run_file(out / Q1_FILE, "valuate")
     q1 = load_influence(q1_path)
     _, ledger = _load_ledger(out, config)
     if (q1.m, q1.n) != (part.m, part.n) or not (
@@ -572,11 +580,8 @@ def cmd_train_estimate(config: RunConfig) -> Path:
 
 def cmd_select(config: RunConfig) -> Path:
     """Step 3: subset selection from the merged influence values."""
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    full_path = out / FULL_FILE
-    if not full_path.exists():
-        raise ConfigError(f"{full_path} not found; run train-estimate first")
+    out = _run_dir(config.out_dir)
+    full_path = _run_file(out / FULL_FILE, "train-estimate")
     full = load_influence(full_path)
     if not full.fully_valid:
         raise ConfigError(f"{full_path} holds {full.valid_count()} of the {full.m}x{full.n} "
@@ -606,7 +611,7 @@ def _emit_final_report(config: RunConfig) -> Path:
     pair = config.pair
     ledger_doc, _ = _load_ledger(out, config)
     mse_path = out / MSE_FILE
-    mse_doc = _read_run_json(mse_path) if mse_path.exists() else None
+    mse_doc = read_json(mse_path) if mse_path.exists() else None
     pointwise = config.method in POINTWISE_METHODS
     cost = build_cost_report(
         config.method,
@@ -634,7 +639,7 @@ def _emit_final_report(config: RunConfig) -> Path:
         "quadrant_mse": None if mse_doc is None else {k: mse_doc[k] for k in PREDICTORS if k in mse_doc},
         "cost": cost,
         "ledger_check": check,
-        "selection": _read_run_json(out / SELECTION_FILE),
+        "selection": read_json(_run_file(out / SELECTION_FILE)),
         "evaluation": ledger_doc.get("evaluation"),
         "training": ledger_doc.get("training"),
         "metadata": {"config": config.resolved},
@@ -652,13 +657,13 @@ def _sweep_cell(config: RunConfig, u, v) -> RunConfig:
 def _run_sweep(config: RunConfig) -> Path:
     u_values = config.u_sweep if config.u_sweep else [config.resolved["u"]]
     v_values = config.v_sweep if config.v_sweep else [config.resolved["v"]]
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    _run_dir(config.out_dir)
     cells = []
     for u in u_values:
         for v in v_values:
             cell = _sweep_cell(config, u, v)
             cmd_pipeline(cell)
-            report = _read_run_json(cell.out_dir / REPORT_JSON)
+            report = read_json(_run_file(cell.out_dir / REPORT_JSON))
             cells.append(
                 {
                     "u": u,
@@ -706,9 +711,7 @@ _COMMANDS = {
 
 
 def exit_code_for(exc: NnciftError) -> int:
-    if isinstance(exc, ConfigError):
-        return 2
-    if isinstance(exc, (FileFormatError, DataValidationError)):
+    if isinstance(exc, (ConfigError, FileFormatError, DataValidationError)):
         return 2
     if isinstance(exc, TrainingError):
         return 3

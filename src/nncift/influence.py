@@ -284,13 +284,13 @@ def compute_influence(
 ) -> InfluenceMatrix:
     """Fill exactly the rows x cols block of the m x n influence matrix.
 
-    delift sends the block's probes to `probe` as one batch, ordered as a
-    cell-by-cell row-major loop would send them: column j's context-free
-    probe just before the first cell that needs it, then each cell's
-    in-context probe. Answers are placed by request index, so the block
-    does not depend on the order they arrive in. delift_se and less read
-    precomputed inputs, cost zero probe calls, and take the whole block
-    as one Gram product.
+    delift sends the block's probes to `probe` as one batch in the cost
+    model's layout: each column's context-free probe ("target j"), then
+    every cell's in-context probe ("cell (i, j)") in row-major order, so
+    the block is one subtraction. Answers are placed by request index, so
+    the block does not depend on the order they arrive in. delift_se and
+    less read precomputed inputs, cost zero probe calls, and take the
+    whole block as one Gram product.
     """
     if isinstance(cols, DatasetPair):
         # perfbench/run.py still calls the older (method, cells, pair) form,
@@ -305,26 +305,16 @@ def compute_influence(
         raise ValueError("delift requires a probe and a ledger")
     rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
     if method == "delift":
-        requests: list[tuple[str, str, str, str]] = []
-        noctx_at: dict[int, int] = {}
-        # each cell's context-free and in-context request index
-        noctx_of = np.empty((len(rows), len(cols)), dtype=np.int64)
-        ctx_of = np.empty_like(noctx_of)
-        for a, i in enumerate(rows.tolist()):
+        # each column's context-free probe, then each cell's in-context one
+        targets = [(j, *pair.text("target", j)) for j in cols.tolist()]
+        requests = [(f"target {j}", prompt, response, str(j)) for j, prompt, response in targets]
+        for i in rows.tolist():
             i_prompt, i_response = pair.text("fine_tune", i)
-            for b, j in enumerate(cols.tolist()):
-                j_prompt, j_response = pair.text("target", j)
-                where = f"cell ({i}, {j})"
-                if j not in noctx_at:
-                    noctx_at[j] = len(requests)
-                    requests.append((where, j_prompt, j_response, str(j)))
-                noctx_of[a, b] = noctx_at[j]
-                ctx_of[a, b] = len(requests)
-                requests.append((where, _delift_context(i_prompt, i_response, j_prompt),
-                                 j_response, f"{i}:{j}"))
+            requests += [(f"cell ({i}, {j})", _delift_context(i_prompt, i_response, prompt), response,
+                          f"{i}:{j}") for j, prompt, response in targets]
         answers = probe_batch(probe, KIND_LOGPROBS, requests, ledger)
         distances = np.array([distance_from_logprobs(lp) for lp in answers], dtype=np.float64)
-        block = distances[noctx_of] - distances[ctx_of]
+        block = distances[:len(cols)] - distances[len(cols):].reshape(len(rows), len(cols))
     elif method == "delift_se":
         block = _cosine_block(pair.fine_tune.rows, pair.target.rows, rows, cols)
     else:

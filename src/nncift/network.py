@@ -145,14 +145,11 @@ class TrainConfig:
         lr = self.learning_rate
         if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not math.isfinite(lr):
             raise TypeError(f"learning_rate must be a finite number, got {lr!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("epochs", "batch_size", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
 
     def optimizer_metadata(self) -> dict:
         return {
@@ -325,6 +322,7 @@ def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
     inverted consistently. Mini-batch order is seeded; the whole run is
     deterministic for a fixed config. Every step and every epoch's
     corner loss use the factored first layer, so no pair row is built.
+    An epoch whose corner loss is not finite raises TrainingError.
     """
     left = np.asarray(left, dtype=np.float64)
     right = np.asarray(right, dtype=np.float64)
@@ -353,7 +351,7 @@ def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
     scratch = (np.empty_like(left), np.empty_like(right), np.empty((batch, config.hidden)))
     workspace = _workspace(len(left), len(right), config.hidden)
     losses = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(targets.shape[0])
         for start in range(0, len(order), config.batch_size):
             cells = order[start:start + config.batch_size]
@@ -364,6 +362,9 @@ def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
         for start, y in _estimate_chunks(params, left, None, columns):
             corner[start:start + len(y)] = y
         losses.append(float(np.mean((corner.reshape(-1) - t_norm) ** 2)))
+        if not math.isfinite(losses[-1]):
+            raise TrainingError(f"the network diverged: epoch {epoch}'s corner loss is {losses[-1]}; "
+                                f"lower train.learning_rate ({config.learning_rate})")
     return TrainResult(params=params, epoch_losses=losses, norm=norm)
 
 

@@ -228,14 +228,21 @@ _HTTP_ENDPOINTS = {KIND_LOGPROBS: ("/v1/logprobs", "token_logprobs"),
 
 def _split_base_url(url) -> SplitResult:
     """The parts of an http(s) URL with a host; ValueError for any other
-    URL, which no attempt could reach."""
+    URL, which no attempt could reach, and for one with user info, a query
+    or a fragment, which no request sends but every error would print."""
+    parts, usable = None, False
     try:
         parts = urlsplit(url) if isinstance(url, str) else None
-        if parts and parts.scheme in ("http", "https") and parts.hostname and parts.port != 0:
-            return parts
+        usable = bool(parts and parts.scheme in ("http", "https") and parts.hostname and parts.port != 0)
     except ValueError:  # a port that is not a number in 0-65535, or an unclosed "["
         pass
-    raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {url!r}")
+    # these may hold a password or a key (anywhere, if the URL did not split): not echoed
+    if isinstance(url, str) and ("@" in (parts.netloc if parts else url) or "?" in url or "#" in url):
+        raise ValueError("base_url must not carry user info (user:password@), a query (?) or "
+                         "a fragment (#): no request sends them")
+    if not usable:
+        raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {url!r}")
+    return parts
 
 
 def _check_header_values(base_url: str, token: object) -> None:
@@ -523,9 +530,10 @@ class HttpProvider(_Provider):
     which an in-order server starts serving it; one written behind a reply
     or failure that ends the connection is sent again uncharged. A retry
     waits out its backoff in a queue while its lane goes on with other
-    requests. Proxy environment variables are not read; the token, from
-    the argument or NNCIFT_HTTP_TOKEN, and the URL must be printable
-    ASCII (ConfigError otherwise, before any attempt).
+    requests. Proxy environment variables are not read; the URL carries
+    no user info, query or fragment (ValueError otherwise), and it and the
+    token, from the argument or NNCIFT_HTTP_TOKEN, must be printable
+    ASCII (ConfigError otherwise), both before any attempt.
     """
 
     def __init__(
@@ -547,9 +555,8 @@ class HttpProvider(_Provider):
         parts = _split_base_url(self.base_url)
         _check_header_values(self.base_url, self.token)
         self._path = parts.path
-        host = parts.netloc.rpartition("@")[2]  # the URL's host and port, without user info
         # every request's headers but Content-Length, which each request adds
-        self._headers = f"Host: {host}\r\nAccept-Encoding: identity\r\nContent-Type: application/json\r\n"
+        self._headers = f"Host: {parts.netloc}\r\nAccept-Encoding: identity\r\nContent-Type: application/json\r\n"
         if self.token:
             self._headers += f"Authorization: Bearer {self.token}\r\n"
         self._session = _ConnectionPool(parts, max_in_flight, timeout)
@@ -629,17 +636,17 @@ class HttpProvider(_Provider):
             conn.close()  # requests may be left unanswered on it
             batch.stop(exc)
 
-    def _answer(self, kind: str, probes: Sequence[tuple[str, str]], ledger: CostLedger,
-                lanes: int) -> tuple[list, tuple[int, NnciftError] | None]:
+    def _answer(self, kind: str, probes: Sequence[tuple[str, str]],
+                ledger: CostLedger) -> tuple[list, tuple[int, NnciftError] | None]:
         """Answer (context, target) probes of one kind over the first
-        min(lanes, len(probes)) pooled connections, holding the pool's lock
-        until every lane that started has returned. Returns the answers in
-        request order and the (index, error) of the lowest-index request
-        that failed, if any."""
+        min(max_in_flight, len(probes)) pooled connections, holding the
+        pool's lock until every lane that started has returned. Returns the
+        answers in request order and the (index, error) of the lowest-index
+        request that failed, if any."""
         batch = _Batch(self, kind, [self._request(kind, context, target) for context, target in probes],
                        ledger)
         with self._session.lock:
-            first, *others = self._session.connections[:max(1, min(lanes, len(probes)))]
+            first, *others = self._session.connections[:max(1, min(self.max_in_flight, len(probes)))]
             threads = []
             try:
                 for conn in others:
@@ -657,7 +664,7 @@ class HttpProvider(_Provider):
         return batch.answers, batch.failure
 
     def _probe(self, kind: str, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
-        answers, failure = self._answer(kind, [(context, target)], ledger, 1)
+        answers, failure = self._answer(kind, [(context, target)], ledger)
         if failure is not None:
             raise failure[1]
         return answers[0]
@@ -689,7 +696,7 @@ def probe_batch(
     """
     if isinstance(probe, HttpProvider):
         probes = [(context, target) for _, context, target, _ in requests]
-        answers, failure = probe._answer(kind, probes, ledger, probe.max_in_flight)
+        answers, failure = probe._answer(kind, probes, ledger)
     else:
         answer = getattr(probe, kind)
         answers, failure = [], None
@@ -716,17 +723,16 @@ _PROBE_KEYS = frozenset({"provider", "seed", "records", "base_url", "token", *_H
 def _check_http_options(options: dict) -> None:
     """ValueError for HTTP options the client cannot honour: a zero
     in-flight cap would block the first probe forever, a zero timeout
-    would fail every attempt unsent, and a socket refuses a timeout above
-    threading.TIMEOUT_MAX."""
+    would fail every attempt unsent, a socket refuses a timeout above
+    threading.TIMEOUT_MAX, and a longer backoff is a wait that never ends."""
     for name, value in options.items():
         if name in ("retries", "max_in_flight"):
             ok = not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
             rule = "an integer >= 1"
-        else:
-            timeout = name == "timeout"
-            ok = (not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
-                  and (0 < value <= threading.TIMEOUT_MAX if timeout else value >= 0))
-            rule = f"a number > 0 and <= {threading.TIMEOUT_MAX}" if timeout else "a finite number >= 0"
+        else:  # NaN fails every comparison
+            ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                  and 0 <= value <= threading.TIMEOUT_MAX and (value > 0 or name != "timeout"))
+            rule = f"a number {'>' if name == 'timeout' else '>='} 0 and <= {threading.TIMEOUT_MAX}"
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 

@@ -485,6 +485,39 @@ class TestComputeInfluence:
                               HttpProvider(slow_server.url, max_in_flight=4), ledger)
         assert ledger.forward_calls == len(slow_server.requests)
 
+    def test_delift_sends_the_context_free_probes_first_in_column_order(self):
+        # the cost model's layout: C context-free probes, then the R x C cells row-major
+        sent = []
+
+        class Recording(SyntheticProvider):
+            def target_logprobs(self, context, target, ledger, key=None):
+                sent.append((context, target, key))
+                return super().target_logprobs(context, target, ledger, key)
+
+        pair = text_pair(4, 3)
+        ledger = CostLedger()
+        compute_influence("delift", [3, 0, 2], [2, 0], pair, Recording(seed=5), ledger)
+        assert sent[:2] == [("tq2", "target answer 2", "2"), ("tq0", "target answer 0", "0")]
+        assert [key for _, _, key in sent[2:]] == ["3:2", "3:0", "0:2", "0:0", "2:2", "2:0"]
+        assert sent[2][0] == "q3\nanswer 3\n\ntq2"
+        assert ledger.forward_calls == len(sent) == 3 * 2 + 2
+
+    @pytest.mark.parametrize("cap", [1, 4])
+    def test_failing_context_free_probe_is_labelled_with_its_target(self, slow_server, cap):
+        # only column 1's context-free probe has the context "tq1"
+        slow_server.reject = {"tq1"}
+        ledger = CostLedger()
+        with pytest.raises(ProbeError, match=r"^at target 1: "):
+            compute_influence("delift", range(3), range(2), text_pair(3, 2),
+                              HttpProvider(slow_server.url, max_in_flight=cap), ledger)
+        assert ledger.forward_calls == len(slow_server.requests)
+
+    def test_block_without_rows_pays_its_context_free_probes(self):
+        ledger = CostLedger()
+        matrix = compute_influence("delift", [], range(3), text_pair(2, 3), SyntheticProvider(), ledger)
+        assert matrix.block.shape == (0, 3)
+        assert ledger.forward_calls == 3
+
     def test_delift_se_zero_probe_calls(self):
         pair = DatasetPair(fine_tune=matrix_of(2), target=matrix_of(2, seed=1))
         ledger = CostLedger()

@@ -217,6 +217,15 @@ class TestTrain:
         with pytest.raises(TrainingError):
             train(np.zeros((0, 4)), np.zeros((1, 0)), np.zeros(0), TrainConfig())
 
+    @pytest.mark.parametrize("learning_rate", [1e200, 1e300, 1e308])
+    def test_diverging_network_raises_at_its_first_non_finite_loss(self, learning_rate):
+        features = np.random.default_rng(3).standard_normal((40, 6))
+        targets = np.random.default_rng(4).random(40)
+        config = TrainConfig(epochs=3, learning_rate=learning_rate, batch_size=8, seed=0, hidden=8)
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match=(
+                r"epoch 1's corner loss is nan; lower train\.learning_rate")):
+            train(features, np.zeros((1, 0)), targets, config)
+
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
