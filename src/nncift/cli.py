@@ -579,8 +579,10 @@ def cmd_train_estimate(config: RunConfig) -> Path:
 
 
 def cmd_select(config: RunConfig) -> Path:
-    """Step 3: subset selection from the merged influence values."""
+    """Step 3: subset selection from the merged influence values, which
+    `config`'s run must have made."""
     out = _run_dir(config.out_dir)
+    _load_ledger(out, config)
     full_path = _run_file(out / FULL_FILE, "train-estimate")
     full = load_influence(full_path)
     if not full.fully_valid:

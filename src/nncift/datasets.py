@@ -1,13 +1,9 @@
-"""Embedding datasets, their on-disk formats, and seeded quadrant partitions.
+"""Embedding datasets, their on-disk format, and seeded quadrant partitions.
 
-Two interchangeable file formats hold an embedding matrix:
-
-* EMB1 binary: bytes 0-7 magic ``NNCIFT1\\0``, bytes 8-11 little-endian
-  uint32 row count, bytes 12-15 little-endian uint32 dim, then
-  ``count * dim`` IEEE-754 float32 little-endian values, row-major.
-* JSON lines: one object per row, ``{"idx": int, "vec": [float, ...]}``,
-  rows in ascending ``idx`` with no gaps, each ``vec`` a non-empty list
-  of numbers of one common length.
+An embedding matrix is stored as an EMB1 file: bytes 0-7 magic
+``NNCIFT1\\0``, bytes 8-11 little-endian uint32 row count, bytes 12-15
+little-endian uint32 dim, then ``count * dim`` IEEE-754 float32
+little-endian values, row-major.
 
 Rows are opaque vectors; whatever produced them (and from which text) is
 upstream of this module.
@@ -204,35 +200,31 @@ def quadrant_index_sets(part: QuadrantPartition, quadrant: Quadrant) -> tuple[np
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    """Write a matrix to ``path``; ``.jsonl`` suffix selects the JSON-lines
-    format, anything else the EMB1 binary format."""
-    path = Path(path)
-    if path.suffix == ".jsonl":
-        if matrix.count == 0:
-            raise ValueError("JSON-lines format cannot represent an empty matrix; use EMB1")
-        with open(path, "w", encoding="utf-8") as fh:
-            for idx in range(matrix.count):
-                vec = [float(x) for x in matrix.rows[idx]]
-                fh.write(json.dumps({"idx": idx, "vec": vec}) + "\n")
-        return
+    """Write a matrix to ``path`` as an EMB1 file, whatever its suffix."""
     payload = matrix.rows.astype("<f4", copy=False).tobytes(order="C")
     with open(path, "wb") as fh:
         fh.write(_EMB1_HEADER.pack(EMB1_MAGIC, matrix.count, matrix.dim))
         fh.write(payload)
 
 
-def _load_emb1(fh, header: bytes, path: Path) -> EmbeddingMatrix:
-    """Read the payload after `header` straight into one float32 array."""
-    if len(header) < _EMB1_HEADER.size:
-        raise PayloadLengthError(f"{path}: file shorter than the 16-byte header")
-    _, count, dim = _EMB1_HEADER.unpack(header)
-    if dim < 1:
-        raise FileFormatError(f"{path}: dim must be >= 1, header says {dim}")
-    expected = count * dim * 4
-    size = os.fstat(fh.fileno()).st_size - _EMB1_HEADER.size
-    # allocate only once the file size matches the header
-    if size != expected or fh.readinto(rows := np.empty((count, dim), dtype="<f4")) != size:
-        raise PayloadLengthError(f"{path}: payload is {size} bytes, header declares {expected}")
+def load_embeddings(path: str | Path) -> EmbeddingMatrix:
+    """Load an EMB1 file, reading its payload straight into one float32
+    array; FileFormatError naming the file for any other file."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        header = fh.read(_EMB1_HEADER.size)
+        if header[:8] != EMB1_MAGIC:
+            raise FileFormatError(f"{path}: bad magic {header[:8]!r}; embeddings are EMB1 files")
+        if len(header) < _EMB1_HEADER.size:
+            raise PayloadLengthError(f"{path}: file shorter than the 16-byte header")
+        _, count, dim = _EMB1_HEADER.unpack(header)
+        if dim < 1:
+            raise FileFormatError(f"{path}: dim must be >= 1, header says {dim}")
+        expected = count * dim * 4
+        size = os.fstat(fh.fileno()).st_size - _EMB1_HEADER.size
+        # allocate only once the file size matches the header
+        if size != expected or fh.readinto(rows := np.empty((count, dim), dtype="<f4")) != size:
+            raise PayloadLengthError(f"{path}: payload is {size} bytes, header declares {expected}")
     try:
         return EmbeddingMatrix(rows=rows)
     except DataValidationError as exc:
@@ -272,37 +264,6 @@ def jsonl_records(path: Path) -> Iterator[tuple[str, object]]:
                 yield f"{path}:{lineno}", record
         except UnicodeDecodeError as exc:
             raise FileFormatError(f"{path}: not UTF-8: {exc}") from exc
-
-
-def _load_jsonl(path: Path) -> EmbeddingMatrix:
-    rows: list[list[float]] = []
-    for where, record in jsonl_records(path):
-        if not isinstance(record, dict) or "idx" not in record or "vec" not in record:
-            raise FileFormatError(f"{where}: expected object with idx and vec")
-        if record["idx"] != len(rows):
-            raise FileFormatError(f"{where}: idx {record['idx']} out of order (expected {len(rows)})")
-        vec = record["vec"]
-        if not (isinstance(vec, list) and vec and all(is_number(v) for v in vec)):
-            raise FileFormatError(f"{where}: vec must be a non-empty list of numbers")
-        rows.append(vec)
-    if not rows:
-        raise FileFormatError(f"{path}: no rows; empty matrices need the EMB1 format")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise FileFormatError(f"{path}: rows have mixed lengths {sorted(widths)}")
-    return EmbeddingMatrix(rows=np.array(rows, dtype=np.float32))
-
-
-def load_embeddings(path: str | Path) -> EmbeddingMatrix:
-    """Load a matrix from either supported format, sniffing the EMB1 magic."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        raw = fh.read(_EMB1_HEADER.size)
-        if raw[:8] == EMB1_MAGIC:
-            return _load_emb1(fh, raw, path)
-    if path.suffix == ".jsonl" or raw.lstrip()[:1] in (b"{", b""):
-        return _load_jsonl(path)
-    raise FileFormatError(f"{path}: bad magic {raw[:8]!r}")
 
 
 def save_texts(records: dict[int, tuple[str, str]], path: str | Path) -> None:

@@ -716,19 +716,22 @@ def probe_batch(
 
 _PROVIDER_KINDS = ("synthetic", "file", "http")
 _HTTP_OPTIONS = ("timeout", "retries", "backoff", "max_in_flight")
+MAX_IN_FLIGHT = 256  # a provider opens this many connections at most, a batch this many lanes
 # every key some provider reads; a misspelt option must not fall back to its default
 _PROBE_KEYS = frozenset({"provider", "seed", "records", "base_url", "token", *_HTTP_OPTIONS})
 
 
 def _check_http_options(options: dict) -> None:
     """ValueError for HTTP options the client cannot honour: a zero
-    in-flight cap would block the first probe forever, a zero timeout
+    in-flight cap would block the first probe forever, a larger one than
+    MAX_IN_FLIGHT builds that many connections and threads, a zero timeout
     would fail every attempt unsent, a socket refuses a timeout above
     threading.TIMEOUT_MAX, and a longer backoff is a wait that never ends."""
     for name, value in options.items():
         if name in ("retries", "max_in_flight"):
-            ok = not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
-            rule = "an integer >= 1"
+            top = MAX_IN_FLIGHT if name == "max_in_flight" else math.inf
+            ok = not isinstance(value, bool) and isinstance(value, numbers.Integral) and 1 <= value <= top
+            rule = "an integer >= 1" if top == math.inf else f"an integer >= 1 and <= {top}"
         else:  # NaN fails every comparison
             ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
                   and 0 <= value <= threading.TIMEOUT_MAX and (value > 0 or name != "timeout"))

@@ -101,12 +101,7 @@ def facility_location_greedy(matrix: InfluenceMatrix, budget: int) -> SelectionR
     Ties break toward the smallest row index. Returns min(budget, m)
     picks; the objective trace is non-decreasing.
     """
-    return _lazy_greedy(_checked_kernel(matrix, budget), budget)
-
-
-def _lazy_greedy(kernel: np.ndarray, budget: int) -> SelectionResult:
-    """facility_location_greedy on a float32 or float64 kernel array,
-    picking alike on both when the float64 one is the float32 one widened."""
+    kernel = _checked_kernel(matrix, budget)
     m = kernel.shape[0]
     covered = np.zeros(kernel.shape[1], dtype=np.float64)
     # heap of (-gain, row); stamps mark the iteration a gain was computed in.

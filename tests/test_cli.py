@@ -30,7 +30,7 @@ from nncift.network import (
     estimate_pointwise,
     load_params,
 )
-from nncift.probes import CostLedger, FileProvider
+from nncift.probes import MAX_IN_FLIGHT, CostLedger, FileProvider
 from oracles import mse_by_quadrant_one_mean, overlay
 
 
@@ -247,10 +247,9 @@ class TestExitCodes:
         (nncift.cli.read_config_file, ConfigError),
         (lambda path: nncift.cli.read_json(nncift.cli._run_file(path)), FileFormatError),
         (load_params, FileFormatError),
-        (load_embeddings, FileFormatError),
         (load_texts, FileFormatError),
         (FileProvider, FileFormatError),
-    ], ids=["config", "run_json", "params", "embeddings_jsonl", "texts", "probe_records"])
+    ], ids=["config", "run_json", "params", "texts", "probe_records"])
     def test_input_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path, read, error):
         path = tmp_path / "input.jsonl"
         path.write_bytes(b'{"idx": 0, "prompt": "caf\xe9", "response": "\xff"}\n')
@@ -280,6 +279,7 @@ class TestExitCodes:
         {"max_in_flight": 0},
         {"max_in_flight": -1},
         {"max_in_flight": 1.5},
+        {"max_in_flight": MAX_IN_FLIGHT + 1},  # a provider built that many connections
         {"retries": 0},
         {"retries": "3"},
         {"timeout": "x"},
@@ -378,26 +378,50 @@ class TestExitCodes:
         assert "DataValidationError" in err and message in err and str(tmp_path / bad) in err
         assert not (out / "q1.nnk").exists() and not (out / "ledger.json").exists()
 
+    @pytest.mark.parametrize("key, method, count", [
+        ("target_embeddings", "delift_se", 20),
+        ("fine_tune_gradients", "less", 60),
+        ("target_gradients", "less", 20),
+    ])
+    def test_json_lines_embeddings_input_exits_2_naming_its_file(self, tmp_path, capsys, key,
+                                                                 method, count):
+        # every embeddings input is read as EMB1; well-formed JSON lines are refused whole
+        rows = tmp_path / f"{key}.jsonl"
+        rows.write_text("".join(json.dumps({"idx": i, "vec": [0.5, 1.0]}) + "\n" for i in range(count)))
+        gradients = {}
+        if method == "less":
+            gradients = {"fine_tune_gradients": str(tmp_path / "grads_f.emb"),
+                         "target_gradients": str(tmp_path / "grads_t.emb")}
+            write_embeddings(tmp_path / "grads_f.emb", 60, dim=2, seed=3)
+            write_embeddings(tmp_path / "grads_t.emb", 20, dim=2, seed=4)
+        config = write_config(tmp_path, method=method, m=60, n=20, **{**gradients, key: str(rows)})
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error [FileFormatError] {rows}: bad magic" in capsys.readouterr().err
+        assert not (out / "q1.nnk").exists() and not (out / "ledger.json").exists()
+
     @pytest.mark.parametrize("bad", ["vec", "prompt"])
-    def test_malformed_input_rows_exit_2_before_any_probe(self, tmp_path, capsys, bad):
+    def test_malformed_input_rows_exit_2_before_any_probe(self, tmp_path, capsys, probe_server, bad):
         # a text that is not a string used to be probed as its str(), e.g. "None"
         overrides = write_texts(tmp_path)
         if bad == "vec":
+            # embeddings are EMB1 files; a JSON-lines one is refused whole
             rows = tmp_path / "fine_rows.jsonl"
-            rows.write_text("".join(json.dumps({"idx": i, "vec": [0.5, 1.0 if i != 3 else "x"]}) + "\n"
-                                    for i in range(20)))
+            rows.write_text("".join(json.dumps({"idx": i, "vec": [0.5, 1.0]}) + "\n" for i in range(20)))
             overrides["fine_tune_embeddings"] = str(rows)
-            where = "fine_rows.jsonl:4"
+            where = f"{rows}: bad magic"
         else:
             target = Path(overrides["target_texts"])
             lines = target.read_text().splitlines()
             lines[2] = json.dumps({"idx": 2, "prompt": None, "response": "r"})
             target.write_text("\n".join(lines) + "\n")
             where = "target.jsonl:3"
-        config = write_config(tmp_path, method="delift", m=20, n=10, **overrides)
+        config = write_config(tmp_path, method="delift", m=20, n=10,
+                              probe={"provider": "http", "base_url": probe_server.url}, **overrides)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
         assert where in capsys.readouterr().err
+        assert probe_server.requests == []
         assert not (out / "q1.nnk").exists()
 
     @pytest.mark.parametrize("probe", [
@@ -444,6 +468,18 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["select", "--config", str(second), "--out", str(out)]) == 2
         assert "run train-estimate first" in capsys.readouterr().err
+
+    def test_select_with_another_seed_after_a_whole_pipeline_exits_2(self, tmp_path, capsys):
+        # select used to pick from seed 1's full.nnk and write "seed": 2
+        first = write_config(tmp_path, m=60, n=20, seed=1)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(first), "--out", str(out)]) == 0
+        picked = (out / "selection.json").read_bytes()
+        second = write_config(tmp_path, m=60, n=20, name="other.json", seed=2)
+        capsys.readouterr()
+        assert main(["select", "--config", str(second), "--out", str(out)]) == 2
+        assert "produced by a different config" in capsys.readouterr().err
+        assert (out / "selection.json").read_bytes() == picked
 
     def test_diverging_network_exits_3_and_writes_no_params(self, tmp_path, capsys):
         config = write_config(tmp_path, train={"learning_rate": 1e300})

@@ -1,5 +1,7 @@
+import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,43 +188,39 @@ class TestEmb1InPlaceLoad:
             load_embeddings(path)
 
 
-class TestJsonlFormat:
-    def test_round_trip(self, tmp_path):
+class TestOtherFormatsRejected:
+    @pytest.mark.parametrize("name, content", [
+        ("m.jsonl", b'{"idx": 0, "vec": [1.0]}\n'),
+        ("m.emb", b"NNCIFT1"),
+        ("m.emb", b""),
+        ("m.emb", b"WRONGMAG" + b"\x00" * 8),
+    ], ids=["json_lines", "shorter_than_the_magic", "empty", "other_magic"])
+    def test_non_emb1_file_names_the_file(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: bad magic") + ".*EMB1 files"):
+            load_embeddings(path)
+
+    def test_jsonl_suffix_is_written_as_emb1(self, tmp_path):
         m = random_matrix(np.random.default_rng(1), 5, 3)
         path = tmp_path / "m.jsonl"
         save_embeddings(m, path)
-        loaded = load_embeddings(path)
-        np.testing.assert_array_equal(loaded.rows, m.rows)
+        assert path.read_bytes()[:8] == b"NNCIFT1\x00"
+        assert load_embeddings(path).rows.tobytes() == m.rows.tobytes()
 
-    def test_out_of_order_idx(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        path.write_text('{"idx": 1, "vec": [1.0]}\n')
-        with pytest.raises(FileFormatError):
-            load_embeddings(path)
 
-    def test_mixed_row_lengths(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        path.write_text('{"idx": 0, "vec": [1.0]}\n{"idx": 1, "vec": [1.0, 2.0]}\n')
-        with pytest.raises(FileFormatError):
-            load_embeddings(path)
-
-    @pytest.mark.parametrize("vec", ['[1.0, "x"]', "[[1.0, 2.0]]", "[true]", "[]", '"1.0"', "null"])
-    def test_row_that_is_not_a_list_of_numbers(self, tmp_path, vec):
-        path = tmp_path / "m.jsonl"
-        path.write_text('{"idx": 0, "vec": [1.0]}\n{"idx": 1, "vec": %s}\n' % vec)
-        with pytest.raises(FileFormatError, match=r"m\.jsonl:2: vec must be a non-empty list of numbers"):
-            load_embeddings(path)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        path.write_text("")
-        with pytest.raises(FileFormatError):
-            load_embeddings(path)
-
-    def test_empty_matrix_not_representable(self, tmp_path):
-        m = EmbeddingMatrix(rows=np.zeros((0, 4), dtype=np.float32))
-        with pytest.raises(ValueError):
-            save_embeddings(m, tmp_path / "m.jsonl")
+def test_readme_json_lines_conversion_runs(tmp_path, monkeypatch):
+    """README's File formats snippet, run as written, turns JSON-lines rows into EMB1."""
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text().split(
+        "\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    rows = [[0.5, -1.0, 2.0], [0.25, 0.0, 1e-3], [-3.0, 4.0, 7.5]]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rows.jsonl").write_text(
+        "".join(json.dumps({"idx": i, "vec": rows[i]}) + "\n" for i in (2, 0, 1)))
+    exec(snippet, {})
+    loaded = load_embeddings(tmp_path / "rows.emb")
+    assert loaded.rows.tobytes() == np.array(rows, dtype=np.float32).tobytes()
 
 
 class TestDatasetPair:

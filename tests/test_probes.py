@@ -23,6 +23,7 @@ from nncift.errors import (
     RecordNotFoundError,
 )
 from nncift.probes import (
+    MAX_IN_FLIGHT,
     CostLedger,
     FileProvider,
     HttpProvider,
@@ -236,7 +237,7 @@ class TestHttpProvider:
         {"retries": 0}, {"max_in_flight": 0}, {"timeout": 0}, {"timeout": -1},
         {"timeout": float("nan")}, {"timeout": float("inf")}, {"backoff": -1},
         {"backoff": float("nan")}, {"retries": True}, {"timeout": 1e10},
-        {"backoff": 1e300}, {"backoff": float("inf")},
+        {"backoff": 1e300}, {"backoff": float("inf")}, {"max_in_flight": MAX_IN_FLIGHT + 1},
     ])
     def test_unusable_limits_rejected(self, option):
         # a zero in-flight cap would block the first probe forever, a zero
