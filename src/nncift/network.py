@@ -25,6 +25,7 @@ import base64
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -322,7 +323,8 @@ def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
     inverted consistently. Mini-batch order is seeded; the whole run is
     deterministic for a fixed config. Every step and every epoch's
     corner loss use the factored first layer, so no pair row is built.
-    An epoch whose corner loss is not finite raises TrainingError.
+    A network whose training state outgrows the machine's memory, or an
+    epoch whose corner loss is not finite, raises TrainingError.
     """
     left = np.asarray(left, dtype=np.float64)
     right = np.asarray(right, dtype=np.float64)
@@ -333,16 +335,21 @@ def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
         raise ValueError("corner and targets misaligned")
     if not np.all(np.isfinite(targets)):
         raise DataValidationError("targets contain non-finite values")
+    in_dim = left.shape[1] + right.shape[1]
+    count = in_dim * config.hidden + 2 * config.hidden + 1
+    if 32 * count > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise TrainingError(f"train.hidden {config.hidden} gives {count} parameters, whose float64 values, "
+                            f"gradient and two Adam moments ({32 * count} bytes) exceed this machine's memory")
     norm = NormStats.fit(targets)
     t_norm = norm.normalize(targets)
-    init = init_params(config.seed, in_dim=left.shape[1] + right.shape[1], hidden=config.hidden)
+    init = init_params(config.seed, in_dim=in_dim, hidden=config.hidden)
     flat = np.concatenate([a.reshape(-1) for a in init.arrays()])
     grad = np.zeros_like(flat)
     params, grads = _on_flat(init, flat), _on_flat(init, grad)
     del init  # its arrays live on in flat
     optimizer = _Adam(flat.size, config)
     shuffle_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((config.seed, 1))))
-    every_col = np.arange(len(right))
+    every_row, every_col = np.arange(len(left)), np.arange(len(right))
     corner = np.empty((len(left), len(right)))
     # every step and every epoch's corner pass reuse one set of buffers: fresh
     # ones of this size cost page faults each time once the allocator trims
@@ -359,7 +366,7 @@ def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
             _factored_gradients(params, grads, left, right, rows, cols, t_norm[cells], scratch)
             optimizer.step(flat, grad)
         columns = _project(params, right, every_col, workspace)
-        for start, y in _estimate_chunks(params, left, None, columns):
+        for start, y in _estimate_chunks(params, left, every_row, columns):
             corner[start:start + len(y)] = y
         losses.append(float(np.mean((corner.reshape(-1) - t_norm) ** 2)))
         if not math.isfinite(losses[-1]):
@@ -386,10 +393,9 @@ def _chunking(cols: int) -> tuple[int, int]:
     return step, step * max(1, _GATHER_ROWS // step)
 
 
-def _workspace(rows: int, cols: int, hidden: int) -> np.ndarray | None:
-    """The float64 hidden-activation workspace of _estimate_chunks for a
-    rows x cols block; None for one column, whose chunks need none."""
-    return None if cols == 1 else np.empty((min(_chunking(cols)[0], rows), cols, hidden))
+def _workspace(rows: int, cols: int, hidden: int) -> np.ndarray:
+    """_estimate_chunks' float64 workspace for a rows x cols block: one chunk's activations."""
+    return np.empty((min(_chunking(cols)[0], rows), cols, hidden))
 
 
 class ProjectedColumns(NamedTuple):
@@ -402,10 +408,10 @@ class ProjectedColumns(NamedTuple):
     params: MlpParams
     cols: np.ndarray
     b: np.ndarray
-    ws: np.ndarray | None
+    ws: np.ndarray
 
 
-def _project(params: MlpParams, right: np.ndarray, cols, ws: np.ndarray | None) -> ProjectedColumns:
+def _project(params: MlpParams, right: np.ndarray, cols, ws: np.ndarray) -> ProjectedColumns:
     cols = np.asarray(cols, dtype=np.int64)
     w_right = params.w1[:, params.in_dim - right.shape[1]:]
     return ProjectedColumns(params, cols, right[cols].astype(np.float64, copy=False) @ w_right.T, ws)
@@ -427,45 +433,38 @@ def estimate_row_blocks(rows: int, cols: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
-def _estimate_chunks(params: MlpParams, left: np.ndarray, rows: np.ndarray | None,
+def _estimate_chunks(params: MlpParams, left: np.ndarray, rows: np.ndarray,
                      columns: ProjectedColumns):
     """The network's outputs for every (left[rows[a]], right[cols[b]])
     input, in the normalized [0,1] target space, as (start, outputs)
     pairs: outputs is the block rows[start:start + len(outputs)] x cols,
-    where `columns` holds cols and right's part (`_project`). `rows` None
-    means every row of left, in order, read without a gather.
+    where `columns` holds cols and right's part (`_project`).
 
     The first layer is factored: with W1 = [W_l | W_r], the hidden
     pre-activation of (a, b) is A[a] + B[b], where A = left W_lᵀ + b1 and
     B = right W_rᵀ (`_project`), each computed once. No concatenated input
-    row is built, and the block costs (M+N)·d·H + M·N·H multiply-adds instead of
-    M·N·2d·H. A is gathered and projected in whole chunks, about
+    row is built, and the block costs (M+N)·d·H + M·N·H multiply-adds
+    instead of M·N·2d·H. A is gathered and projected in whole chunks, about
     _GATHER_ROWS rows at a time, or one chunk when a chunk holds more rows
-    than that, so no rows x dim or rows x hidden array is held.
-    Pointwise input is the one-column case: `right` is one row of no
-    features, so B is a zero row, and each chunk of A is added to and
-    rectified in place.
+    than that, so no rows x dim or rows x hidden array is held. Pointwise
+    input is the one-column case: `right` is one row of no features, so B
+    is a zero row.
 
-    Otherwise every chunk of whole rows (about _CHUNK_CELLS cells) forms
-    its hidden activations in one float64 workspace, `columns.ws`:
-    max(_CHUNK_CELLS, len(cols)) x hidden, 0.8 MB at 1024 cells and
-    hidden 100. The chunk size moves an
-    output by a few float64 ulps at most, as BLAS sums a row by how many
-    rows share the call: far below the float32 precision the estimates
-    are stored in.
+    Every chunk of whole rows (about _CHUNK_CELLS cells) forms its hidden
+    activations in one float64 workspace, `columns.ws`: max(_CHUNK_CELLS,
+    len(cols)) x hidden, 0.8 MB at 1024 cells and hidden 100. The chunk
+    size moves an output by a few float64 ulps at most, as BLAS sums a row
+    by how many rows share the call: far below the float32 precision the
+    estimates are stored in.
     """
-    dim = left.shape[1]
-    count = len(left) if rows is None else len(rows)
-    b, ws = columns.b, columns.ws
+    dim, b = left.shape[1], columns.b
     step, gather = _chunking(len(b))
-    for block in range(0, count, gather):
-        a = left[block:block + gather] if rows is None else left[rows[block:block + gather]]
-        a = a.astype(np.float64, copy=False) @ params.w1[:, :dim].T
+    for block in range(0, len(rows), gather):
+        a = left[rows[block:block + gather]].astype(np.float64, copy=False) @ params.w1[:, :dim].T
         a += params.b1
         for start in range(0, len(a), step):
             h = a[start:start + step, None, :]
-            # one column: each row of a is used once, so it is added to in place
-            h = np.add(h, b, out=h if ws is None else ws[:len(h)])
+            h = np.add(h, b, out=columns.ws[:len(h)])
             np.maximum(h, 0.0, out=h)
             y = _logistic(h.reshape(-1, params.hidden) @ params.w2.T + params.b2)
             yield block + start, y.reshape(-1, len(b))
@@ -519,7 +518,7 @@ def estimate_pointwise(
         raise ValueError(f"net expects in_dim {params.in_dim}, embeddings give {embeddings.dim}")
     indices = np.array([int(i) for i in indices], dtype=np.int64)
     outputs = np.empty(len(indices))
-    columns = _project(params, np.zeros((1, 0)), [0], None)
+    columns = _project(params, np.zeros((1, 0)), [0], _workspace(len(indices), 1, params.hidden))
     for start, y in _estimate_chunks(params, embeddings.rows, indices, columns):
         outputs[start:start + len(y)] = y[:, 0]
     ledger.add_estimator_forwards(len(indices))

@@ -37,6 +37,7 @@ import socket
 import threading
 import time
 import weakref
+from array import array
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -185,12 +186,15 @@ class FileProvider(_Provider):
 
     Record file: JSON lines, each {"key": "i" or "i:j", "kind": str,
     "values": [real]}; (kind, key) pairs unique. Lookup requires the
-    caller to pass the record key.
+    caller to pass the record key. Every record's values are held in one
+    float64 array; record r's are _values[_ends[r]:_ends[r + 1]], and each
+    kind maps its keys to their record numbers.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._records: dict[tuple[str, str], list[float]] = {}
+        self._values, self._ends = array("d"), array("q", [0])
+        self._index: dict[str, dict[str, int]] = {kind: {} for kind in PROBE_KINDS}
         self._load()
 
     def _load(self) -> None:
@@ -207,19 +211,29 @@ class FileProvider(_Provider):
                 raise FileFormatError(f"{where}: values must be a non-empty list")
             if not all(is_number(v) and math.isfinite(v) for v in values):
                 raise DataValidationError(f"{where}: values must be finite numbers")
-            if (kind, key) in self._records:
+            if key in self._index[kind]:
                 raise FileFormatError(f"{where}: duplicate record ({kind!r}, {key!r})")
             _check_range(kind, values, where)
-            self._records[(kind, key)] = [float(v) for v in values]
+            self._index[kind][key] = len(self._ends) - 1
+            self._values.extend(values)
+            self._ends.append(len(self._values))
+
+    @property
+    def _records(self) -> dict[tuple[str, str], list[float]]:
+        """Every record's values by (kind, key), built on each read; the
+        benchmark's input tests (perfbench/tests) read records through it."""
+        return {(kind, key): self._values[self._ends[r]:self._ends[r + 1]].tolist()
+                for kind, index in self._index.items() for key, r in index.items()}
 
     def _probe(self, kind: str, context: str, target: str, ledger: CostLedger, key: str | None = None) -> list[float]:
         _check_probe(kind, target)
         if key is None:
             raise ValueError("file provider lookups require a record key")
-        if (kind, key) not in self._records:
+        record = self._index[kind].get(key)
+        if record is None:
             raise RecordNotFoundError(f"{self.path}: no {kind!r} record for key {key!r}")
         ledger.add_forward(1)
-        return list(self._records[(kind, key)])
+        return self._values[self._ends[record]:self._ends[record + 1]].tolist()
 
 
 _HTTP_ENDPOINTS = {KIND_LOGPROBS: ("/v1/logprobs", "token_logprobs"),

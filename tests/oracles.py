@@ -1,10 +1,10 @@
 """Reference implementations the tests compare the package against.
 
 Each is the slow, direct form of work the package does in blocks: the
-network on concatenated pair rows, one cosine or one delift cell at a
-time, the greedy that rescans every candidate, the corner overlay on a
-whole matrix and each quadrant's MSE as one mean. No pipeline step calls
-them.
+network on concatenated pair rows, the one-column estimate without a
+workspace, one cosine or one delift cell at a time, the greedy that
+rescans every candidate, the corner overlay on a whole matrix and each
+quadrant's MSE as one mean. No pipeline step calls them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from nncift.datasets import DatasetPair, quadrant_index_sets
 from nncift.errors import CoverageError, DataValidationError
 from nncift.influence import InfluenceMatrix, _delift_context, distance_from_logprobs
-from nncift.network import QUADRANTS, MlpParams, _logistic
+from nncift.network import QUADRANTS, MlpParams, _chunking, _logistic
 from nncift.probes import CostLedger, Provider
 from nncift.selection import SelectionResult, _checked_kernel, _gain
 
@@ -40,6 +40,29 @@ def forward(params: MlpParams, x: np.ndarray) -> float:
         raise DataValidationError("input contains non-finite values")
     y, _, _ = forward_batch(params, x.reshape(1, -1))
     return float(y[0, 0])
+
+
+def estimate_one_column_in_place(params: MlpParams, left: np.ndarray, rows) -> np.ndarray:
+    """The normalized outputs for the one-column (pointwise) inputs
+    left[rows]: each gathered chunk of A = left W_lᵀ + b1 has B's zero row
+    added and is rectified in place, with no workspace. The oracle for
+    the one-column case of `_estimate_chunks`, which forms every chunk in
+    its workspace."""
+    dim = left.shape[1]
+    rows = np.asarray(rows, dtype=np.int64)
+    b = np.zeros((1, 0)) @ params.w1[:, dim:].T
+    step, gather = _chunking(1)
+    out = np.empty(len(rows))
+    for block in range(0, len(rows), gather):
+        a = left[rows[block:block + gather]].astype(np.float64, copy=False) @ params.w1[:, :dim].T
+        a += params.b1
+        for start in range(0, len(a), step):
+            h = a[start:start + step, None, :]
+            h = np.add(h, b, out=h)
+            np.maximum(h, 0.0, out=h)
+            y = _logistic(h.reshape(-1, params.hidden) @ params.w2.T + params.b2)
+            out[block + start:block + start + len(y)] = y[:, 0]
+    return out
 
 
 def loss_and_gradients(params: MlpParams, x: np.ndarray, targets: np.ndarray):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -489,6 +490,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error [TrainingError] the network diverged: epoch 1's corner loss is nan" in err
         assert "train.learning_rate (1e+300)" in err
+        assert (out / "q1.nnk").exists()
+        assert not (out / "params.json").exists()
+
+    def test_network_too_wide_to_allocate_exits_3_and_writes_no_params(self, tmp_path, capsys):
+        # in_dim 16: 16e9 first-layer weights, 1e9 biases, 1e9 output weights and one bias
+        config = write_config(tmp_path, dim=8, train={"hidden": 1_000_000_000})
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error [TrainingError] train.hidden 1000000000 gives 18000000001 parameters" in err
+        assert "Traceback" not in err
         assert (out / "q1.nnk").exists()
         assert not (out / "params.json").exists()
 
@@ -1139,3 +1151,45 @@ def test_readme_cli_synopsis_flags_are_accepted(capsys):
         accepted = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         for flag in re.findall(r"--[a-z][a-z-]*", usage):
             assert flag in accepted, f"README shows `nncift {command} {flag}`"
+
+
+# every weight of one thread count's params.json within this many ulps of
+# its array's largest weight in the other's: measured at most 2.5 (b1) over
+# four input seeds at 1000 x 250 x 256 on a 2-vCPU machine with OpenBLAS 0.3.31
+THREAD_WEIGHT_ULPS = 8
+
+
+def test_blas_thread_counts_keep_the_readme_promise(tmp_path):
+    """README: the four artifacts are byte-identical across reruns with one
+    BLAS thread count; across thread counts only params.json's weights may
+    move, by a few ulps (OpenBLAS rounds some threaded products apart)."""
+    write_embeddings(tmp_path / "fine.emb", 1000, dim=256, seed=1)
+    write_embeddings(tmp_path / "target.emb", 250, dim=256, seed=2)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"method": "delift_se", "u": 0.05, "v": 0.3, "seed": 13,
+                                  "fine_tune_embeddings": str(tmp_path / "fine.emb"),
+                                  "target_embeddings": str(tmp_path / "target.emb")}))
+    artifacts = {}
+    for threads in ("1", "2"):
+        runs = []
+        for rerun in range(2):
+            out = tmp_path / f"threads{threads}_{rerun}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "nncift.cli", "pipeline", "--config", str(config), "--out", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            runs.append({name: (out / name).read_bytes()
+                         for name in ("q1.nnk", "full.nnk", "params.json", "selection.json")})
+        assert runs[0] == runs[1], f"reruns with {threads} BLAS thread(s) differ"
+        artifacts[threads] = runs[0]
+    one, two = artifacts["1"], artifacts["2"]
+    for name in ("q1.nnk", "full.nnk", "selection.json"):
+        assert one[name] == two[name], name
+    weights = ("w1", "b1", "w2", "b2")
+    fields = [{k: v for k, v in json.loads(found["params.json"]).items() if k not in weights}
+              for found in (one, two)]
+    assert fields[0] == fields[1]
+    params = [load_params(tmp_path / f"threads{threads}_0" / "params.json")[0] for threads in ("1", "2")]
+    for name, a, b in zip(weights, params[0].arrays(), params[1].arrays()):
+        scale = np.spacing(max(np.abs(a).max(), np.abs(b).max()))
+        assert np.abs(a - b).max() <= THREAD_WEIGHT_ULPS * scale, name

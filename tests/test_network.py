@@ -34,7 +34,9 @@ from nncift.network import (
     train,
 )
 from nncift.probes import CostLedger
-from oracles import forward, forward_batch, loss_and_gradients, mse_by_quadrant_one_mean
+from oracles import (
+    estimate_one_column_in_place, forward, forward_batch, loss_and_gradients, mse_by_quadrant_one_mean,
+)
 
 
 def flatten_params(params):
@@ -622,24 +624,48 @@ class TestEstimateRowBlocks:
         assert streamed.tobytes() == whole.values.tobytes()
 
     @pytest.mark.parametrize("cols", [1, 13, 2000])
-    def test_every_row_read_in_place_is_the_gathered_pass(self, cols):
-        # train's corner pass: rows None and one workspace kept across calls
+    def test_a_workspace_kept_across_calls_gives_a_fresh_ones_bytes(self, cols):
+        # train's corner pass: every row gathered, one workspace kept across epochs
         left = np.random.default_rng(1).standard_normal((150, 6))
         right = np.random.default_rng(2).standard_normal((cols, 6 if cols > 1 else 0))
         params = init_params(seed=3, in_dim=left.shape[1] + right.shape[1], hidden=20)
-        every_col = np.arange(cols)
+        every_row, every_col = np.arange(150), np.arange(cols)
         ws = nncift.network._workspace(150, cols, 20)
 
-        def run(rows, ws):
+        def run(ws):
             columns = nncift.network._project(params, right, every_col, ws)
             out = np.empty((150, cols))
-            for start, y in nncift.network._estimate_chunks(params, left, rows, columns):
+            for start, y in nncift.network._estimate_chunks(params, left, every_row, columns):
                 out[start:start + len(y)] = y
             return out
 
-        expected = run(np.arange(150), nncift.network._workspace(150, cols, 20))
+        expected = run(nncift.network._workspace(150, cols, 20))
         for _ in range(2):
-            assert run(None, ws).tobytes() == expected.tobytes()
+            assert run(ws).tobytes() == expected.tobytes()
+
+
+class TestOneColumnEstimates:
+    # 1000 rows fill no 1024-row chunk; 1024 fill one; 2500 fill two and leave a part
+    @pytest.mark.parametrize("count", [1, 1000, 1024, 2500])
+    def test_pointwise_equals_the_in_place_oracle(self, count):
+        emb = EmbeddingMatrix(rows=np.random.default_rng(11).standard_normal((3000, 24))
+                              .astype(np.float32))
+        params = init_params(seed=12, in_dim=24, hidden=100)
+        rows = np.random.default_rng(13).permutation(3000)[:count]
+        scores = estimate_pointwise(params, emb, rows, NormStats(0.0, 1.0), CostLedger())
+        assert scores.values.tobytes() == estimate_one_column_in_place(params, emb.rows, rows).tobytes()
+
+    @pytest.mark.parametrize("count", [1000, 2500])
+    def test_train_corner_pass_equals_the_in_place_oracle(self, count):
+        left = np.random.default_rng(14).standard_normal((count, 24))
+        params = init_params(seed=15, in_dim=24, hidden=100)
+        every_row = np.arange(count)
+        columns = nncift.network._project(params, np.zeros((1, 0)), [0],
+                                          nncift.network._workspace(count, 1, 100))
+        out = np.empty(count)
+        for start, y in nncift.network._estimate_chunks(params, left, every_row, columns):
+            out[start:start + len(y)] = y[:, 0]
+        assert out.tobytes() == estimate_one_column_in_place(params, left, every_row).tobytes()
 
 
 class TestBuildPairFeatures:

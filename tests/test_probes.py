@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -223,6 +224,27 @@ class TestFileProvider:
                              {"key": "1", "kind": kind, "values": values}])
         with pytest.raises(DataValidationError, match=r"records.jsonl:2: values must be finite numbers"):
             FileProvider(path)
+
+    def test_held_memory_is_the_values_array_and_an_index(self, tmp_path):
+        # 10,000 records of 1-12 values, keyed "i:p" as a selectit record file is
+        rng = np.random.default_rng(0)
+        records = [{"key": f"{r // 2}:{r % 2}", "kind": "token_max_probs",
+                    "values": rng.uniform(0.01, 1.0, size=count).round(6).tolist()}
+                   for r, count in enumerate(rng.integers(1, 13, size=10_000))]
+        path = tmp_path / "records.jsonl"
+        write_records(path, records)
+        tracemalloc.start()
+        try:
+            provider = FileProvider(path)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 8 bytes a value and its array's growth slack, plus each record's key,
+        # index entry and end offset
+        values = sum(len(record["values"]) for record in records)
+        assert held <= 16 * values + 200 * len(records)
+        for record in records[::997]:
+            assert provider.token_max_probs("c", "t", CostLedger(), key=record["key"]) == record["values"]
 
 
 class TestHttpProvider:
