@@ -40,6 +40,7 @@ from .datasets import (
     QuadrantPartition,
     exact_ceil,
     exact_decimal,
+    is_number,
     load_embeddings,
     load_texts,
     partition,
@@ -306,7 +307,7 @@ def resolve_config(doc: dict, out_override: str | Path | None = None) -> RunConf
             raise ConfigError("each scale needs a label and a parameter_count")
         _mapping("scale probe", entry.get("probe"))
         count = entry["parameter_count"]
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        if not (isinstance(count, int) and is_number(count) and count >= 1):
             raise ConfigError("scale parameter_count must be a positive integer")
     # every spec, used by the method or not: a misspelt option fails the run
     for spec in _scale_probes(probe, scales):
@@ -332,9 +333,7 @@ def resolve_config(doc: dict, out_override: str | Path | None = None) -> RunConf
     for key, unit in (_mapping("per_call_cost", cfg["per_call_cost"]) or {}).items():
         if key not in ("forward", "backward"):
             raise ConfigError(f"unknown per_call_cost field {key!r}; expected forward or backward")
-        # NaN, inf and ints past float range all fail the comparison
-        if isinstance(unit, bool) or not isinstance(unit, (int, float)) \
-                or not 0 <= unit <= sys.float_info.max:
+        if not (is_number(unit) and unit >= 0):
             raise ConfigError(f"per_call_cost {key} must be a finite number >= 0, got {unit!r}")
 
     for name in ("u_sweep", "v_sweep"):
@@ -614,15 +613,14 @@ def _emit_final_report(config: RunConfig) -> Path:
     ledger_doc, _ = _load_ledger(out, config)
     mse_path = out / MSE_FILE
     mse_doc = read_json(mse_path) if mse_path.exists() else None
-    pointwise = config.method in POINTWISE_METHODS
     cost = build_cost_report(
         config.method,
         pair.m,
         pair.n,
         config.u,
         ledger_doc,
-        prompts=len(config.prompts) if pointwise else None,
-        scales=len(config.scales) if pointwise else None,
+        prompts=len(config.prompts),
+        scales=len(config.scales),
         per_call_cost=config.per_call_cost,
     )
     check = verify_ledger(cost)

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -57,8 +58,6 @@ def exact_ceil(fraction: float | int | str, count: int) -> int:
     (7.000000000000001), which would bump the ceiling by one; routing
     through exact_decimal keeps ceil(0.07 * 100) == 7.
     """
-    if isinstance(fraction, int):
-        return fraction * count
     return math.ceil(exact_decimal(fraction) * count)
 
 
@@ -232,8 +231,10 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
 
 
 def is_number(value) -> bool:
-    """Whether a JSON value is a number: an int or float, not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a JSON value is a number: an int or float, not a boolean,
+    whose magnitude a float holds; NaN, the infinities and larger ints are not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
 
 
 def read_json(path: Path, error: type[Exception] = FileFormatError):

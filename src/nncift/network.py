@@ -37,6 +37,7 @@ from .datasets import (
     DatasetPair,
     EmbeddingMatrix,
     QuadrantPartition,
+    is_number,
     quadrant_index_sets,
     read_json,
     row_blocks,
@@ -144,7 +145,7 @@ class TrainConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not math.isfinite(lr):
+        if not is_number(lr):
             raise TypeError(f"learning_rate must be a finite number, got {lr!r}")
         for name in ("epochs", "batch_size", "hidden"):
             if getattr(self, name) < 1:
@@ -676,7 +677,7 @@ def load_params(path: str | Path) -> tuple[MlpParams, NormStats | None, dict]:
     stats = doc.get("norm_stats")
     if stats is not None:
         if not (isinstance(stats, list) and len(stats) == 2
-                and all(type(v) in (int, float) for v in stats)):
+                and all(map(is_number, stats))):
             raise FileFormatError(f"{path}: norm_stats must be a [min, max] pair of numbers")
         try:
             norm = NormStats(min=float(stats[0]), max=float(stats[1]))

@@ -144,7 +144,7 @@ class CostLedger:
         for name, value in counters.items():
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        if not all(is_number(v) for v in wall_ms.values()):
+        if not all(map(is_number, wall_ms.values())):
             raise ValueError("wall_ms values must be numbers")
         return cls(**counters, wall_ms={str(k): float(v) for k, v in wall_ms.items()})
 
@@ -209,7 +209,7 @@ class FileProvider(_Provider):
             values = obj["values"]
             if not isinstance(values, list) or not values:
                 raise FileFormatError(f"{where}: values must be a non-empty list")
-            if not all(is_number(v) and math.isfinite(v) for v in values):
+            if not all(map(is_number, values)):
                 raise DataValidationError(f"{where}: values must be finite numbers")
             if key in self._index[kind]:
                 raise FileFormatError(f"{where}: duplicate record ({kind!r}, {key!r})")
@@ -605,7 +605,7 @@ class HttpProvider(_Provider):
         values = payload.get(field_name)
         if not isinstance(values, list) or not values:
             raise ProtocolError(f"{url}: missing or empty {field_name!r}")
-        if not all(is_number(v) and math.isfinite(v) for v in values):
+        if not all(map(is_number, values)):
             raise ProtocolError(f"{url}: {field_name!r} must be finite numbers")
         values = [float(v) for v in values]
         _check_range(kind, values, url)
@@ -746,9 +746,8 @@ def _check_http_options(options: dict) -> None:
             top = MAX_IN_FLIGHT if name == "max_in_flight" else math.inf
             ok = not isinstance(value, bool) and isinstance(value, numbers.Integral) and 1 <= value <= top
             rule = "an integer >= 1" if top == math.inf else f"an integer >= 1 and <= {top}"
-        else:  # NaN fails every comparison
-            ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
-                  and 0 <= value <= threading.TIMEOUT_MAX and (value > 0 or name != "timeout"))
+        else:
+            ok = is_number(value) and 0 <= value <= threading.TIMEOUT_MAX and (value > 0 or name != "timeout")
             rule = f"a number {'>' if name == 'timeout' else '>='} 0 and <= {threading.TIMEOUT_MAX}"
         if not ok:
             raise ValueError(f"{name} must be {rule}, got {value!r}")

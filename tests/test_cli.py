@@ -260,8 +260,9 @@ class TestExitCodes:
         assert nncift.cli.exit_code_for(exc_info.value) == 2
 
     @pytest.mark.parametrize("ledger", [[], {"forward_calls": "x"}, {"forward_calls": -1},
-                                        {"wall_ms": [1.0]}],
-                             ids=["list", "string_counter", "negative_counter", "wall_ms_list"])
+                                        {"wall_ms": [1.0]}, {"wall_ms": {"valuate": 10**400}}],
+                             ids=["list", "string_counter", "negative_counter", "wall_ms_list",
+                                  "wall_ms_past_float_range"])
     def test_malformed_ledger_exits_2_naming_the_file(self, tmp_path, capsys, ledger):
         config = write_config(tmp_path)
         out = tmp_path / "run"
@@ -275,6 +276,30 @@ class TestExitCodes:
         assert not (out / "full.nnk").exists()
         with pytest.raises(FileFormatError, match="ledger.json"):
             nncift.cli._emit_final_report(resolve_config(read_json(config), out_override=out))
+
+    @pytest.mark.parametrize("site", ["train.learning_rate", "scales.parameter_count", "probe.records"])
+    def test_number_past_float_range_exits_2_before_any_probe(self, tmp_path, capsys, probe_server,
+                                                               site):
+        # each used to exit 1 with an OverflowError, parameter_count's only
+        # after the corner's probes were paid for
+        huge = 10**400
+        probe = {"provider": "http", "base_url": probe_server.url}
+        scale = {"label": "1b", "parameter_count": huge if site == "scales.parameter_count" else 1}
+        overrides = {"train": {"learning_rate": huge}} if site == "train.learning_rate" else {}
+        records = tmp_path / "records.jsonl"
+        if site == "probe.records":
+            records.write_text(json.dumps({"key": "0:0", "kind": "token_max_probs", "values": [huge]}) + "\n")
+            probe = {"provider": "file", "records": str(records)}
+        config = write_config(tmp_path, method="selectit", m=20, target_embeddings=..., probe=probe,
+                              scales=[scale], **overrides, **write_texts(tmp_path))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert {"train.learning_rate": "invalid train config: learning_rate must be a finite number",
+                "scales.parameter_count": "scale parameter_count must be a positive integer",
+                "probe.records": f"{records}:1: values must be finite numbers",
+                }[site] in capsys.readouterr().err
+        assert probe_server.requests == []
+        assert not (out / "q1.nnk").exists()
 
     @pytest.mark.parametrize("option", [
         {"max_in_flight": 0},

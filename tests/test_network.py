@@ -990,6 +990,7 @@ class TestParamsFile:
         ("norm_stats", [1, None]),
         ("norm_stats", [2, 1]),
         ("norm_stats", [True, 1]),
+        ("norm_stats", [-10**400, 1]),  # past float range: used to raise OverflowError
         ("norm_stats", {"min": 0, "max": 1}),
         ("in_dim", 3.0),
         ("hidden", True),

@@ -1,15 +1,18 @@
 """The package calls `perfbench/run.py` makes in every run, traced or not,
-in the forms it makes them (`tests/test_trace.py` covers the names the
-tracer wraps). `perfbench/tests` is not part of the tier-1 suite, so this
-is what fails when one of these forms is dropped; a benchmark change that
-stops making a call takes its check out of here."""
+and the private names `perfbench/tests` reaches, in the forms they are
+made (`tests/test_trace.py` covers the names the tracer wraps).
+`perfbench/tests` is not part of the tier-1 suite, so this is what fails
+when one of these forms is dropped; a benchmark change that stops making
+a call takes its check out of here."""
+
+import json
 
 import numpy as np
 
 from nncift.datasets import DatasetPair, EmbeddingMatrix
 from nncift.influence import InfluenceMatrix, compute_influence, load_influence, save_influence
 from nncift.network import baseline_estimates
-from nncift.probes import CostLedger
+from nncift.probes import CostLedger, FileProvider, HttpProvider
 
 
 class Replica:
@@ -54,3 +57,17 @@ def test_run_py_calls_keep_their_forms(tmp_path):
     noise = baseline_estimates("random_uniform", (m, n), 5).values
     draw = np.random.Generator(np.random.PCG64(5)).random((m, n)).astype(np.float32)
     assert noise.tobytes() == draw.tobytes()
+
+
+def test_private_names_perfbench_tests_reach(tmp_path, probe_server):
+    # test_bench_server.py closes a provider's connections through its pool
+    ledger = CostLedger()
+    provider = HttpProvider(probe_server.url, backoff=0.001, max_in_flight=2)
+    assert provider.target_logprobs("ctx 0", "gamma delta", ledger) == [-0.5, -0.25]
+    provider._session.close()
+    assert ledger.forward_calls == len(probe_server.requests) == 1
+
+    # test_bench_generate.py reads a record file back by (kind, key)
+    path = tmp_path / "records_1.jsonl"
+    path.write_text(json.dumps({"key": "0:1", "kind": "token_max_probs", "values": [0.5, 0.25]}) + "\n")
+    assert FileProvider(path)._records[("token_max_probs", "0:1")] == [0.5, 0.25]

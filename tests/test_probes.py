@@ -329,6 +329,15 @@ class TestHttpProvider:
         with pytest.raises(error, match=f"^{probe_server.url}/v1/logprobs: "):
             provider.target_logprobs("c", "t", CostLedger())
 
+    def test_reply_value_past_float_range_is_one_charged_protocol_error(self, probe_server):
+        # -1 and 400 zeros used to escape the batch as an OverflowError
+        probe_server.script = [(200, {"token_logprobs": [-10**400]})]
+        provider = HttpProvider(probe_server.url, backoff=0.01)
+        ledger = CostLedger()
+        with pytest.raises(ProtocolError, match=f"^at r0: {probe_server.url}/v1/logprobs: "):
+            probe_batch(provider, "target_logprobs", [("r0", "c", "t", "0")], ledger)
+        assert ledger.forward_calls == 1 and ledger.failed_forwards == 0
+
     @pytest.mark.parametrize("payload", [[1], "x"])
     def test_reply_that_is_not_an_object_is_protocol_error(self, probe_server, payload):
         probe_server.script = [(200, payload)]
