@@ -309,6 +309,8 @@ def resolve_config(doc: dict, out_override: str | Path | None = None) -> RunConf
         count = entry["parameter_count"]
         if not (isinstance(count, int) and is_number(count) and count >= 1):
             raise ConfigError("scale parameter_count must be a positive integer")
+    if not is_number(sum(entry["parameter_count"] for entry in scales)):  # selectit divides by it
+        raise ConfigError("scales[].parameter_count values must sum to at most the largest float")
     # every spec, used by the method or not: a misspelt option fails the run
     for spec in _scale_probes(probe, scales):
         check_probe_spec(spec)

@@ -366,9 +366,7 @@ def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
             rows, cols = np.divmod(cells, len(right))
             _factored_gradients(params, grads, left, right, rows, cols, t_norm[cells], scratch)
             optimizer.step(flat, grad)
-        columns = _project(params, right, every_col, workspace)
-        for start, y in _estimate_chunks(params, left, every_row, columns):
-            corner[start:start + len(y)] = y
+        _estimate_chunks(params, left, every_row, _project(params, right, every_col, workspace), corner)
         losses.append(float(np.mean((corner.reshape(-1) - t_norm) ** 2)))
         if not math.isfinite(losses[-1]):
             raise TrainingError(f"the network diverged: epoch {epoch}'s corner loss is {losses[-1]}; "
@@ -435,11 +433,11 @@ def estimate_row_blocks(rows: int, cols: int) -> Iterator[slice]:
 
 
 def _estimate_chunks(params: MlpParams, left: np.ndarray, rows: np.ndarray,
-                     columns: ProjectedColumns):
-    """The network's outputs for every (left[rows[a]], right[cols[b]])
-    input, in the normalized [0,1] target space, as (start, outputs)
-    pairs: outputs is the block rows[start:start + len(outputs)] x cols,
-    where `columns` holds cols and right's part (`_project`).
+                     columns: ProjectedColumns, out: np.ndarray) -> np.ndarray:
+    """`out`, a len(rows) x len(cols) array, filled chunk by chunk with the
+    network's outputs for every (left[rows[a]], right[cols[b]]) input, in
+    the normalized [0,1] target space, where `columns` holds cols and
+    right's part (`_project`).
 
     The first layer is factored: with W1 = [W_l | W_r], the hidden
     pre-activation of (a, b) is A[a] + B[b], where A = left W_lᵀ + b1 and
@@ -468,7 +466,8 @@ def _estimate_chunks(params: MlpParams, left: np.ndarray, rows: np.ndarray,
             h = np.add(h, b, out=columns.ws[:len(h)])
             np.maximum(h, 0.0, out=h)
             y = _logistic(h.reshape(-1, params.hidden) @ params.w2.T + params.b2)
-            yield block + start, y.reshape(-1, len(b))
+            out[block + start:block + start + len(h)] = y.reshape(-1, len(b))
+    return out
 
 
 def estimate_pairwise(
@@ -498,9 +497,8 @@ def estimate_pairwise(
         columns = project_columns(params, pair, len(rows), cols)
     elif columns.params is not params or not np.array_equal(columns.cols, cols):
         raise ValueError("columns were projected for other parameters or columns")
-    block = np.empty((len(rows), len(cols)), dtype=np.float32)
-    for start, y in _estimate_chunks(params, pair.fine_tune.rows, rows, columns):
-        block[start:start + len(y)] = y
+    block = _estimate_chunks(params, pair.fine_tune.rows, rows, columns,
+                             np.empty((len(rows), len(cols)), dtype=np.float32))
     ledger.add_estimator_forwards(len(rows) * len(cols))
     return InfluenceMatrix(pair.m, pair.n, rows, cols, block)
 
@@ -518,10 +516,8 @@ def estimate_pointwise(
     if params.in_dim != embeddings.dim:
         raise ValueError(f"net expects in_dim {params.in_dim}, embeddings give {embeddings.dim}")
     indices = np.array([int(i) for i in indices], dtype=np.int64)
-    outputs = np.empty(len(indices))
     columns = _project(params, np.zeros((1, 0)), [0], _workspace(len(indices), 1, params.hidden))
-    for start, y in _estimate_chunks(params, embeddings.rows, indices, columns):
-        outputs[start:start + len(y)] = y[:, 0]
+    outputs = _estimate_chunks(params, embeddings.rows, indices, columns, np.empty((len(indices), 1)))[:, 0]
     ledger.add_estimator_forwards(len(indices))
     return PointwiseScores(m=embeddings.count, indices=indices,
                            values=norm.denormalize(outputs))

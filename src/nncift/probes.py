@@ -409,27 +409,6 @@ def _close_all(connections: list[_Connection]) -> None:
         conn.close()
 
 
-class _ConnectionPool:
-    """`size` keep-alive connections to one origin and the lock a batch
-    holds while its lanes use them, so the pool serves one batch at a time
-    and never has more than `size` connections open."""
-
-    def __init__(self, parts: SplitResult, size: int, timeout: float):
-        tls = None
-        if parts.scheme == "https":
-            import ssl  # only an https origin pays for loading it
-
-            tls = ssl.create_default_context()
-        address = (parts.hostname, parts.port or (443 if tls else 80))
-        self.connections = [_Connection(address, timeout, tls) for _ in range(size)]
-        self.lock = threading.Lock()
-        # callers drop providers unclosed: close the sockets when the pool is collected
-        weakref.finalize(self, _close_all, self.connections)
-
-    def close(self) -> None:
-        _close_all(self.connections)
-
-
 class _Batch:
     """One batch of HTTP probes of one kind, each request already built,
     shared by the lanes that answer it.
@@ -573,7 +552,24 @@ class HttpProvider(_Provider):
         self._headers = f"Host: {parts.netloc}\r\nAccept-Encoding: identity\r\nContent-Type: application/json\r\n"
         if self.token:
             self._headers += f"Authorization: Bearer {self.token}\r\n"
-        self._session = _ConnectionPool(parts, max_in_flight, timeout)
+        tls = None
+        if parts.scheme == "https":
+            import ssl  # only an https origin pays for loading it
+
+            tls = ssl.create_default_context()
+        address = (parts.hostname, parts.port or (443 if tls else 80))
+        self._connections = [_Connection(address, timeout, tls) for _ in range(max_in_flight)]
+        self._lock = threading.Lock()  # held by the batch whose lanes use the connections
+        # callers drop providers unclosed: close the sockets when the provider is collected
+        weakref.finalize(self, _close_all, self._connections)
+
+    # kept for perfbench/tests/test_bench_server.py:74, which closes a provider through it
+    _session = property(lambda self: self)
+
+    def close(self) -> None:
+        """Close every connection once the batch being answered is done; a later probe reconnects."""
+        with self._lock:
+            _close_all(self._connections)
 
     def _request(self, kind: str, context: str, target: str) -> bytes:
         """The whole HTTP request for one probe."""
@@ -654,13 +650,13 @@ class HttpProvider(_Provider):
                 ledger: CostLedger) -> tuple[list, tuple[int, NnciftError] | None]:
         """Answer (context, target) probes of one kind over the first
         min(max_in_flight, len(probes)) pooled connections, holding the
-        pool's lock until every lane that started has returned. Returns the
+        provider's lock until every lane that started has returned. Returns the
         answers in request order and the (index, error) of the lowest-index
         request that failed, if any."""
         batch = _Batch(self, kind, [self._request(kind, context, target) for context, target in probes],
                        ledger)
-        with self._session.lock:
-            first, *others = self._session.connections[:max(1, min(self.max_in_flight, len(probes)))]
+        with self._lock:
+            first, *others = self._connections[:max(1, min(self.max_in_flight, len(probes)))]
             threads = []
             try:
                 for conn in others:

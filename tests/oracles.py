@@ -47,7 +47,7 @@ def estimate_one_column_in_place(params: MlpParams, left: np.ndarray, rows) -> n
     left[rows]: each gathered chunk of A = left W_lᵀ + b1 has B's zero row
     added and is rectified in place, with no workspace. The oracle for
     the one-column case of `_estimate_chunks`, which forms every chunk in
-    its workspace."""
+    its workspace and fills its caller's array."""
     dim = left.shape[1]
     rows = np.asarray(rows, dtype=np.int64)
     b = np.zeros((1, 0)) @ params.w1[:, dim:].T

@@ -301,6 +301,20 @@ class TestExitCodes:
         assert probe_server.requests == []
         assert not (out / "q1.nnk").exists()
 
+    def test_scale_counts_summing_past_float_range_exit_2_before_any_probe(self, tmp_path, capsys,
+                                                                           probe_server):
+        # each count fits a float but their sum does not: compute_pointwise
+        # used to exit 1 dividing by it, after the corner's probes were paid for
+        scales = [{"label": label, "parameter_count": 10**308} for label in ("1b", "7b")]
+        config = write_config(tmp_path, method="selectit", m=20, target_embeddings=..., scales=scales,
+                              probe={"provider": "http", "base_url": probe_server.url},
+                              **write_texts(tmp_path))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert "scales[].parameter_count values must sum to at most the largest float" in capsys.readouterr().err
+        assert probe_server.requests == []
+        assert not (out / "q1.nnk").exists()
+
     @pytest.mark.parametrize("option", [
         {"max_in_flight": 0},
         {"max_in_flight": -1},

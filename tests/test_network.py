@@ -476,6 +476,17 @@ class TestEstimatePairwise:
         with pytest.raises(ValueError):
             estimate_pairwise(params, pair, [0], [0], CostLedger())
 
+    def test_columns_projected_for_other_parameters_or_columns_rejected(self):
+        pair = embedding_pair(4, 4, 3)
+        params = init_params(seed=0, in_dim=6, hidden=2)
+        other = init_params(seed=1, in_dim=6, hidden=2)
+        columns = nncift.network.project_columns(params, pair, 4, [0, 1])
+        for net, cols in ((other, [0, 1]), (params, [1, 0]), (params, [0, 1, 2])):
+            ledger = CostLedger()
+            with pytest.raises(ValueError, match="projected for other parameters or columns"):
+                estimate_pairwise(net, pair, range(4), cols, ledger, columns=columns)
+            assert ledger.estimator_forwards == 0
+
     def test_matches_single_forward(self):
         pair = embedding_pair(4, 4, 3)
         params = init_params(seed=2, in_dim=6, hidden=4)
@@ -634,10 +645,7 @@ class TestEstimateRowBlocks:
 
         def run(ws):
             columns = nncift.network._project(params, right, every_col, ws)
-            out = np.empty((150, cols))
-            for start, y in nncift.network._estimate_chunks(params, left, every_row, columns):
-                out[start:start + len(y)] = y
-            return out
+            return nncift.network._estimate_chunks(params, left, every_row, columns, np.empty((150, cols)))
 
         expected = run(nncift.network._workspace(150, cols, 20))
         for _ in range(2):
@@ -662,9 +670,7 @@ class TestOneColumnEstimates:
         every_row = np.arange(count)
         columns = nncift.network._project(params, np.zeros((1, 0)), [0],
                                           nncift.network._workspace(count, 1, 100))
-        out = np.empty(count)
-        for start, y in nncift.network._estimate_chunks(params, left, every_row, columns):
-            out[start:start + len(y)] = y[:, 0]
+        out = nncift.network._estimate_chunks(params, left, every_row, columns, np.empty((count, 1)))[:, 0]
         assert out.tobytes() == estimate_one_column_in_place(params, left, every_row).tobytes()
 
 

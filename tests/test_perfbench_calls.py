@@ -60,7 +60,7 @@ def test_run_py_calls_keep_their_forms(tmp_path):
 
 
 def test_private_names_perfbench_tests_reach(tmp_path, probe_server):
-    # test_bench_server.py closes a provider's connections through its pool
+    # test_bench_server.py closes a provider's connections through `_session`, its alias
     ledger = CostLedger()
     provider = HttpProvider(probe_server.url, backoff=0.001, max_in_flight=2)
     assert provider.target_logprobs("ctx 0", "gamma delta", ledger) == [-0.5, -0.25]

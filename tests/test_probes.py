@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -878,6 +880,42 @@ def test_dropped_providers_leave_no_open_socket(slow_server):
     assert proc.stderr == ""
     # the failed batch charged every request the server saw, and no other
     assert len(slow_server.requests) == 26 + int(proc.stdout)
+
+
+def open_connections_reach(server, count, timeout=5.0):
+    """Whether the server's open connections come to `count` within `timeout` seconds."""
+    deadline = time.monotonic() + timeout
+    while server.open["connections"] != count and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return server.open["connections"] == count
+
+
+def test_close_drops_every_connection_and_a_later_probe_reconnects(slow_server):
+    provider = HttpProvider(slow_server.url, backoff=0, max_in_flight=2)
+    requests = [(f"r{k}", f"context {k}", f"target {k}", str(k)) for k in range(6)]
+    probe_batch(provider, "target_logprobs", requests, CostLedger())
+    assert open_connections_reach(slow_server, 2)
+    provider.close()
+    assert open_connections_reach(slow_server, 0)
+    ledger = CostLedger()
+    assert provider.target_logprobs("context", "target", ledger) == slow_server.logprobs("context", "target")
+    assert ledger.forward_calls == len(slow_server.requests) - 6 == 1
+    assert slow_server.total["connections"] == 3
+    provider.close()
+
+
+def test_a_dropped_provider_closes_its_connections(slow_server):
+    provider = HttpProvider(slow_server.url, backoff=0, max_in_flight=2)
+    requests = [(f"r{k}", f"context {k}", f"target {k}", str(k)) for k in range(6)]
+    probe_batch(provider, "target_logprobs", requests, CostLedger())
+    assert open_connections_reach(slow_server, 2)
+    # a socket collected unclosed would warn instead
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        del provider
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
+    assert open_connections_reach(slow_server, 0)
 
 
 class TestBuildProvider:
