@@ -579,9 +579,16 @@ def cmd_train_estimate(config: RunConfig) -> Path:
     return out
 
 
+def _check_v(method: str, v_values) -> None:
+    """ConfigError if facility location would get v = 0: it needs budget >= 1."""
+    if SELECTORS[method] == "facility_location" and any(exact_decimal(v) == 0 for v in v_values):
+        raise ConfigError(f"{method} needs v > 0: facility location needs budget >= 1")
+
+
 def cmd_select(config: RunConfig) -> Path:
     """Step 3: subset selection from the merged influence values, which
     `config`'s run must have made."""
+    _check_v(config.method, [config.v])
     out = _run_dir(config.out_dir)
     _load_ledger(out, config)
     full_path = _run_file(out / FULL_FILE, "train-estimate")
@@ -591,9 +598,9 @@ def cmd_select(config: RunConfig) -> Path:
                           "cells, not the whole matrix; stale artifact?")
     budget = exact_ceil(config.v, full.m)
     try:
-        result, kernel = select(config.method, full, budget)
+        result = select(config.method, full, budget)
     except ValueError as exc:
-        raise SelectionError(str(exc)) from exc
+        raise SelectionError(f"{full_path}: {exc}") from exc
     doc = {
         "method": config.method,
         "selector": SELECTORS[config.method],
@@ -602,7 +609,7 @@ def cmd_select(config: RunConfig) -> Path:
         "indices": list(result.indices),
         "objective_values": list(result.objective_values),
         "seed": config.seed,
-        "kernel_hash": kernel.content_hash(),
+        "kernel_hash": full.content_hash(),
     }
     _write_json(out / SELECTION_FILE, doc)
     print(f"wrote {out / SELECTION_FILE} ({len(result.indices)} of {full.m} rows)")
@@ -691,10 +698,7 @@ def cmd_pipeline(config: RunConfig) -> Path:
     # every cell's u and v, before the first cell pays for its probes
     if any(exact_decimal(u) == 0 for u in config.u_sweep or [config.u]):
         raise ConfigError("pipeline runs need u > 0")
-    if SELECTORS[config.method] == "facility_location" and any(
-            exact_decimal(v) == 0 for v in config.v_sweep or [config.v]):
-        raise ConfigError(f"{config.method} pipeline runs need v > 0: facility location "
-                          "needs budget >= 1")
+    _check_v(config.method, config.v_sweep or [config.v])
     if config.u_sweep or config.v_sweep:
         return _run_sweep(config)
     cmd_valuate(config)

@@ -699,10 +699,10 @@ def probe_batch(
     its lane serves other requests. Every other provider answers the
     requests one after another through its `kind` method.
 
-    Either way, a failure raises the error of the lowest-index failing
-    request, the one a sequential loop would stop at, and an NnciftError
-    is prefixed with "at <where>". Requests not yet sent by then are never
-    sent nor charged; those in flight finish and are charged.
+    Either way, a failure raises the NnciftError of the lowest-index failing
+    request, the one a sequential loop would stop at, prefixed "at <where>".
+    Requests not yet sent by then are never sent nor charged; those in
+    flight finish and are charged.
     """
     if isinstance(probe, HttpProvider):
         probes = [(context, target) for _, context, target, _ in requests]
@@ -718,9 +718,7 @@ def probe_batch(
                 break
     if failure is not None:
         k, exc = failure
-        if isinstance(exc, NnciftError):
-            raise type(exc)(f"at {requests[k][0]}: {exc}") from exc
-        raise exc
+        raise type(exc)(f"at {requests[k][0]}: {exc}") from exc
     return answers
 
 

@@ -53,8 +53,8 @@ def normalize_kernel(matrix: InfluenceMatrix) -> InfluenceMatrix:
     """Affinely map all values onto [0, 1], preserving their order.
 
     A constant matrix maps to all zeros (the declared degenerate rule).
-    Facility location needs a nonnegative kernel; influence values may
-    be negative.
+    Facility location needs a kernel in [0, 1]; raw influence values may
+    be negative. The pipeline never calls this: `full.nnk` is in [0, 1].
 
     The float32 kernel is filled a row block at a time, each block widened
     to float64, scaled and narrowed back, so it holds no float64 copy of
@@ -91,7 +91,7 @@ def _checked_kernel(matrix: InfluenceMatrix, budget: int) -> np.ndarray:
         raise CoverageError("facility location requires a fully valid kernel")
     kernel = matrix.block
     if kernel.size and (kernel.min() < 0.0 or kernel.max() > 1.0):
-        raise ValueError("facility location expects a kernel in [0, 1]; normalize first")
+        raise ValueError(f"facility location needs values in [0, 1], got {kernel.min()} to {kernel.max()}")
     return kernel
 
 
@@ -161,13 +161,9 @@ def topk_pointwise(matrix: InfluenceMatrix, k: int) -> SelectionResult:
     return topk_rowmax(matrix, k)
 
 
-def select(method: str, matrix: InfluenceMatrix, budget: int) -> tuple[SelectionResult, InfluenceMatrix]:
-    """`method`'s selector run on `matrix` at `budget`, and the kernel it
-    ran on: facility location normalises the matrix first, the rankings
-    take it as it is."""
-    selector = SELECTORS[method]
-    if selector == "facility_location":
-        kernel = normalize_kernel(matrix)
-        return facility_location_greedy(kernel, budget), kernel
-    rank = topk_rowmax if selector == "topk_rowmax" else topk_pointwise
-    return rank(matrix, budget), matrix
+def select(method: str, matrix: InfluenceMatrix, budget: int) -> SelectionResult:
+    """`method`'s selector run on `matrix` at `budget`. Facility location
+    takes the matrix as its kernel, so its values must lie in [0, 1]."""
+    selector = {"facility_location": facility_location_greedy, "topk_rowmax": topk_rowmax,
+                "topk_pointwise": topk_pointwise}[SELECTORS[method]]
+    return selector(matrix, budget)

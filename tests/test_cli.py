@@ -1,5 +1,6 @@
 """End-to-end command tests: exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -32,6 +33,7 @@ from nncift.network import (
     load_params,
 )
 from nncift.probes import MAX_IN_FLIGHT, CostLedger, FileProvider
+from nncift.selection import facility_location_greedy, normalize_kernel
 from oracles import mse_by_quadrant_one_mean, overlay
 
 
@@ -137,13 +139,15 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
         assert read_json(out / "selection.json")["indices"] == []
 
-    def test_facility_location_budget_zero_exits_4(self, tmp_path):
-        # the select step alone still meets the empty budget as a selection error
+    def test_facility_location_select_rejects_v_zero_with_2(self, tmp_path, capsys):
+        # the select step alone meets v = 0 as pipeline does: a config error
         config = write_config(tmp_path, v=0)
-        out = str(tmp_path / "run")
-        assert main(["valuate", "--config", str(config), "--out", out]) == 0
-        assert main(["train-estimate", "--config", str(config), "--out", out]) == 0
-        assert main(["select", "--config", str(config), "--out", out]) == 4
+        out = tmp_path / "run"
+        assert main(["valuate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["train-estimate", "--config", str(config), "--out", str(out)]) == 0
+        assert main(["select", "--config", str(config), "--out", str(out)]) == 2
+        assert "needs v > 0" in capsys.readouterr().err
+        assert not (out / "selection.json").exists()
 
     def test_train_estimate_without_valuate_exits_2(self, tmp_path):
         config = write_config(tmp_path)
@@ -911,7 +915,7 @@ class TestSelect:
         # facility location objective is monotone in the picks
         assert doc["objective_values"] == sorted(doc["objective_values"])
 
-    def test_facility_location_holds_the_file_and_one_kernel(self, tmp_path):
+    def test_facility_location_holds_the_file_and_no_kernel(self, tmp_path):
         m, n = 1000, 400
         config = write_config(tmp_path, m=m, n=n, dim=16, u=0.05)
         out = tmp_path / "run"
@@ -924,10 +928,43 @@ class TestSelect:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # full.nnk's bytes, read in place, and the float32 kernel; every other
-        # buffer is one row block's or one row's
+        # full.nnk's bytes, read in place as the kernel; every other buffer is
+        # one row block's or one row's
         matrix = m * n * np.dtype(np.float32).itemsize
-        assert peak - start <= 2 * matrix + 2**20
+        assert peak - start <= matrix + 2**19
+
+    @pytest.mark.parametrize("method, overrides", [
+        ("delift", {}),
+        ("delift", {"pure_estimates": True}),
+        ("delift_se", {}),
+        ("delift_se", {"pure_estimates": True}),
+        ("delift_se", {"u": 0.02}),  # a 1-cell corner: its normalised truth is constant
+    ], ids=["delift", "delift-pure", "delift_se", "delift_se-pure", "delift_se-1-cell"])
+    def test_facility_location_selects_on_full_nnk_as_written(self, tmp_path, method, overrides):
+        config = write_config(tmp_path, method=method, **overrides)
+        out = tmp_path / "run"
+        for step in ("valuate", "train-estimate", "select"):
+            assert main([step, "--config", str(config), "--out", str(out)]) == 0
+        doc = read_json(out / "selection.json")
+        assert doc["kernel_hash"] == hashlib.sha256((out / "full.nnk").read_bytes()).hexdigest()
+        # a positive affine map leaves the picks as they were
+        full = load_influence(out / "full.nnk")
+        expected = facility_location_greedy(normalize_kernel(full), doc["budget"])
+        assert doc["indices"] == expected.indices
+
+    def test_facility_location_refuses_a_full_matrix_outside_the_unit_interval(self, tmp_path,
+                                                                               capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        for step in ("valuate", "train-estimate"):
+            assert main([step, "--config", str(config), "--out", str(out)]) == 0
+        full = load_influence(out / "full.nnk")
+        block = full.block.copy()
+        block[3, 5] = 1.5
+        (out / "full.nnk").write_bytes(InfluenceMatrix.full(block).to_bytes())
+        assert main(["select", "--config", str(config), "--out", str(out)]) == 4
+        assert str(out / "full.nnk") in capsys.readouterr().err
+        assert not (out / "selection.json").exists()
 
     @pytest.mark.parametrize("method", ["delift_se", "less", "selectit"])
     def test_select_refuses_a_full_matrix_that_is_not_whole(self, tmp_path, capsys, method):

@@ -295,24 +295,23 @@ class TestTopkPointwise:
 
 class TestSelect:
     @pytest.mark.parametrize("method", ["delift", "delift_se"])
-    def test_facility_location_runs_on_the_normalised_kernel(self, method):
+    def test_facility_location_runs_on_the_matrix_itself(self, method):
+        matrix = full(np.random.default_rng(3).uniform(0, 1, (12, 5)))
+        assert select(method, matrix, 4) == facility_location_greedy(matrix, 4)
+
+    @pytest.mark.parametrize("method", ["delift", "delift_se"])
+    def test_facility_location_refuses_a_matrix_outside_the_unit_interval(self, method):
         matrix = full(np.random.default_rng(3).uniform(-2, 2, (12, 5)))
-        result, kernel = select(method, matrix, 4)
-        expected = normalize_kernel(matrix)
-        assert kernel.content_hash() == expected.content_hash()
-        assert result == facility_location_greedy(expected, 4)
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            select(method, matrix, 4)
 
     def test_less_ranks_the_matrix_itself(self):
         matrix = full(np.random.default_rng(4).uniform(-2, 2, (12, 5)))
-        result, kernel = select("less", matrix, 4)
-        assert kernel is matrix
-        assert result == topk_rowmax(matrix, 4)
+        assert select("less", matrix, 4) == topk_rowmax(matrix, 4)
 
     def test_selectit_ranks_its_m_by_1_matrix(self):
         matrix = column(np.random.default_rng(5).uniform(-2, 2, 12))
-        result, kernel = select("selectit", matrix, 4)
-        assert kernel is matrix
-        assert result == topk_pointwise(matrix, 4)
+        assert select("selectit", matrix, 4) == topk_pointwise(matrix, 4)
 
 
 class TestBudget:
