@@ -45,7 +45,6 @@ from .datasets import (
     load_texts,
     partition,
     read_json,
-    row_blocks,
 )
 from .errors import (
     ConfigError,
@@ -185,11 +184,16 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 def _check_fraction(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
+    from decimal import Decimal, InvalidOperation  # loaded already: fractions imports it
     try:
+        # Decimal reads any exponent at once, Fraction in time that grows as
+        # 10**|exponent|; no float's repr reaches 400
+        if abs(Decimal(str(value)).adjusted()) > 400:
+            raise ValueError("exponent out of range")
         # float() too: the report and the sweep's directory names read the value as a decimal
         float(value)
         parsed = exact_decimal(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (InvalidOperation, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}") from exc
     if not 0 <= parsed <= 1:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
@@ -481,10 +485,11 @@ def cmd_train_estimate(config: RunConfig) -> Path:
     pure_estimates is set. The truth evaluation reuses the same
     estimates, so its ledger meters the truth pass alone.
 
-    After training the step holds one float32 M x N matrix, the
-    normalised truth (none without evaluate_truth), and otherwise one row
-    block's scratch: the estimates are made a row block at a time, scored
-    against the truth and appended to full.nnk.
+    After training the step holds one float32 M x N matrix, the truth
+    (none without evaluate_truth), and otherwise one row block's scratch:
+    the estimates are made a row block at a time, scored against that
+    block of the truth, which is normalised in place there, and appended
+    to full.nnk.
     """
     out = _run_dir(config.out_dir)
     pair, part = config.pair, config.part
@@ -504,10 +509,9 @@ def cmd_train_estimate(config: RunConfig) -> Path:
 
     pointwise = config.method in POINTWISE_METHODS
     right = np.zeros((1, 0)) if pointwise else pair.target.rows[part.id_t]
-    targets = q1.block.reshape(-1).astype(np.float64)
     train_config = config.train_config()
     with ledger.time_phase("train"):
-        result = train(pair.fine_tune.rows[part.id_f], right, targets, train_config)
+        result = train(pair.fine_tune.rows[part.id_f], right, q1.block, train_config)
     save_params(result.params, out / PARAMS_FILE, result.norm, seed=config.seed,
                 optimizer=train_config.optimizer_metadata())
     norm = result.norm
@@ -516,21 +520,16 @@ def cmd_train_estimate(config: RunConfig) -> Path:
         return norm.normalize(values).astype(np.float32)
 
     rows, cols = np.arange(part.m), np.arange(part.n)
-    corner = normalized(q1.block)
     errors = truth = None
     if config.evaluate_truth:
         eval_ledger = CostLedger()
         with eval_ledger.time_phase("evaluate"):
             truth = _valuate(config, rows, cols, eval_ledger).block
-            for block in row_blocks(*truth.shape):
-                truth[block] = norm.normalize(truth[block])
         noise = np.random.Generator(np.random.PCG64(config.seed))
         corner_mean = float(np.mean(norm.normalize(q1.block)))
         errors = QuadrantErrors(part, PREDICTORS)
     # ground truth was already paid for; keep it on Q1, in full.nnk's space
-    overlay = None if config.pure_estimates else (q1.block if pointwise else corner)
-    id_at = np.full(part.m, -1)
-    id_at[part.id_f] = np.arange(len(part.id_f))
+    overlay = None if config.pure_estimates else (q1.block if pointwise else normalized(q1.block))
     columns = None if pointwise else project_columns(result.params, pair, part.m, cols)
 
     def estimated_blocks():
@@ -547,8 +546,10 @@ def cmd_train_estimate(config: RunConfig) -> Path:
                                                   ledger, columns).block
             if errors is not None:
                 with eval_ledger.time_phase("evaluate"):
-                    # the noise is drawn in the stream order of one (m, n) draw;
+                    # normalised in place: a copy would add a block to the step's peak.
+                    # The noise is drawn in the stream order of one (m, n) draw;
                     # the constant predictors are scored without a matrix
+                    truth[block] = norm.normalize(truth[block])
                     errors.add(block, truth[block], {
                         "trained": normalized(estimates) if pointwise else estimates,
                         "random_uniform": uniform_rows(noise, *estimates.shape),
@@ -556,9 +557,8 @@ def cmd_train_estimate(config: RunConfig) -> Path:
                         "corner_mean": corner_mean,
                     })
             if overlay is not None:
-                at = id_at[block]
-                on_id = np.flatnonzero(at >= 0)
-                estimates[np.ix_(on_id, part.id_t)] = overlay[at[on_id]]
+                on_id = (part.id_f >= block.start) & (part.id_f < block.stop)
+                estimates[np.ix_(part.id_f[on_id] - block.start, part.id_t)] = overlay[on_id]
             yield estimates
 
     save_influence_rows(out / FULL_FILE, part.m, part.n, rows, cols, estimated_blocks())
@@ -592,7 +592,8 @@ def cmd_select(config: RunConfig) -> Path:
     out = _run_dir(config.out_dir)
     _load_ledger(out, config)
     full_path = _run_file(out / FULL_FILE, "train-estimate")
-    full = load_influence(full_path)
+    raw = full_path.read_bytes()
+    full = InfluenceMatrix.from_bytes(raw, str(full_path))
     if not full.fully_valid:
         raise ConfigError(f"{full_path} holds {full.valid_count()} of the {full.m}x{full.n} "
                           "cells, not the whole matrix; stale artifact?")
@@ -609,7 +610,7 @@ def cmd_select(config: RunConfig) -> Path:
         "indices": list(result.indices),
         "objective_values": list(result.objective_values),
         "seed": config.seed,
-        "kernel_hash": full.content_hash(),
+        "kernel_hash": hashlib.sha256(raw).hexdigest(),
     }
     _write_json(out / SELECTION_FILE, doc)
     print(f"wrote {out / SELECTION_FILE} ({len(result.indices)} of {full.m} rows)")

@@ -239,12 +239,14 @@ def is_number(value) -> bool:
 
 def read_json(path: Path, error: type[Exception] = FileFormatError):
     """The JSON document in a UTF-8 file. Bytes that are not UTF-8, or not
-    JSON, raise `error` naming the file; an OSError passes through."""
+    JSON (an integer of more digits than int() reads, or nesting deeper
+    than the recursion limit, included), raise `error` naming the file; an
+    OSError passes through."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -260,7 +262,7 @@ def jsonl_records(path: Path) -> Iterator[tuple[str, object]]:
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
                 yield f"{path}:{lineno}", record
         except UnicodeDecodeError as exc:

@@ -21,7 +21,6 @@ and columns in the order the block holds them.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
@@ -112,13 +111,9 @@ class InfluenceMatrix:
     def valid_count(self) -> int:
         return int(self.block.size)
 
-    def _nnk_parts(self) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
-        """Header, row indices, column indices and block, in file order."""
-        return (*_nnk_head(self.m, self.n, self.rows, self.cols),
-                np.ascontiguousarray(self.block, dtype="<f4"))
-
     def to_bytes(self) -> bytes:
-        return b"".join(self._nnk_parts())
+        return b"".join((*_nnk_head(self.m, self.n, self.rows, self.cols),
+                         np.ascontiguousarray(self.block, dtype="<f4")))
 
     @classmethod
     def from_bytes(cls, raw: bytes, origin: str = "<bytes>") -> "InfluenceMatrix":
@@ -136,13 +131,6 @@ class InfluenceMatrix:
         except (ValueError, DataValidationError) as exc:
             kind = FileFormatError if isinstance(exc, ValueError) else DataValidationError
             raise kind(f"{origin}: {exc}") from exc
-
-    def content_hash(self) -> str:
-        """sha256 of to_bytes(), fed part by part rather than joined."""
-        digest = hashlib.sha256()
-        for part in self._nnk_parts():
-            digest.update(part)
-        return digest.hexdigest()
 
 
 def _nnk_head(m: int, n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:

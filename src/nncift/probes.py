@@ -594,7 +594,7 @@ class HttpProvider(_Provider):
             raise ProbeError(f"{url}: status {status}")
         try:
             payload = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"{url}: response is not JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ProtocolError(f"{url}: response is not a JSON object")

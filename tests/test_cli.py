@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -78,6 +79,18 @@ def write_texts(tmp_path, m=20, n=10):
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def selectit_on_records(tmp_path, line):
+    """A selectit config whose one scale replays a record file holding one
+    good record and then `line`; the config's path and the record file's."""
+    records = tmp_path / "records.jsonl"
+    good = json.dumps({"key": "0:0", "kind": "token_max_probs", "values": [0.5]})
+    records.write_text(f"{good}\n{line}\n")
+    config = write_config(tmp_path, method="selectit", m=20, target_embeddings=...,
+                          probe={"provider": "file", "records": str(records)},
+                          scales=[{"label": "1b", "parameter_count": 1}], **write_texts(tmp_path))
+    return config, records
 
 
 class TestExitCodes:
@@ -186,12 +199,47 @@ class TestExitCodes:
         {"target_texts": ["t.jsonl"]},
         {"out_dir": 5},
         {"probe": {"provider": "synthetic", "seed": True}},
+        {"u": [0.1]},
+        {"fine_tune_embeddings": None},
+        {"target_embeddings": ...},
+        {"method": "selectit", "target_embeddings": ..., "probe": {"provider": "file", "records": "r.jsonl"}},
+        {"scales": []},
+        {"scales": [5]},
+        {"scales": [{"label": "1b", "parameter_count": 1, "size": 2}]},
+        {"scales": [{"label": "1b"}]},
+        {"method": "delift", "probe": {"provider": "http", "base_url": "http://127.0.0.1:9"}},
+        {"pure_estimates": "yes"},
+        {"evaluate_truth": 1},
+        {"u_sweep": []},
+        {"v_sweep": "0.3"},
+        {"probe": {"provider": "http"}},
+        # the document itself: no file to read, or not an object
+        pytest.param(None, id="no_config_file"),
+        pytest.param([], id="config_not_an_object"),
     ])
     def test_bad_config_exits_2_before_any_probe(self, tmp_path, overrides):
-        config = write_config(tmp_path, **overrides)
+        if isinstance(overrides, dict):
+            config = write_config(tmp_path, **overrides)
+        else:
+            config = tmp_path / "config.json"
+            if overrides is not None:
+                config.write_text(json.dumps(overrides))
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
         assert not (out / "q1.nnk").exists()
+
+    @pytest.mark.parametrize("field", ["u", "v", "u_sweep", "v_sweep"])
+    def test_decimal_with_a_huge_exponent_exits_2_at_once(self, tmp_path, capsys, field):
+        # Fraction reads "1e-1000000" in time that grows as 10**|exponent|;
+        # the run used to take it as a u or v just above 0
+        value = "1e-1000000"
+        config = write_config(tmp_path, **{field: [value] if field.endswith("_sweep") else value})
+        out = tmp_path / "run"
+        start = time.perf_counter()
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 0.1
+        assert f"{field} must be a number in [0, 1], got '{value}'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("probe", [
         {"provider": "synthetic", "seed": "x"},
@@ -280,6 +328,78 @@ class TestExitCodes:
         assert not (out / "full.nnk").exists()
         with pytest.raises(FileFormatError, match="ledger.json"):
             nncift.cli._emit_final_report(resolve_config(read_json(config), out_override=out))
+
+    @pytest.mark.parametrize("bad", ["1" + "0" * 5000, "[" * 1000 + "]" * 1000],
+                             ids=["int_of_5001_digits", "nested_1000_deep"])
+    @pytest.mark.parametrize("site", ["config", "texts", "records", "ledger"])
+    def test_json_past_the_parsers_limits_exits_2_naming_the_file(self, tmp_path, capsys, site, bad):
+        # int() refuses more than 4300 digits and the decoder recurses once a
+        # level: either used to escape as a traceback and exit 1
+        out = tmp_path / "run"
+        command = "pipeline"
+        if site == "config":
+            config = write_config(tmp_path)
+            config.write_text(config.read_text()[:-1] + f', "train": {bad}}}')
+            where = f"{config}"
+        elif site == "texts":
+            texts = write_texts(tmp_path)
+            config = write_config(tmp_path, method="delift", m=20, n=10, **texts)
+            path = Path(texts["fine_tune_texts"])
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join([lines[0], bad, *lines[2:]]) + "\n")
+            where = f"{path}:2"
+        elif site == "records":
+            config, path = selectit_on_records(tmp_path, bad)
+            where = f"{path}:2"
+        else:
+            config = write_config(tmp_path)
+            assert main(["valuate", "--config", str(config), "--out", str(out)]) == 0
+            (out / "ledger.json").write_text(bad)
+            command, where = "train-estimate", f"{out / 'ledger.json'}"
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert f"{where}: invalid JSON: " in capsys.readouterr().err
+        assert not (out / "full.nnk").exists()
+
+    @pytest.mark.parametrize("record, message", [
+        ([1], "expected key/kind/values object"),
+        ({"key": "0:0", "kind": "logits", "values": [0.5]}, "unknown kind 'logits'"),
+        ({"key": "", "kind": "token_max_probs", "values": [0.5]}, "key must be a non-empty string"),
+        ({"key": "0:0", "kind": "token_max_probs", "values": []}, "values must be a non-empty list"),
+    ], ids=["not_an_object", "unknown_kind", "empty_key", "empty_values"])
+    def test_malformed_probe_record_exits_2_naming_its_line(self, tmp_path, capsys, record, message):
+        config, path = selectit_on_records(tmp_path, json.dumps(record))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error [FileFormatError] {path}:2: {message}" in capsys.readouterr().err
+        assert not (out / "q1.nnk").exists()
+
+    @pytest.mark.parametrize("provider, error", [("http", "ProbeError"), ("file", "RecordNotFoundError")])
+    def test_probe_that_cannot_answer_exits_5(self, tmp_path, capsys, probe_server, provider, error):
+        # a server that answers 500 to every attempt, or a record file
+        # without the first probe's key
+        probe_server.answer = lambda path, body: (500, {})
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"key": "x", "kind": "target_logprobs", "values": [-0.5]}) + "\n")
+        probe = ({"provider": "http", "base_url": probe_server.url, "retries": 2, "backoff": 0}
+                 if provider == "http" else {"provider": "file", "records": str(records)})
+        config = write_config(tmp_path, method="delift", m=20, n=10, probe=probe, **write_texts(tmp_path))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 5
+        assert f"error [{error}] at target " in capsys.readouterr().err
+        assert not (out / "q1.nnk").exists()
+
+    def test_q1_of_another_corner_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["valuate", "--config", str(config), "--out", str(out)]) == 0
+        q1 = load_influence(out / "q1.nnk")
+        other = np.setdiff1d(np.arange(q1.m), q1.rows)[:len(q1.rows)]
+        save_influence(InfluenceMatrix(q1.m, q1.n, other, q1.cols, q1.block), out / "q1.nnk")
+        capsys.readouterr()
+        assert main(["train-estimate", "--config", str(config), "--out", str(out)]) == 2
+        assert f"{out / 'q1.nnk'} (40x40) is not the ID corner of this 40x40 run" in capsys.readouterr().err
+        assert not (out / "full.nnk").exists()
 
     @pytest.mark.parametrize("site", ["train.learning_rate", "scales.parameter_count", "probe.records"])
     def test_number_past_float_range_exits_2_before_any_probe(self, tmp_path, capsys, probe_server,
@@ -1186,6 +1306,15 @@ class TestConfigResolution:
             ({"method": "selectit", "scales": http_scale}, False),
         ):
             assert resolve_config({**base, **doc}).evaluate_truth is expected, doc
+
+    @pytest.mark.parametrize("value", [0.05, "0.05", "5e-2", "0.050", 0, 1])
+    def test_fraction_spellings_resolve_as_written(self, value):
+        doc = {"method": "delift_se", "fine_tune_embeddings": "f.emb", "target_embeddings": "t.emb",
+               "u": value, "v": value, "u_sweep": [value], "v_sweep": [value]}
+        config = resolve_config(doc)
+        resolved = {key: config.resolved[key] for key in ("u", "v", "u_sweep", "v_sweep")}
+        assert resolved == {"u": value, "v": value, "u_sweep": [value], "v_sweep": [value]}
+        assert all(type(config.resolved[key]) is type(value) for key in ("u", "v"))
 
     def test_null_prompts_get_the_default(self):
         doc = {"method": "selectit", "fine_tune_embeddings": "f.emb"}

@@ -178,8 +178,9 @@ class TestEmb1InPlaceLoad:
         (lambda raw: raw[:20] + np.array([np.nan], dtype="<f4").tobytes() + raw[24:],
          DataValidationError),
         (lambda raw: raw[:-4] + np.array([-np.inf], dtype="<f4").tobytes(), DataValidationError),
+        (lambda raw: raw[:12] + struct.pack("<I", 0) + raw[16:], FileFormatError),
     ], ids=["one_float_short", "one_byte_short", "header_only", "one_float_long",
-            "one_byte_long", "nan", "negative_inf"])
+            "one_byte_long", "nan", "negative_inf", "zero_dim"])
     def test_bad_payload_names_the_path(self, tmp_path, edit, error):
         path = tmp_path / "bad.emb"
         save_embeddings(random_matrix(np.random.default_rng(0), 3, 4), path)

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import re
@@ -808,18 +807,6 @@ class TestInfluenceMatrixFormat:
         top = InfluenceMatrix(3, 3, [1], [1], np.ones((1, 1), dtype=np.float32))
         with pytest.raises(CoverageError):
             overlay(base, top)
-
-    def test_content_hash_stable(self):
-        matrix = InfluenceMatrix.full(np.ones((2, 3), dtype=np.float32))
-        assert matrix.content_hash() == matrix.content_hash()
-        assert len(matrix.content_hash()) == 64
-        assert matrix.content_hash() == hashlib.sha256(matrix.to_bytes()).hexdigest()
-
-
-    def test_content_hash_of_a_partial_block_is_the_file_hash(self):
-        block = np.random.default_rng(3).standard_normal((3, 2)).astype(np.float32)
-        matrix = InfluenceMatrix(9, 4, [7, 0, 3], [2, 1], block)
-        assert matrix.content_hash() == hashlib.sha256(matrix.to_bytes()).hexdigest()
 
     @pytest.mark.parametrize("sizes", [[5], [2, 3], [1, 1, 1, 1, 1], [0, 4, 0, 1]])
     def test_streamed_rows_are_the_assembled_file(self, tmp_path, sizes):

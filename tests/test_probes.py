@@ -662,6 +662,29 @@ class TestHttpTransport:
             provider.target_logprobs("c", "t", ledger)
         assert (ledger.forward_calls, ledger.failed_forwards) == (2, 2)
 
+    @pytest.mark.parametrize("body", [b"not json", b"[" * 1000 + b"]" * 1000],
+                             ids=["not-json", "nested-1000-deep"])
+    def test_reply_that_is_not_json_is_one_charged_protocol_error(self, raw_server, body):
+        # the nested reply used to escape the batch as a RecursionError
+        raw_server.script = [(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body),
+                              "keep")]
+        provider = HttpProvider(raw_server.url, backoff=0, timeout=2)
+        ledger = CostLedger()
+        with pytest.raises(ProtocolError, match=f"^at r0: {raw_server.url}/v1/logprobs: response is not JSON"):
+            probe_batch(provider, "target_logprobs", [("r0", "c", "t", "0")], ledger)
+        assert (ledger.forward_calls, ledger.failed_forwards) == (1, 0)
+        assert len(raw_server.requests) == 1
+
+    def test_204_reply_fails_at_once_without_waiting_for_a_close(self, raw_server):
+        # a 204 has no body: read to the end of the connection, it would time out
+        raw_server.script = [(b"HTTP/1.1 204 No Content\r\n\r\n", "keep")]
+        provider = HttpProvider(raw_server.url, backoff=0, timeout=2)
+        ledger = CostLedger()
+        with pytest.raises(ProbeError, match=f"^{raw_server.url}/v1/logprobs: status 204$"):
+            provider.target_logprobs("c", "t", ledger)
+        assert (ledger.forward_calls, ledger.failed_forwards) == (1, 0)
+        assert len(raw_server.requests) == 1
+
     def test_request_line_and_headers(self, raw_server):
         provider = HttpProvider(raw_server.url + "/api/", token="sekrit", backoff=0)
         provider.target_logprobs("c", "t", CostLedger())
