@@ -7,33 +7,4 @@ facility-location greedy or top-k ranking. A ledger counts every probe
 call so the savings claim is checkable, not vibes.
 """
 
-from .errors import (
-    ConfigError,
-    CoverageError,
-    DataValidationError,
-    FileFormatError,
-    NnciftError,
-    PayloadLengthError,
-    ProbeError,
-    ProtocolError,
-    RecordNotFoundError,
-    SelectionError,
-    TrainingError,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "NnciftError",
-    "FileFormatError",
-    "PayloadLengthError",
-    "DataValidationError",
-    "RecordNotFoundError",
-    "ProbeError",
-    "ProtocolError",
-    "CoverageError",
-    "TrainingError",
-    "SelectionError",
-    "ConfigError",
-]

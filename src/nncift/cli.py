@@ -72,6 +72,7 @@ from .network import (
     QUADRANTS,
     QuadrantErrors,
     TrainConfig,
+    check_fits,
     estimate_pairwise,
     estimate_pointwise,
     estimate_row_blocks,
@@ -182,18 +183,9 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 
 
 def _check_fraction(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
-    from decimal import Decimal, InvalidOperation  # loaded already: fractions imports it
     try:
-        # Decimal reads any exponent at once, Fraction in time that grows as
-        # 10**|exponent|; no float's repr reaches 400
-        if abs(Decimal(str(value)).adjusted()) > 400:
-            raise ValueError("exponent out of range")
-        # float() too: the report and the sweep's directory names read the value as a decimal
-        float(value)
         parsed = exact_decimal(value)
-    except (InvalidOperation, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}") from exc
     if not 0 <= parsed <= 1:
         raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
@@ -463,6 +455,9 @@ def cmd_valuate(config: RunConfig) -> Path:
     for name in (PARAMS_FILE, FULL_FILE, MSE_FILE, SELECTION_FILE, REPORT_JSON, REPORT_TEXT):
         (out / name).unlink(missing_ok=True)
     part = config.part
+    # a network that cannot fit is refused here, before the corner is paid for
+    width = config.pair.fine_tune.dim * (1 if config.method in POINTWISE_METHODS else 2)
+    check_fits(width, config.train_config())
     ledger = CostLedger()
     with ledger.time_phase("valuate"):
         matrix = _valuate(config, part.id_f, part.id_t, ledger)

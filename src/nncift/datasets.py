@@ -14,9 +14,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import struct
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Literal
@@ -29,6 +31,7 @@ EMB1_MAGIC = b"NNCIFT1\x00"
 _EMB1_HEADER = struct.Struct("<8sII")
 
 Quadrant = Literal["Q1", "Q2", "Q3", "Q4"]
+_PLAIN_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 ROW_BLOCK_CELLS = 1 << 15  # cells per row block of a whole-matrix pass: 256 KB as float64
 
 
@@ -47,8 +50,20 @@ def all_finite(values: np.ndarray) -> bool:
 
 def exact_decimal(value: float | int | str) -> Fraction:
     """The number the caller wrote, read exactly from its decimal text: 0.07
-    is 7/100, not the binary float nearest it, and 0.2 equals "0.20"."""
-    return Fraction(str(value))
+    is 7/100, not the binary float nearest it, and 0.2 equals "0.20".
+
+    The text must be a plain decimal in ASCII digits, optionally signed and
+    with an exponent within +-400: no fraction, underscore, space or NaN.
+    Anything else, a bool included, raises ValueError.
+    """
+    text = str(value) if isinstance(value, (int, float, str)) and not isinstance(value, bool) else ""
+    if not _PLAIN_DECIMAL.fullmatch(text):
+        raise ValueError(f"not a plain decimal: {value!r}")
+    # Decimal reads any exponent at once, Fraction in time that grows as
+    # 10**|exponent|; no float's repr reaches 400
+    if abs(Decimal(text).adjusted()) > 400:
+        raise ValueError(f"decimal exponent out of range: {value!r}")
+    return Fraction(text)
 
 
 def exact_ceil(fraction: float | int | str, count: int) -> int:

@@ -313,6 +313,15 @@ def _factored_gradients(params: MlpParams, grads: MlpParams, left: np.ndarray,
     np.matmul(_group_sum(dz1, c, len(uc)).T, right_u, out=grads.w1[:, dim:])
 
 
+def check_fits(in_dim: int, config: TrainConfig) -> None:
+    """TrainingError if a network on `in_dim` inputs outgrows this machine's
+    memory with its float64 values, gradient and two Adam moments."""
+    count = in_dim * config.hidden + 2 * config.hidden + 1
+    if 32 * count > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise TrainingError(f"train.hidden {config.hidden} gives {count} parameters, whose float64 values, "
+                            f"gradient and two Adam moments ({32 * count} bytes) exceed this machine's memory")
+
+
 def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
           config: TrainConfig) -> TrainResult:
     """Fit the estimator to the ID corner: targets[k] is the influence of
@@ -337,10 +346,7 @@ def train(left: np.ndarray, right: np.ndarray, targets: np.ndarray,
     if not np.all(np.isfinite(targets)):
         raise DataValidationError("targets contain non-finite values")
     in_dim = left.shape[1] + right.shape[1]
-    count = in_dim * config.hidden + 2 * config.hidden + 1
-    if 32 * count > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        raise TrainingError(f"train.hidden {config.hidden} gives {count} parameters, whose float64 values, "
-                            f"gradient and two Adam moments ({32 * count} bytes) exceed this machine's memory")
+    check_fits(in_dim, config)
     norm = NormStats.fit(targets)
     t_norm = norm.normalize(targets)
     init = init_params(config.seed, in_dim=in_dim, hidden=config.hidden)

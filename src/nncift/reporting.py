@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .datasets import exact_ceil
 from .influence import PAIRWISE_METHODS, POINTWISE_METHODS
-from .network import PREDICTORS
+from .network import PREDICTORS, QUADRANTS
 
 REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
@@ -164,7 +164,7 @@ def render_text_report(doc: dict) -> str:
     lines.append("")
     mse = doc.get("quadrant_mse")
     if mse is not None:
-        groups = [q for q in ("Q1", "Q2", "Q3", "Q4") if q in mse["trained"]]
+        groups = [q for q in QUADRANTS if q in mse["trained"]]
         groups = groups or sorted(mse["trained"])
         lines.append("MSE                   trained   random     zero   corner")
         for group in groups:

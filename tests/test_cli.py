@@ -228,17 +228,22 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
         assert not (out / "q1.nnk").exists()
 
-    @pytest.mark.parametrize("field", ["u", "v", "u_sweep", "v_sweep"])
-    def test_decimal_with_a_huge_exponent_exits_2_at_once(self, tmp_path, capsys, field):
+    @pytest.mark.parametrize("value", [
         # Fraction reads "1e-1000000" in time that grows as 10**|exponent|;
         # the run used to take it as a u or v just above 0
-        value = "1e-1000000"
+        "1e-1000000",
+        # Python's number readers take these, but they are no plain decimal, and
+        # a sweep used to name its cell directory from the text as written
+        "0.0_5", "1_0e-2", " 0.05", "0.05\n",
+    ])
+    @pytest.mark.parametrize("field", ["u", "v", "u_sweep", "v_sweep"])
+    def test_value_that_is_no_plain_decimal_exits_2_at_once(self, tmp_path, capsys, field, value):
         config = write_config(tmp_path, **{field: [value] if field.endswith("_sweep") else value})
         out = tmp_path / "run"
         start = time.perf_counter()
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
         assert time.perf_counter() - start < 0.1
-        assert f"{field} must be a number in [0, 1], got '{value}'" in capsys.readouterr().err
+        assert f"{field} must be a number in [0, 1], got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("probe", [
@@ -519,23 +524,24 @@ class TestExitCodes:
         assert probe_server.requests == []
         assert not (out / "q1.nnk").exists() and not (out / "ledger.json").exists()
 
-    @pytest.mark.parametrize("method, bad, message", [
-        ("delift_se", "target.emb", "embedding dims differ: 8 vs 5"),
+    @pytest.mark.parametrize("method, bad, shape, message", [
+        ("delift_se", "target.emb", (20, 5), "embedding dims differ: 8 vs 5"),
         # selectit reads no target rows, but a target file it is given must fit
-        ("selectit", "target.emb", "embedding dims differ: 8 vs 5"),
-        ("less", "grads_f.emb", "fine_tune gradient count does not match fine_tune rows"),
-    ], ids=["delift_se", "selectit", "less"])
+        ("selectit", "target.emb", (20, 5), "embedding dims differ: 8 vs 5"),
+        ("less", "grads_f.emb", (59, 6), "fine_tune gradient count does not match fine_tune rows"),
+        ("less", "grads_t.emb", (19, 6), "target gradient count does not match target rows"),
+        ("less", "grads_t.emb", (20, 5), "gradient feature dims differ between sides"),
+    ], ids=["delift_se", "selectit", "less", "less-target-gradient-count", "less-gradient-dims"])
     def test_mismatched_input_shapes_exit_2_before_any_probe(self, tmp_path, capsys, method, bad,
-                                                            message):
+                                                            shape, message):
         gradients = {}
         if method == "less":
             gradients = {"fine_tune_gradients": str(tmp_path / "grads_f.emb"),
                          "target_gradients": str(tmp_path / "grads_t.emb")}
-            write_embeddings(tmp_path / "grads_f.emb", 59, dim=6, seed=3)
+            write_embeddings(tmp_path / "grads_f.emb", 60, dim=6, seed=3)
             write_embeddings(tmp_path / "grads_t.emb", 20, dim=6, seed=4)
         config = write_config(tmp_path, method=method, m=60, n=20, **gradients)
-        if method != "less":
-            write_embeddings(tmp_path / "target.emb", 20, dim=5, seed=2)
+        write_embeddings(tmp_path / bad, *shape, seed=5)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -656,15 +662,18 @@ class TestExitCodes:
         assert (out / "q1.nnk").exists()
         assert not (out / "params.json").exists()
 
-    def test_network_too_wide_to_allocate_exits_3_and_writes_no_params(self, tmp_path, capsys):
-        # in_dim 16: 16e9 first-layer weights, 1e9 biases, 1e9 output weights and one bias
-        config = write_config(tmp_path, dim=8, train={"hidden": 1_000_000_000})
+    def test_network_too_wide_to_allocate_exits_3_and_writes_no_params(self, tmp_path, capsys, probe_server):
+        # in_dim 16: 16e9 first-layer weights, 1e9 biases, 1e9 output weights and one bias.
+        # The corner used to be paid for, and q1.nnk written, before train refused it
+        config = write_config(tmp_path, method="delift", m=20, n=10, dim=8, train={"hidden": 1_000_000_000},
+                              probe={"provider": "http", "base_url": probe_server.url}, **write_texts(tmp_path))
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "error [TrainingError] train.hidden 1000000000 gives 18000000001 parameters" in err
         assert "Traceback" not in err
-        assert (out / "q1.nnk").exists()
+        assert probe_server.requests == []
+        assert not (out / "q1.nnk").exists() and not (out / "ledger.json").exists()
         assert not (out / "params.json").exists()
 
     @pytest.mark.parametrize("command", ["valuate", "train-estimate", "select", "pipeline", "sweep"])

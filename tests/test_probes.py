@@ -545,6 +545,36 @@ class TestTargetLogprobsBatch:
         assert len(done) == 1, "the next batch never got the pool's connections"
         assert ledger.forward_calls == len(slow_server.requests) == sent + 6
 
+    def test_a_lane_whose_reply_read_raises_ends_the_batch_and_frees_the_pool(self, slow_server,
+                                                                             monkeypatch):
+        # an error that is neither a transport nor a probe error ends the batch as it is
+        read_reply, seen, lock = nncift.probes._Connection.read_reply, set(), threading.Lock()
+
+        def flaky_read_reply(conn):
+            with lock:
+                # the third lane's first read, while the other two answer: no
+                # request is written behind it on its unproven connection
+                if conn not in seen:
+                    seen.add(conn)
+                    if len(seen) == 3:
+                        raise RuntimeError("reply reader broke")
+            return read_reply(conn)
+
+        provider = HttpProvider(slow_server.url, backoff=0, max_in_flight=3)
+        ledger = CostLedger()
+        with monkeypatch.context() as patch:
+            patch.setattr(nncift.probes._Connection, "read_reply", flaky_read_reply)
+            with pytest.raises(RuntimeError, match="^reply reader broke$"):
+                probe_batch(provider, "target_logprobs", batch_requests(24), ledger)
+        sent = len(slow_server.requests)
+        time.sleep(0.1)
+        # every lane had returned: nothing more reaches the server
+        assert len(slow_server.requests) == sent
+        assert ledger.forward_calls == sent
+        assert probe_batch(provider, "target_logprobs", batch_requests(6), ledger) == [
+            slow_server.logprobs(context, target) for _, context, target, _ in batch_requests(6)]
+        assert ledger.forward_calls == len(slow_server.requests) == sent + 6
+
     def test_providers_without_concurrency_answer_in_a_loop(self, tmp_path):
         path = tmp_path / "records.jsonl"
         write_records(path, [{"key": "0", "kind": "target_logprobs", "values": [-1.0]}])
@@ -634,11 +664,12 @@ class TestHttpTransport:
         (b"HTTP/1.1 200 OK\r\nno colon here\r\nContent-Length: 2\r\n\r\n{}", "keep"),
         (b"HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\n{}", "keep"),
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-5\r\n", "keep"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}XX0\r\n\r\n", "keep"),
         (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n{}", "keep"),
         (raw_reply()[:-3], "eof"),  # the peer closes mid-body
         (b"HTTP/1.1 200 OK\r\nContent-Le", "eof"),  # the peer closes mid-head
     ], ids=["status-protocol", "status-code", "header-line", "content-length", "chunk-size",
-            "header-line-over-64k", "closed-mid-body", "closed-mid-head"])
+            "chunk-without-crlf", "header-line-over-64k", "closed-mid-body", "closed-mid-head"])
     def test_unreadable_reply_is_a_failed_forward_and_retried(self, raw_server, reply, after):
         raw_server.script = [(reply, after)]
         provider = HttpProvider(raw_server.url, backoff=0, timeout=2)
