@@ -151,7 +151,8 @@ class RunConfig:
         return TrainConfig(seed=self.seed, **self.train)
 
     # What the steps share, built on first use: `pipeline` hands one
-    # RunConfig to every step, so a run loads, splits and builds once.
+    # RunConfig to every step, so a run loads, splits and builds once. A
+    # sweep cell takes all but the split from the cell before it (_run_sweep).
     @cached_property
     def pair(self) -> DatasetPair:
         return _load_inputs(self)
@@ -654,20 +655,18 @@ def _emit_final_report(config: RunConfig) -> Path:
     return report_path
 
 
-def _sweep_cell(config: RunConfig, u, v) -> RunConfig:
-    return resolve_config({**config.resolved, "u": u, "v": v, "u_sweep": None, "v_sweep": None,
-                           "out_dir": str(config.out_dir / f"u{u}_v{v}")})
-
-
 def _run_sweep(config: RunConfig) -> Path:
     u_values = config.u_sweep if config.u_sweep else [config.resolved["u"]]
     v_values = config.v_sweep if config.v_sweep else [config.resolved["v"]]
     _run_dir(config.out_dir)
-    cells = []
+    cells, built = [], {}
     for u in u_values:
         for v in v_values:
-            cell = _sweep_cell(config, u, v)
+            cell = replace(config, u=u, v=v, u_sweep=None, v_sweep=None,
+                           out_dir=config.out_dir / f"u{u}_v{v}")
+            cell.__dict__.update(built)
             cmd_pipeline(cell)
+            built = {k: cell.__dict__[k] for k in ("pair", "provider", "scale_spec") if k in cell.__dict__}
             report = read_json(_run_file(cell.out_dir / REPORT_JSON))
             cells.append(
                 {

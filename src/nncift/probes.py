@@ -269,7 +269,8 @@ def _check_header_values(base_url: str, token: object) -> None:
         raise ConfigError(f"probe.token (or {TOKEN_ENV_VAR}) must be a string of printable ASCII")
 
 
-_MAX_HEAD = 65536  # bytes in one reply's status line and headers, or one chunk-size line
+_MAX_HEAD = 65536  # bytes in one reply's status line and headers, its trailers, or one chunk-size line
+_PIECE = 1 << 20  # body bytes read at a time: a declared size allocates no more before they arrive
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 _WRITE_AHEAD = 2  # requests written on one connection: the one being served and one behind it
 
@@ -353,16 +354,20 @@ class _Connection:
     def _readline(self, limit: int) -> bytes:
         line = self._reader.readline(limit + 1)
         if len(line) > limit:
-            raise _TransportError(f"reply head or chunk line over {_MAX_HEAD} bytes")
+            raise _TransportError(f"reply head, trailers or chunk line over {_MAX_HEAD} bytes")
         if not line.endswith(b"\n"):
             raise _TransportError("connection closed before the reply ended")
         return line
 
     def _read_exactly(self, size: int) -> bytes:
-        data = self._reader.read(size)
-        if len(data) < size:
-            raise _TransportError("connection closed before the reply ended")
-        return data
+        pieces = []
+        while size:
+            piece = self._reader.read(min(size, _PIECE))
+            if not piece:
+                raise _TransportError("connection closed before the reply ended")
+            pieces.append(piece)
+            size -= len(piece)
+        return b"".join(pieces)
 
     def _read_head(self) -> tuple[bytes, int, dict[bytes, bytes]]:
         """One reply's HTTP version, status and headers (names lower-cased,
@@ -399,8 +404,9 @@ class _Connection:
             if not chunk.endswith(b"\r\n"):
                 raise _TransportError("chunk not followed by CRLF")
             chunks.append(chunk[:-2])
-        while self._readline(_MAX_HEAD) not in (b"\r\n", b"\n"):  # trailer fields
-            pass
+        budget = _MAX_HEAD  # for the trailer fields, which are read and dropped
+        while (line := self._readline(budget)) not in (b"\r\n", b"\n"):
+            budget -= len(line)
         return b"".join(chunks)
 
 
@@ -505,8 +511,9 @@ class HttpProvider(_Provider):
     cost was paid whether or not the answer arrived, and an attempt that
     got no answer also counts as a failed forward. Other HTTP errors and
     bodies that are not a JSON object fail immediately. A reply the client
-    cannot read (a malformed status line or header, a head over 64 KiB, a
-    connection closed mid-reply) is a transport error.
+    cannot read (a malformed status line or header, a head or trailers over
+    64 KiB, a connection closed mid-reply) is a transport error; a body is
+    read as its bytes arrive, whatever size its reply declares.
 
     The provider answers one batch at a time, over lanes that each hold
     one of a pool of max_in_flight keep-alive connections (default 8),
@@ -633,6 +640,9 @@ class HttpProvider(_Provider):
                     reply = conn.read_reply() if error is None else error
                 except OSError as exc:
                     reply = exc
+                except BaseException:
+                    batch.ledger.add_forward(len(pending))  # written behind this reply: served
+                    raise
                 if isinstance(reply, OSError):
                     conn.close()  # its state is unknown: the next request reconnects
                 if conn.sock is None:

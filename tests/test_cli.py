@@ -69,6 +69,9 @@ def write_config(tmp_path, method="delift_se", m=40, n=40, dim=8, name="config.j
     return path
 
 
+SWEEP = {"u_sweep": [0.05, 0.1], "v_sweep": [0.1, 0.3]}
+
+
 def write_texts(tmp_path, m=20, n=10):
     """Text records for m fine-tuning and n target rows; the config keys naming them."""
     texts = {"fine_tune_texts": tmp_path / "fine.jsonl", "target_texts": tmp_path / "target.jsonl"}
@@ -1239,9 +1242,13 @@ class TestPipeline:
         # one provider per scale, shared by the corner and the truth pass
         ("selectit", {"target_embeddings": ..., "evaluate_truth": True}, (1, 1, 2)),
         ("delift", {"evaluate_truth": True}, (1, 1, 1)),
-        # each sweep cell is its own run
-        ("delift_se", {"u_sweep": [0.05, 0.1], "v_sweep": [0.1, 0.3]}, (4, 4, 0)),
-    ], ids=["selectit", "delift", "sweep"])
+        # a sweep's cells share the inputs and providers; each draws its own split
+        ("delift_se", SWEEP, (1, 4, 0)),
+        ("delift", SWEEP, (1, 4, 1)),
+        # a single delift_se run never opens this file, so no cell of a sweep does
+        ("delift_se", {**SWEEP, "probe": {"provider": "file", "records": "no-such-records.jsonl"}},
+         (1, 4, 0)),
+    ], ids=["selectit", "delift", "sweep", "delift-sweep", "sweep-with-unused-probe"])
     def test_pipeline_builds_inputs_split_and_providers_once(
         self, tmp_path, constructions, method, overrides, expected
     ):
@@ -1249,6 +1256,37 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
         assert (constructions["_load_inputs"], constructions["partition"],
                 constructions["build_provider"]) == expected
+
+    def test_selectit_sweep_builds_each_scale_provider_once(self, tmp_path, constructions):
+        scales = []
+        for k, label in enumerate(("1b", "3b")):
+            records = tmp_path / f"{label}.jsonl"
+            records.write_text("".join(json.dumps({"key": f"{i}:0", "kind": "token_max_probs",
+                                                   "values": [(i * 7 + k) % 10 / 10 + 0.05]}) + "\n"
+                                       for i in range(20)))
+            scales.append({"label": label, "parameter_count": k + 1,
+                           "probe": {"provider": "file", "records": str(records)}})
+        config = write_config(tmp_path, method="selectit", m=20, target_embeddings=..., scales=scales,
+                              **write_texts(tmp_path), **SWEEP)
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert len(read_json(tmp_path / "run" / "sweep.json")["cells"]) == 4
+        assert constructions["build_provider"] == 2
+
+    @pytest.mark.parametrize("method", ["delift", "delift_se", "selectit"])
+    def test_sweep_cell_is_the_standalone_run_at_its_u_and_v(self, tmp_path, method):
+        extra = {"target_embeddings": ...} if method == "selectit" else {}
+        config = write_config(tmp_path, method=method, m=30, n=20, **extra, **SWEEP)
+        assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "sweep")]) == 0
+        cells = read_json(tmp_path / "sweep" / "sweep.json")["cells"]
+        assert len(cells) == 4
+        for cell in cells:
+            single = write_config(tmp_path, method=method, m=30, n=20, name="single.json", **extra,
+                                  u=cell["u"], v=cell["v"])
+            out = tmp_path / "single"
+            assert main(["pipeline", "--config", str(single), "--out", str(out)]) == 0
+            assert read_json(out / "report.json")["run_id"] == cell["run_id"]
+            for name in ("q1.nnk", "full.nnk", "params.json", "selection.json", "mse.json"):
+                assert (out / name).read_bytes() == (Path(cell["out_dir"]) / name).read_bytes(), name
 
     def test_standalone_steps_load_only_what_they_read(self, tmp_path, constructions):
         config = write_config(tmp_path, m=20, n=10)

@@ -3,9 +3,13 @@ and the private names `perfbench/tests` reaches, in the forms they are
 made (`tests/test_trace.py` covers the names the tracer wraps).
 `perfbench/tests` is not part of the tier-1 suite, so this is what fails
 when one of these forms is dropped; a benchmark change that stops making
-a call takes its check out of here."""
+a call takes its check out of here. The benchmark's smoke mode runs here
+too, so a package change that breaks `run.py` fails the suite."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -71,3 +75,13 @@ def test_private_names_perfbench_tests_reach(tmp_path, probe_server):
     path = tmp_path / "records_1.jsonl"
     path.write_text(json.dumps({"key": "0:1", "kind": "token_max_probs", "values": [0.5, 0.25]}) + "\n")
     assert FileProvider(path)._records[("token_max_probs", "0:1")] == [0.5, 0.25]
+
+
+def test_benchmark_smoke_run_passes_its_checks():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"), "--workload", "all",
+                           "--seed", "13", "--seconds", "1", "--smoke"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    verdict = json.loads(proc.stdout.splitlines()[-1])
+    assert (verdict["correct"], verdict["failed"]) == (True, 0), proc.stdout

@@ -575,6 +575,29 @@ class TestTargetLogprobsBatch:
             slow_server.logprobs(context, target) for _, context, target, _ in batch_requests(6)]
         assert ledger.forward_calls == len(slow_server.requests) == sent + 6
 
+    @pytest.mark.parametrize("failing", [5, 9])
+    def test_a_reply_read_that_raises_charges_the_requests_written_behind_it(self, slow_server,
+                                                                            monkeypatch, failing):
+        # a later read finds a request written behind the reply on a proven
+        # connection: the server serves it, so the ledger must count it
+        read_reply, reads, lock = nncift.probes._Connection.read_reply, [], threading.Lock()
+
+        def flaky_read_reply(conn):
+            with lock:
+                reads.append(conn)
+                if len(reads) == failing:
+                    raise RuntimeError("reply reader broke")
+            return read_reply(conn)
+
+        provider = HttpProvider(slow_server.url, backoff=0, max_in_flight=3)
+        ledger = CostLedger()
+        with monkeypatch.context() as patch:
+            patch.setattr(nncift.probes._Connection, "read_reply", flaky_read_reply)
+            with pytest.raises(RuntimeError, match="^reply reader broke$"):
+                probe_batch(provider, "target_logprobs", batch_requests(24), ledger)
+        time.sleep(0.1)
+        assert ledger.forward_calls == len(slow_server.requests)
+
     def test_providers_without_concurrency_answer_in_a_loop(self, tmp_path):
         path = tmp_path / "records.jsonl"
         write_records(path, [{"key": "0", "kind": "target_logprobs", "values": [-1.0]}])
@@ -668,8 +691,14 @@ class TestHttpTransport:
         (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n{}", "keep"),
         (raw_reply()[:-3], "eof"),  # the peer closes mid-body
         (b"HTTP/1.1 200 OK\r\nContent-Le", "eof"),  # the peer closes mid-head
+        # a declared size is read as its bytes arrive: nothing is allocated for it up front
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999999\r\n\r\n{}", "eof"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nFFFFFFFFFFFF\r\n{}", "eof"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n"
+         + b"X-Pad: %s\r\n" % (b"a" * 90) * 700 + b"\r\n", "keep"),
     ], ids=["status-protocol", "status-code", "header-line", "content-length", "chunk-size",
-            "chunk-without-crlf", "header-line-over-64k", "closed-mid-body", "closed-mid-head"])
+            "chunk-without-crlf", "header-line-over-64k", "closed-mid-body", "closed-mid-head",
+            "content-length-past-ssize", "chunk-size-past-memory", "trailers-over-64k"])
     def test_unreadable_reply_is_a_failed_forward_and_retried(self, raw_server, reply, after):
         raw_server.script = [(reply, after)]
         provider = HttpProvider(raw_server.url, backoff=0, timeout=2)
@@ -682,7 +711,7 @@ class TestHttpTransport:
     @pytest.mark.parametrize("reply, after, error", [
         (b"garbage\r\n\r\n", "keep", "malformed status line"),
         (b"HTTP/1.1 200 OK\r\n" + b"X-Pad: %s\r\n" % (b"a" * 90) * 700, "keep",
-         "reply head or chunk line over 65536 bytes"),
+         "reply head, trailers or chunk line over 65536 bytes"),
         (b"HTTP/1.1 200 OK\r\n", "eof", "connection closed before the reply ended"),
     ], ids=["garbage", "oversized", "closed"])
     def test_unreadable_replies_exhaust_the_retries(self, raw_server, reply, after, error):
