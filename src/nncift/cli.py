@@ -29,7 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,9 @@ from .datasets import (
     load_embeddings,
     load_texts,
     partition,
+    read_input,
     read_json,
+    write_json,
 )
 from .errors import (
     ConfigError,
@@ -225,10 +227,7 @@ def _probe_kinds(cfg: dict) -> set[str]:
 
 def read_config_file(path: str | Path) -> dict:
     path = Path(path)
-    try:
-        doc = read_json(path, ConfigError)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    doc = read_input("config", path, partial(read_json, error=ConfigError))
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
@@ -363,34 +362,25 @@ def _generated_texts(count: int, side: str) -> dict[int, tuple[str, str]]:
     }
 
 
-def _read_input(config: RunConfig, key: str, loader):
-    path = getattr(config, key)
-    try:
-        return loader(path)
-    except OSError as exc:
-        raise ConfigError(f"{key}: cannot read {path}: {exc.strerror}") from exc
-
-
 def _load_inputs(config: RunConfig) -> DatasetPair:
-    fine = _read_input(config, "fine_tune_embeddings", load_embeddings)
+    fine = read_input("fine_tune_embeddings", config.fine_tune_embeddings, load_embeddings)
     if config.target_embeddings:
-        target = _read_input(config, "target_embeddings", load_embeddings)
+        target = read_input("target_embeddings", config.target_embeddings, load_embeddings)
     else:
         target = EmbeddingMatrix(np.zeros((0, fine.dim), dtype=np.float32))
     kwargs = {}
     if config.method == "less":
-        kwargs["fine_tune_gradients"] = _read_input(config, "fine_tune_gradients", load_embeddings)
-        kwargs["target_gradients"] = _read_input(config, "target_gradients", load_embeddings)
+        for key in ("fine_tune_gradients", "target_gradients"):
+            kwargs[key] = read_input(key, getattr(config, key), load_embeddings)
     sides = {"delift": ("fine_tune", "target"), "selectit": ("fine_tune",)}.get(config.method, ())
     for side, count in zip(sides, (fine.count, target.count)):
         key = f"{side}_texts"
-        kwargs[key] = texts = (_read_input(config, key, load_texts) if getattr(config, key)
-                               else _generated_texts(count, side))
+        path = getattr(config, key)
+        kwargs[key] = texts = read_input(key, path, load_texts) if path else _generated_texts(count, side)
         # every row may be probed: a missing text must not surface mid-run
         missing = next((i for i in range(count) if i not in texts), None)
         if missing is not None:
-            raise FileFormatError(f"{getattr(config, key)}: no record for {side} idx {missing} "
-                                  f"of its {count} rows")
+            raise FileFormatError(f"{path}: no record for {side} idx {missing} of its {count} rows")
     try:
         return DatasetPair(fine_tune=fine, target=target, **kwargs)
     except ValueError as exc:  # the matrices' shapes do not match across files
@@ -399,28 +389,25 @@ def _load_inputs(config: RunConfig) -> DatasetPair:
         raise DataValidationError(f"{files}: {exc}") from exc
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def _write_ledger(out: Path, config: RunConfig, ledger: CostLedger, evaluation: dict | None = None,
                   training: dict | None = None) -> None:
     doc = {"config_hash": config.config_hash, **ledger.as_dict(), "evaluation": evaluation,
            "training": training}
-    _write_json(out / LEDGER_FILE, doc)
+    write_json(out / LEDGER_FILE, doc)
 
 
-def _run_file(path: Path, step: str = "the earlier pipeline step") -> Path:
-    """`path`, which `step` writes; ConfigError if it does not exist."""
+def _run_file(path: Path, loader=read_json, step: str = "the earlier pipeline step"):
+    """What `loader` reads from `path`, which `step` writes; ConfigError if
+    it does not exist or cannot be read."""
     if not path.exists():
         raise ConfigError(f"{path} not found; run {step} first")
-    return path
+    return read_input(path.name, path, loader)
 
 
 def _load_ledger(out: Path, config: RunConfig) -> tuple[dict, CostLedger]:
     """ledger.json's document and the ledger it holds, which `config`'s run must have written."""
     path = out / LEDGER_FILE
-    doc = read_json(_run_file(path))
+    doc = _run_file(path)
     try:
         ledger = CostLedger.from_dict(doc)
     except ValueError as exc:
@@ -489,8 +476,8 @@ def cmd_train_estimate(config: RunConfig) -> Path:
     """
     out = _run_dir(config.out_dir)
     pair, part = config.pair, config.part
-    q1_path = _run_file(out / Q1_FILE, "valuate")
-    q1 = load_influence(q1_path)
+    q1_path = out / Q1_FILE
+    q1 = _run_file(q1_path, load_influence, "valuate")
     _, ledger = _load_ledger(out, config)
     if (q1.m, q1.n) != (part.m, part.n) or not (
             np.array_equal(q1.rows, part.id_f) and np.array_equal(q1.cols, part.id_t)):
@@ -568,7 +555,7 @@ def cmd_train_estimate(config: RunConfig) -> Path:
         for name, mse in errors.means().items():
             mse_doc[name] = {label: None if math.isnan(mse[q]) else mse[q]
                              for label, q in labels.items()}
-        _write_json(out / MSE_FILE, mse_doc)
+        write_json(out / MSE_FILE, mse_doc)
     _write_ledger(out, config, ledger, evaluation=evaluation,
                   training={"epoch_losses": result.epoch_losses})
     print(f"wrote {out / FULL_FILE} and {out / PARAMS_FILE}")
@@ -587,8 +574,8 @@ def cmd_select(config: RunConfig) -> Path:
     _check_v(config.method, [config.v])
     out = _run_dir(config.out_dir)
     _load_ledger(out, config)
-    full_path = _run_file(out / FULL_FILE, "train-estimate")
-    raw = full_path.read_bytes()
+    full_path = out / FULL_FILE
+    raw = _run_file(full_path, Path.read_bytes, "train-estimate")
     full = InfluenceMatrix.from_bytes(raw, str(full_path))
     if not full.fully_valid:
         raise ConfigError(f"{full_path} holds {full.valid_count()} of the {full.m}x{full.n} "
@@ -608,7 +595,7 @@ def cmd_select(config: RunConfig) -> Path:
         "seed": config.seed,
         "kernel_hash": hashlib.sha256(raw).hexdigest(),
     }
-    _write_json(out / SELECTION_FILE, doc)
+    write_json(out / SELECTION_FILE, doc)
     print(f"wrote {out / SELECTION_FILE} ({len(result.indices)} of {full.m} rows)")
     return out
 
@@ -618,7 +605,7 @@ def _emit_final_report(config: RunConfig) -> Path:
     pair = config.pair
     ledger_doc, _ = _load_ledger(out, config)
     mse_path = out / MSE_FILE
-    mse_doc = read_json(mse_path) if mse_path.exists() else None
+    mse_doc = _run_file(mse_path) if mse_path.exists() else None
     cost = build_cost_report(
         config.method,
         pair.m,
@@ -645,7 +632,7 @@ def _emit_final_report(config: RunConfig) -> Path:
         "quadrant_mse": None if mse_doc is None else {k: mse_doc[k] for k in PREDICTORS if k in mse_doc},
         "cost": cost,
         "ledger_check": check,
-        "selection": read_json(_run_file(out / SELECTION_FILE)),
+        "selection": _run_file(out / SELECTION_FILE),
         "evaluation": ledger_doc.get("evaluation"),
         "training": ledger_doc.get("training"),
         "metadata": {"config": config.resolved},
@@ -667,7 +654,7 @@ def _run_sweep(config: RunConfig) -> Path:
             cell.__dict__.update(built)
             cmd_pipeline(cell)
             built = {k: cell.__dict__[k] for k in ("pair", "provider", "scale_spec") if k in cell.__dict__}
-            report = read_json(_run_file(cell.out_dir / REPORT_JSON))
+            report = _run_file(cell.out_dir / REPORT_JSON)
             cells.append(
                 {
                     "u": u,
@@ -683,7 +670,7 @@ def _run_sweep(config: RunConfig) -> Path:
                     "train_ms": report["cost"]["wall_ms"]["train"],
                 }
             )
-    _write_json(config.out_dir / SWEEP_FILE, {"config_hash": config.config_hash, "cells": cells})
+    write_json(config.out_dir / SWEEP_FILE, {"config_hash": config.config_hash, "cells": cells})
     print(f"sweep: {len(cells)} pipeline cells under {config.out_dir}")
     return config.out_dir
 

@@ -25,7 +25,7 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .errors import DataValidationError, FileFormatError, PayloadLengthError, RecordNotFoundError
+from .errors import ConfigError, DataValidationError, FileFormatError, PayloadLengthError, RecordNotFoundError
 
 EMB1_MAGIC = b"NNCIFT1\x00"
 _EMB1_HEADER = struct.Struct("<8sII")
@@ -252,17 +252,32 @@ def is_number(value) -> bool:
         and abs(value) <= sys.float_info.max
 
 
+def read_input(name: str, path: str | Path, loader):
+    """`loader(path)`, for every file a run reads: an OSError (the file is
+    missing, a directory, unreadable) becomes a ConfigError naming `name`
+    and the file, so the run exits 2."""
+    try:
+        return loader(path)
+    except OSError as exc:
+        raise ConfigError(f"{name}: cannot read {path}: {exc.strerror}") from exc
+
+
 def read_json(path: Path, error: type[Exception] = FileFormatError):
     """The JSON document in a UTF-8 file. Bytes that are not UTF-8, or not
     JSON (an integer of more digits than int() reads, or nesting deeper
     than the recursion limit, included), raise `error` naming the file; an
-    OSError passes through."""
+    OSError passes through to read_input."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def write_json(path: Path, doc) -> None:
+    """Write a run's JSON artifact: sorted keys, indent 2, a final newline."""
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def jsonl_records(path: Path) -> Iterator[tuple[str, object]]:

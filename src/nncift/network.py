@@ -512,7 +512,7 @@ def estimate_pairwise(
 def estimate_pointwise(
     params: MlpParams,
     embeddings: EmbeddingMatrix,
-    indices: Iterable[int],
+    indices: Sequence[int],
     norm: NormStats,
     ledger: CostLedger,
 ) -> PointwiseScores:
@@ -521,7 +521,7 @@ def estimate_pointwise(
     range so they are comparable with ground-truth scores."""
     if params.in_dim != embeddings.dim:
         raise ValueError(f"net expects in_dim {params.in_dim}, embeddings give {embeddings.dim}")
-    indices = np.array([int(i) for i in indices], dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
     columns = _project(params, np.zeros((1, 0)), [0], _workspace(len(indices), 1, params.hidden))
     outputs = _estimate_chunks(params, embeddings.rows, indices, columns, np.empty((len(indices), 1)))[:, 0]
     ledger.add_estimator_forwards(len(indices))

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 from urllib.parse import SplitResult, urlsplit
 
-from .datasets import is_number, jsonl_records
+from .datasets import is_number, jsonl_records, read_input
 from .errors import (
     ConfigError,
     DataValidationError,
@@ -797,9 +797,6 @@ def build_provider(spec: dict) -> Provider:
     if kind == "synthetic":
         return SyntheticProvider(seed=spec.get("seed", 0))
     if kind == "file":
-        try:
-            return FileProvider(spec["records"])
-        except OSError as exc:
-            raise ConfigError(f"probe.records: cannot read {spec['records']}: {exc.strerror}") from exc
+        return read_input("probe.records", spec["records"], FileProvider)
     options = {name: spec[name] for name in _HTTP_OPTIONS if name in spec}
     return HttpProvider(base_url=spec["base_url"], token=spec.get("token"), **options)

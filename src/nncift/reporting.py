@@ -21,11 +21,10 @@ counters would hide exactly the distinction the savings claim rests on.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
-from .datasets import exact_ceil
+from .datasets import exact_ceil, write_json
 from .influence import PAIRWISE_METHODS, POINTWISE_METHODS
 from .network import PREDICTORS, QUADRANTS
 
@@ -209,6 +208,6 @@ def emit_report(out_dir: str | Path, doc: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = _json_safe(doc)
     report_path = out_dir / REPORT_JSON
-    report_path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(report_path, doc)
     (out_dir / REPORT_TEXT).write_text(render_text_report(doc))
     return report_path

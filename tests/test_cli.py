@@ -306,7 +306,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("read, error", [
         (nncift.cli.read_config_file, ConfigError),
-        (lambda path: nncift.cli.read_json(nncift.cli._run_file(path)), FileFormatError),
+        (nncift.cli._run_file, FileFormatError),
         (load_params, FileFormatError),
         (load_texts, FileFormatError),
         (FileProvider, FileFormatError),
@@ -487,22 +487,57 @@ class TestExitCodes:
         assert f"probe.{next(iter(option))}" in proc.stderr
         assert not (out / "q1.nnk").exists()
 
-    @pytest.mark.parametrize("key", ["fine_tune_embeddings", "fine_tune_texts", "probe.records"])
-    def test_missing_input_file_names_its_key_and_exits_2(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize("key", [
+        "config", "fine_tune_embeddings", "target_embeddings", "fine_tune_texts", "target_texts",
+        "fine_tune_gradients", "target_gradients", "probe.records", "scales.probe.records",
+    ])
+    def test_missing_input_file_names_its_key_and_exits_2(self, tmp_path, capsys, probe_server, key):
+        # before any probe: each run that could probe does so over the test server
         missing = tmp_path / "missing.file"
-        if key == "probe.records":
-            save_texts({i: (f"prompt {i}", f"response {i}") for i in range(20)}, tmp_path / "fine.jsonl")
+        http = {"provider": "http", "base_url": probe_server.url}
+        if key.endswith("probe.records"):
+            file = {"provider": "file", "records": str(missing)}
             overrides = {"method": "selectit", "target_embeddings": ..., "m": 20,
-                         "fine_tune_texts": str(tmp_path / "fine.jsonl"),
-                         "probe": {"provider": "file", "records": str(missing)},
-                         "scales": [{"label": "1b", "parameter_count": 1}]}
+                         "fine_tune_texts": write_texts(tmp_path)["fine_tune_texts"],
+                         "probe": file, "scales": [{"label": "1b", "parameter_count": 1}]}
+            if key == "scales.probe.records":  # the second scale's records; the first probes
+                overrides.update(probe=http, scales=[{"label": "1b", "parameter_count": 1},
+                                                     {"label": "3b", "parameter_count": 3, "probe": file}])
+            key = "probe.records"
+        elif key.endswith("gradients"):
+            overrides = {"method": "less", "m": 20, "n": 10,
+                         "fine_tune_gradients": str(tmp_path / "fine.emb"),
+                         "target_gradients": str(tmp_path / "target.emb"), key: str(missing)}
         else:
-            overrides = {"method": "delift", "m": 20, "n": 10, key: str(missing)}
-        config = write_config(tmp_path, **overrides)
+            overrides = {"method": "delift", "m": 20, "n": 10, "probe": http, **write_texts(tmp_path)}
+            overrides[key] = str(missing)
+        config = missing if key == "config" else write_config(tmp_path, **overrides)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
-        assert f"{key}: cannot read {missing}" in capsys.readouterr().err
+        assert f"{key}: cannot read {missing}: No such file or directory" in capsys.readouterr().err
+        assert probe_server.requests == []
         assert not (out / "q1.nnk").exists()
+
+    @pytest.mark.parametrize("name, step", [
+        ("q1.nnk", "cmd_valuate"), ("ledger.json", "cmd_valuate"), ("full.nnk", "cmd_train_estimate"),
+        ("mse.json", "cmd_select"), ("selection.json", "cmd_select"),
+    ])
+    def test_unreadable_run_artifact_names_it_and_exits_2(self, tmp_path, capsys, monkeypatch, name, step):
+        # the step that wrote the artifact leaves a directory in its place
+        # for the next step of the pipeline to read
+        written = getattr(nncift.cli, step)
+
+        def write_then_break(config):
+            out = written(config)
+            (out / name).unlink()
+            (out / name).mkdir()
+            return out
+
+        monkeypatch.setattr(nncift.cli, step, write_then_break)
+        config = write_config(tmp_path, m=20, n=10)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        assert f"{name}: cannot read {out / name}: Is a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method, side", [
         ("delift", "fine_tune"), ("delift", "target"), ("selectit", "fine_tune"),

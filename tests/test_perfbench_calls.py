@@ -7,6 +7,7 @@ a call takes its check out of here. The benchmark's smoke mode runs here
 too, so a package change that breaks `run.py` fails the suite."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -77,9 +78,14 @@ def test_private_names_perfbench_tests_reach(tmp_path, probe_server):
     assert FileProvider(path)._records[("token_max_probs", "0:1")] == [0.5, 0.25]
 
 
-def test_benchmark_smoke_run_passes_its_checks():
+def test_benchmark_smoke_run_passes_its_checks(tmp_path):
+    # run.py works under its own parent directory (.perfbench/), so it runs
+    # from a copy: the smoke inputs must not replace the checkout's
     root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"), "--workload", "all",
+    for name in ("perfbench", "src"):
+        shutil.copytree(root / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run([sys.executable, str(tmp_path / "perfbench" / "run.py"), "--workload", "all",
                            "--seed", "13", "--seconds", "1", "--smoke"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
